@@ -2,9 +2,24 @@
 
 Each level extends every parent by one new vertex attached to every
 admissible neighbor subset; a child is accepted only when the new vertex
-lies in the automorphism orbit of the canonically last vertex.  Distinct
-parents then never produce isomorphic accepted children, so a per-parent
-key dedup suffices and the output is independent of scheduling.
+lies in the automorphism orbit of the canonically last vertex (McKay 1998,
+"Isomorph-free exhaustive generation").  Distinct parents then never produce
+isomorphic accepted children, so a per-parent key dedup suffices and the
+output is independent of scheduling.
+
+Two reductions skip canonical labeling whose answer is already known; both
+leave every level's keys and representatives unchanged:
+
+- pre-test: a child is labeled only if its new vertex lies in a largest
+  component, has the maximum degree there and the largest sorted neighbor
+  degrees among the vertices of that degree.  The canonically last vertex
+  always does: canon_data puts a largest component last, and canon_raw's
+  refinement orders vertices by degree, then by neighbor degrees, before
+  any split.
+- orbit reduction: neighbor subsets are visited in ascending order, and a
+  subset that an earlier one reaches under the parent's automorphism
+  generators is skipped.  The automorphism extends to an isomorphism of the
+  two children, so the skipped child repeats the first one's key.
 """
 
 from __future__ import annotations
@@ -17,11 +32,13 @@ from dataclasses import dataclass, field
 
 from chromastab import graph6, iso, kernels
 from chromastab.chromatic import StabilityReport, analyze
-from chromastab.graph import Graph, GraphError
+from chromastab.graph import Graph, GraphError, bits, component_masks, mask_of
 
 EXHAUSTIVE_CAP = 10
 
-KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+KNOWN_CLASS_COUNTS = {
+    1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668,
+}
 
 
 class GenerateError(ValueError):
@@ -75,59 +92,93 @@ class Catalog:
 # ---------------------------------------------------------------------------
 
 
-def _pack_key(n, rows):
-    data = bytearray([n])
-    for r in rows:
-        data += int(r).to_bytes(8, "little")
-    return bytes(data)
-
-
 def _children_of(task):
-    """Accepted one-vertex extensions of a parent: list of (packed_key, rows)."""
+    """Accepted one-vertex extensions of a parent: sorted list of (packed_key, rows).
+
+    Neighbor subsets are visited in ascending order.  A subset that an
+    earlier one reaches under the parent's automorphism generators is
+    skipped, and a child is canonically labeled only when its new vertex
+    passes `_may_be_last`.
+    """
     n, rows, max_degree = task
-    accepted = {}
-    if max_degree is None:
-        eligible = list(range(n))
-        cap = n
-    else:
-        eligible = [u for u in range(n) if rows[u].bit_count() < max_degree]
-        cap = max_degree
+    cap = n if max_degree is None else max_degree
+    eligible = mask_of(u for u in range(n) if rows[u].bit_count() < cap)
+    degree = [r.bit_count() for r in rows]
+    comps = component_masks(n, rows)
+    comp_of = [0] * n
+    for comp in comps:
+        for v in bits(comp):
+            comp_of[v] = comp
+    gens = iso.canon_data(n, rows).generators
     newbit = 1 << n
-    base = list(rows) + [0]
-    ne = len(eligible)
-    for sub in range(1 << ne):
-        if sub.bit_count() > cap:
-            continue
-        x = 0
-        child = base.copy()
-        s = sub
-        while s:
-            b = s & -s
-            u = eligible[b.bit_length() - 1]
-            child[u] |= newbit
-            x |= 1 << u
-            s ^= b
-        child[n] = x
-        crows = tuple(child)
-        data = iso.canon_data(n + 1, crows)
-        if data.last_orbit >> n & 1:
-            key = _pack_key(n + 1, _canon_rows_from(data, n + 1, crows))
-            if key not in accepted:
-                accepted[key] = crows
+    seen = set()
+    accepted = {}
+    x = 0
+    while True:
+        if (
+            x.bit_count() <= cap
+            and x not in seen
+            and _may_be_last(x, rows, degree, comps, comp_of)
+        ):
+            seen.update(_orbit(x, gens))
+            child = list(rows)
+            for u in bits(x):
+                child[u] |= newbit
+            child.append(x)
+            crows = tuple(child)
+            data = iso.canon_data(n + 1, crows)
+            if data.last_orbit >> n & 1:
+                key = iso.pack_key(n + 1, iso.apply_perm(n + 1, crows, data.perm))
+                accepted.setdefault(key, crows)
+        if x == eligible:
+            break
+        x = (x - eligible) & eligible  # next subset of `eligible`, ascending
     return sorted(accepted.items())
 
 
-def _canon_rows_from(data, n, rows):
-    out = [0] * n
-    perm = data.perm
-    for v in range(n):
-        pv = perm[v]
-        row = rows[v]
-        while row:
-            b = row & -row
-            out[pv] |= 1 << perm[b.bit_length() - 1]
-            row ^= b
-    return out
+def _may_be_last(x, rows, degree, comps, comp_of):
+    """Whether a new vertex joined to `x` can be canonically last.
+
+    canon_data puts a largest component last.  Within a component,
+    canon_raw's first refinement round orders vertices by degree, the second
+    by the sorted degrees of their neighbors, and later splits keep that
+    order.  So the canonically last vertex (and its whole orbit) lies in a
+    largest component, has the maximum degree d there, and has the largest
+    sorted neighbor degrees among the vertices of degree d.
+    """
+    d = x.bit_count()
+    merged = 0
+    for u in bits(x):
+        merged |= comp_of[u]
+    size = merged.bit_count() + 1
+    if any(comp.bit_count() > size for comp in comps if not comp & merged):
+        return False
+    mine = sorted(degree[u] + 1 for u in bits(x))
+    for v in bits(merged):
+        joined = x >> v & 1
+        if degree[v] + joined > d:
+            return False
+        if degree[v] + joined == d:
+            theirs = [degree[u] + (x >> u & 1) for u in bits(rows[v])]
+            if joined:
+                theirs.append(d)
+            if sorted(theirs) > mine:
+                return False
+    return True
+
+
+def _orbit(x, gens):
+    """The orbit of vertex mask x under the group generated by gens."""
+    orbit = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for gen in gens:
+            z = mask_of(gen[u] for u in bits(y))
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(z)
+    return orbit
 
 
 def _pmap(fn, tasks, jobs, chunksize=16):
@@ -148,7 +199,7 @@ def all_levels(n, max_degree=None, jobs=1):
     """{order: sorted list of (packed_key, rows)} for every order 1..n, one
     representative per isomorphism class (respecting the degree bound).
     Levels are cached per max_degree within the process and extended on demand."""
-    levels = _LEVEL_CACHE.setdefault(max_degree, {1: [(_pack_key(1, (0,)), (0,))]})
+    levels = _LEVEL_CACHE.setdefault(max_degree, {1: [(iso.pack_key(1, (0,)), (0,))]})
     for k in range(1, n):
         if k + 1 in levels:
             continue

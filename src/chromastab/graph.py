@@ -34,6 +34,27 @@ def mask_of(vertices) -> int:
     return m
 
 
+def component_masks(n, rows):
+    """Connected components of raw adjacency rows as vertex masks, by
+    smallest contained vertex."""
+    seen = 0
+    comps = []
+    for start in range(n):
+        if seen >> start & 1:
+            continue
+        comp = 1 << start
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & ~comp
+            comp |= frontier
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def _norm_edge(e):
     u, v = e
     return (u, v) if u <= v else (v, u)
@@ -261,22 +282,7 @@ class Graph:
 
     def component_masks(self):
         """Connected components as vertex masks, by smallest contained vertex."""
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = 1 << start
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            comps.append(comp)
-        return comps
+        return component_masks(self.n, self.rows)
 
     def is_connected(self) -> bool:
         return len(self.component_masks()) <= 1

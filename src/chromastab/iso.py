@@ -17,7 +17,7 @@ from functools import lru_cache
 import networkx as nx
 
 from chromastab import graph6, kernels
-from chromastab.graph import Graph, bits, mask_of
+from chromastab.graph import Graph, bits, component_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -41,25 +41,6 @@ class CanonData:
     generators: tuple
     orbits: tuple       # vertex -> smallest vertex of its orbit
     last_orbit: int     # mask: orbit of the canonically last vertex
-
-
-def _component_masks(n, rows):
-    seen = 0
-    comps = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 class _Orbits:
@@ -88,10 +69,10 @@ def canon_data(n, rows) -> CanonData:
     if n == 0:
         return CanonData(graph6.encode_rows(0, ()).encode(), (), 1, (), (), 0)
     kern = kernels.active()
-    comps = _component_masks(n, rows)
+    comps = component_masks(n, rows)
     if len(comps) == 1:
         perm, order, gens, orbits = kern.canon_raw(n, rows)
-        crows = _apply_perm(n, rows, perm)
+        crows = apply_perm(n, rows, perm)
         key = graph6.encode_rows(n, crows).encode()
         last = _orbit_mask(orbits, perm.index(n - 1))
         return CanonData(key, perm, order, gens, orbits, last)
@@ -105,12 +86,12 @@ def canon_data(n, rows) -> CanonData:
             mask_of(index[u] for u in bits(rows[v] & comp)) for v in verts
         )
         perm, order, gens, orbits = kern.canon_raw(nc, sub)
-        crows = _apply_perm(nc, sub, perm)
+        crows = apply_perm(nc, sub, perm)
         pieces.append(
             {
                 "verts": verts,
                 "n": nc,
-                "key": _pack(nc, crows),
+                "key": pack_key(nc, crows),
                 "perm": perm,
                 "order": order,
                 "gens": gens,
@@ -163,7 +144,7 @@ def canon_data(n, rows) -> CanonData:
         i = j
 
     orbits = tuple(orb.find(v) for v in range(n))
-    crows = _apply_perm(n, rows, gperm)
+    crows = apply_perm(n, rows, gperm)
     key = graph6.encode_rows(n, crows).encode()
     last_vertex = gperm.index(n - 1)
     return CanonData(key, tuple(gperm), order, tuple(ggens), orbits, _orbit_mask(orbits, last_vertex))
@@ -186,7 +167,8 @@ def _swap_components(n, pa, pb):
     return tuple(perm)
 
 
-def _apply_perm(n, rows, perm):
+def apply_perm(n, rows, perm):
+    """Rows of the graph relabeled by perm (vertex -> new position)."""
     out = [0] * n
     for v in range(n):
         pv = perm[v]
@@ -195,7 +177,8 @@ def _apply_perm(n, rows, perm):
     return tuple(out)
 
 
-def _pack(n, rows):
+def pack_key(n, rows):
+    """Fixed-width byte key of (n, rows): n, then each row as 8 little-endian bytes."""
     data = bytearray([n])
     for r in rows:
         data += int(r).to_bytes(8, "little")

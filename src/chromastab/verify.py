@@ -224,6 +224,12 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
         )
         hits = [r for r in results if r[2] == 4]
         chk.evidence["order9_classes"] = total
+        want = generate.KNOWN_CLASS_COUNTS[9]
+        chk.expect(
+            total == want,
+            f"order-9 expansion gave {total} classes, expected {want}",
+            order9_classes=total,
+        )
         chk.evidence["order9_hits"] = len(hits)
         chk.evidence["order9_hit_keys"] = sorted(
             iso.canonical_form(Graph(9, r[1])).decode() for r in hits

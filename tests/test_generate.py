@@ -1,14 +1,79 @@
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
 from chromastab import generate, graph6, iso, oracles
 from chromastab.generate import Catalog, GenSpec, GenerateError
+from chromastab.graph import bits, component_masks
 
 
 def test_known_counts_small():
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert generate.class_count(n) == generate.KNOWN_CLASS_COUNTS[n]
+
+
+# Parents whose every candidate child is canonically labeled below:
+# (max_degree, largest parent order).
+UNREDUCED_SWEEPS = ((None, 6), (3, 7), (4, 7))
+
+
+@lru_cache(maxsize=None)
+def _unreduced_expansion(max_degree, top):
+    """[(parent rows, [(neighbor mask, child rows, perm), ...])] for every
+    parent of order <= top: all neighbor subsets of the vertices below the
+    degree bound, no pruning of any kind.  perm is the child's canonical
+    labeling when canon_data accepts it (new vertex in the last orbit),
+    else None."""
+    out = []
+    levels = generate.all_levels(top, max_degree)
+    for n in range(1, top + 1):
+        cap = n if max_degree is None else max_degree
+        for _key, rows in levels[n]:
+            eligible = [u for u in range(n) if rows[u].bit_count() < cap]
+            candidates = []
+            for size in range(min(cap, len(eligible)) + 1):
+                for nbrs in itertools.combinations(eligible, size):
+                    x = sum(1 << u for u in nbrs)
+                    child = tuple(
+                        [r | (1 << n) if x >> u & 1 else r for u, r in enumerate(rows)] + [x]
+                    )
+                    data = iso.canon_data(n + 1, child)
+                    accepted = data.last_orbit >> n & 1
+                    candidates.append((x, child, data.perm if accepted else None))
+            out.append((rows, candidates))
+    return out
+
+
+@pytest.mark.parametrize("max_degree,top", UNREDUCED_SWEEPS)
+def test_pretest_never_rejects_an_accepted_child(max_degree, top):
+    for rows, candidates in _unreduced_expansion(max_degree, top):
+        n = len(rows)
+        degree = [r.bit_count() for r in rows]
+        comps = component_masks(n, rows)
+        comp_of = [next(c for c in comps if c >> v & 1) for v in range(n)]
+        for x, _child, perm in candidates:
+            if perm is not None:
+                assert generate._may_be_last(x, rows, degree, comps, comp_of), (rows, x)
+
+
+@pytest.mark.parametrize("max_degree,top", UNREDUCED_SWEEPS)
+def test_reduced_expansion_matches_unreduced(max_degree, top):
+    for rows, candidates in _unreduced_expansion(max_degree, top):
+        n = len(rows)
+        first = {}
+        # the smallest neighbor mask of each accepted class is kept
+        for _x, child, perm in sorted(candidates, key=lambda c: c[0]):
+            if perm is not None:
+                relabeled = [0] * (n + 1)
+                for v in range(n + 1):
+                    for u in bits(child[v]):
+                        relabeled[perm[v]] |= 1 << perm[u]
+                key = bytes([n + 1]) + b"".join(r.to_bytes(8, "little") for r in relabeled)
+                first.setdefault(key, child)
+        want = sorted(first.items())
+        assert generate._children_of((n, rows, max_degree)) == want
 
 
 def test_spec_validation():
