@@ -10,10 +10,10 @@ lowering it by exactly one, so the first successful size cannot overshoot.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from chromastab import iso, kernels
-from chromastab.graph import Graph, bits, mask_of
+from chromastab.graph import Graph, bits
 
 
 class ChromaticError(ValueError):
@@ -46,41 +46,20 @@ class StabilityReport:
     two_connected: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "max_degree": self.max_degree,
-            "chromatic_number": self.chromatic_number,
-            "vertex_stability": self.vertex_stability,
-            "independent_vertex_stability": self.independent_vertex_stability,
-            "vertex_stability_witnesses": [list(w) for w in self.vertex_stability_witnesses],
-            "independent_stability_witnesses": [
-                list(w) for w in self.independent_stability_witnesses
-            ],
-            "bipartizing_pair_vertices": list(self.bipartizing_pair_vertices),
-            "planar": self.planar,
-            "connected": self.connected,
-            "two_connected": self.two_connected,
-        }
+        """Fields in declaration order; tuples become JSON lists."""
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d) -> "StabilityReport":
-        return cls(
-            n=d["n"],
-            m=d["m"],
-            max_degree=d["max_degree"],
-            chromatic_number=d["chromatic_number"],
-            vertex_stability=d["vertex_stability"],
-            independent_vertex_stability=d["independent_vertex_stability"],
-            vertex_stability_witnesses=tuple(tuple(w) for w in d["vertex_stability_witnesses"]),
-            independent_stability_witnesses=tuple(
-                tuple(w) for w in d["independent_stability_witnesses"]
-            ),
-            bipartizing_pair_vertices=tuple(d["bipartizing_pair_vertices"]),
-            planar=d["planar"],
-            connected=d["connected"],
-            two_connected=d["two_connected"],
-        )
+        return cls(**{f.name: _from_json(d[f.name]) for f in fields(cls)})
+
+
+def _to_json(value):
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _from_json(value):
+    return tuple(_from_json(v) for v in value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from chromastab import chromatic
-from chromastab.graph import Graph, GraphError, bits, has_two_disjoint_paths, mask_of
+from chromastab.graph import Graph, GraphError, has_two_disjoint_paths
 
 
 class FamilyError(GraphError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from chromastab import graph6, iso, kernels
 from chromastab.chromatic import StabilityReport, analyze
-from chromastab.graph import Graph, GraphError, bits, component_masks, mask_of
+from chromastab.graph import Graph, bits, component_masks, mask_of
 
 EXHAUSTIVE_CAP = 10
 

@@ -34,25 +34,55 @@ def mask_of(vertices) -> int:
     return m
 
 
+def reach(rows, start, banned=0) -> int:
+    """Mask of the vertices reachable from start without entering banned."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen & ~banned
+        seen |= frontier
+    return seen
+
+
 def component_masks(n, rows):
     """Connected components of raw adjacency rows as vertex masks, by
     smallest contained vertex."""
     seen = 0
     comps = []
     for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
+        if not seen >> start & 1:
+            comp = reach(rows, start)
+            seen |= comp
+            comps.append(comp)
     return comps
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path compression; the smaller root wins,
+    so every set is named by its least element."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; True if they were separate."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
 
 def _norm_edge(e):
@@ -289,12 +319,14 @@ class Graph:
 
     def connectivity(self) -> ConnectivityInfo:
         """(connected, two_connected); 2-connected means connected, n >= 3 and
-        no cutvertex (checked by deleting each vertex in turn)."""
+        no cutvertex (each vertex deleted in turn must leave the rest
+        reachable from one survivor)."""
         connected = self.is_connected()
         if not connected or self.n < 3:
             return ConnectivityInfo(connected, False)
+        full = self.vertex_mask()
         for v in range(self.n):
-            if not self.delete_vertices(1 << v).is_connected():
+            if reach(self.rows, 1 if v == 0 else 0, 1 << v) != full & ~(1 << v):
                 return ConnectivityInfo(True, False)
         return ConnectivityInfo(True, True)
 
@@ -322,46 +354,18 @@ class Graph:
 
 def has_two_disjoint_paths(g: Graph, a: int, b: int) -> bool:
     """True if two internally vertex-disjoint a-b paths exist (a,b on a
-    common cycle).  Unit-capacity max flow on the vertex-split digraph."""
+    common cycle).  By Menger's theorem: an edge ab is one such path, so
+    another a-b path must survive its removal; for non-adjacent a, b no
+    single other vertex may separate them (and one must exist)."""
     if a == b or not (0 <= a < g.n and 0 <= b < g.n):
         return False
-    # node 2v = v_in, 2v+1 = v_out; capacity 1 through each vertex except a, b
-    nn = 2 * g.n
-    cap = {}
-
-    def add(x, y, c):
-        cap[(x, y)] = cap.get((x, y), 0) + c
-        cap.setdefault((y, x), 0)
-
-    for v in range(g.n):
-        add(2 * v, 2 * v + 1, 2 if v in (a, b) else 1)
-        for u in bits(g.rows[v]):
-            add(2 * v + 1, 2 * u, 1)
-
-    def augment():
-        prev = {2 * a + 1: None}
-        queue = [2 * a + 1]
-        while queue:
-            x = queue.pop(0)
-            if x == 2 * b:
-                path = []
-                while prev[x] is not None:
-                    path.append((prev[x], x))
-                    x = prev[x]
-                for e in path:
-                    cap[e] -= 1
-                    cap[(e[1], e[0])] += 1
-                return True
-            for (s, t), c in list(cap.items()):
-                if s == x and c > 0 and t not in prev:
-                    prev[t] = x
-                    queue.append(t)
-        return False
-
-    flow = 0
-    while flow < 2 and augment():
-        flow += 1
-    return flow >= 2
+    if g.has_edge(a, b):
+        rows = list(g.rows)
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+        return bool(reach(rows, a) >> b & 1)
+    others = g.vertex_mask() & ~(1 << a | 1 << b)
+    return others != 0 and all(reach(g.rows, a, 1 << v) >> b & 1 for v in bits(others))
 
 
 # -- tiny constructors used across tests and verifiers -----------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 import networkx as nx
 
 from chromastab import graph6, kernels
-from chromastab.graph import Graph, bits, component_masks, mask_of
+from chromastab.graph import Graph, UnionFind, bits, component_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,6 @@ class CanonData:
     generators: tuple
     orbits: tuple       # vertex -> smallest vertex of its orbit
     last_orbit: int     # mask: orbit of the canonically last vertex
-
-
-class _Orbits:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
 
 
 def canon_data(n, rows) -> CanonData:
@@ -112,7 +91,7 @@ def canon_data(n, rows) -> CanonData:
         for local, v in enumerate(p["verts"]):
             gperm[v] = off + p["perm"][local]
 
-    orb = _Orbits(n)
+    orb = UnionFind(n)
     ggens = []
     for p in pieces:
         for gen in p["gens"]:

@@ -8,15 +8,9 @@ same outputs bit for bit; this module is the fallback and the reference.
 
 from __future__ import annotations
 
+from chromastab.graph import UnionFind, bits
+
 BACKEND = "pure"
-
-
-def _bits(mask):
-    """Yield set bit positions of mask in ascending order."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _subsets_of_size(n, s):
@@ -40,25 +34,15 @@ def _subsets_of_size(n, s):
 # ---------------------------------------------------------------------------
 
 
-def _color_order(n, rows, active):
-    """Active vertices sorted by descending degree within the active set."""
-    verts = [v for v in range(n) if active >> v & 1]
-    verts.sort(key=lambda v: (-(rows[v] & active).bit_count(), v))
-    return verts
+def _color_walk(n, rows, active, k):
+    """First proper coloring of the active vertices with at most k colors, as
+    a per-vertex color list (-1 outside active), or None.
 
-
-def _colorable_excluding(n, rows, excluded, k):
-    """True if the graph induced on V minus `excluded` is k-colorable."""
-    active = ((1 << n) - 1) & ~excluded if n else 0
-    if active == 0:
-        return True
-    if k <= 0:
-        return False
-    if k == 1:
-        return all(rows[v] & active == 0 for v in _bits(active))
-    if k == 2:
-        return _two_colorable(rows, active)
-    order = _color_order(n, rows, active)
+    Vertices are tried in descending-degree order and color symmetry is
+    broken by requiring first occurrences of colors in increasing order, so
+    the first vertex (a maximum-degree one) always receives color 0.
+    """
+    order = sorted(bits(active), key=lambda v: (-(rows[v] & active).bit_count(), v))
     colors = [-1] * n
 
     def walk(idx, used):
@@ -66,7 +50,7 @@ def _colorable_excluding(n, rows, excluded, k):
             return True
         v = order[idx]
         forb = 0
-        for u in _bits(rows[v] & active):
+        for u in bits(rows[v] & active):
             if colors[u] >= 0:
                 forb |= 1 << colors[u]
         limit = min(used + 1, k)
@@ -79,19 +63,33 @@ def _colorable_excluding(n, rows, excluded, k):
         colors[v] = -1
         return False
 
-    return walk(0, 0)
+    return colors if walk(0, 0) else None
+
+
+def _colorable_excluding(n, rows, excluded, k):
+    """True if the graph induced on V minus `excluded` is k-colorable."""
+    active = ((1 << n) - 1) & ~excluded
+    if active == 0:
+        return True
+    if k <= 0:
+        return False
+    if k == 1:
+        return all(rows[v] & active == 0 for v in bits(active))
+    if k == 2:
+        return _two_colorable(rows, active)
+    return _color_walk(n, rows, active, k) is not None
 
 
 def _two_colorable(rows, active):
     side = {}
-    for start in _bits(active):
+    for start in bits(active):
         if start in side:
             continue
         side[start] = 0
         queue = [start]
         while queue:
             v = queue.pop()
-            for u in _bits(rows[v] & active):
+            for u in bits(rows[v] & active):
                 if u not in side:
                     side[u] = side[v] ^ 1
                     queue.append(u)
@@ -106,40 +104,9 @@ def deletion_colorable(n, rows, excluded, k):
 
 
 def color_graph(n, rows, k):
-    """A proper coloring with at most k colors, or None.
-
-    Vertices are tried in descending-degree order and color symmetry is
-    broken by requiring first occurrences of colors in increasing order, so
-    the first vertex (a maximum-degree one) always receives color 0.
-    """
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
-    order = _color_order(n, rows, (1 << n) - 1)
-    colors = [-1] * n
-
-    def walk(idx, used):
-        if idx == n:
-            return True
-        v = order[idx]
-        forb = 0
-        for u in _bits(rows[v]):
-            if colors[u] >= 0:
-                forb |= 1 << colors[u]
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if forb >> c & 1:
-                continue
-            colors[v] = c
-            if walk(idx + 1, used + 1 if c == used else used):
-                return True
-        colors[v] = -1
-        return False
-
-    if not walk(0, 0):
-        return None
-    return tuple(colors)
+    """A proper coloring with at most k colors, or None (see _color_walk)."""
+    colors = _color_walk(n, rows, (1 << n) - 1, k)
+    return None if colors is None else tuple(colors)
 
 
 def greedy_clique_bound(n, rows):
@@ -191,7 +158,7 @@ def min_color_class_size(n, rows, k):
         if k - used > n - v:
             return
         forb = 0
-        for u in _bits(rows[v]):
+        for u in bits(rows[v]):
             if u < v:
                 forb |= 1 << assigned[u]
         limit = min(used + 1, k)
@@ -216,7 +183,14 @@ def min_color_class_size(n, rows, k):
 
 
 def _independent(rows, mask):
-    return all(rows[v] & mask == 0 for v in _bits(mask))
+    return all(rows[v] & mask == 0 for v in bits(mask))
+
+
+def _scan_sizes(n):
+    """Deletion-set sizes 1..n, within the compiled scans' 62-vertex limit."""
+    if n > 62:
+        raise ValueError("stability scans support at most 62 vertices")
+    return range(1, n + 1)
 
 
 def stability_values(n, rows, chi):
@@ -228,7 +202,7 @@ def stability_values(n, rows, chi):
     """
     k = chi - 1
     vs = 0
-    for s in range(1, n + 1):
+    for s in _scan_sizes(n):
         for mask in _subsets_of_size(n, s):
             if vs and not _independent(rows, mask):
                 continue
@@ -248,7 +222,7 @@ def stability_witnesses(n, rows, chi, independent_only):
     chromatic number by exactly one.
     """
     k = chi - 1
-    for s in range(1, n + 1):
+    for s in _scan_sizes(n):
         hits = []
         for mask in _subsets_of_size(n, s):
             if independent_only and not _independent(rows, mask):
@@ -276,7 +250,7 @@ def _refine(n, rows, colors):
     while True:
         sigs = []
         for v in range(n):
-            neigh = sorted(colors[u] for u in _bits(rows[v]))
+            neigh = sorted(colors[u] for u in bits(rows[v]))
             sigs.append((colors[v], neigh))
         order = sorted(range(n), key=lambda v: sigs[v])
         new = [0] * n
@@ -291,28 +265,6 @@ def _refine(n, rows, colors):
         if c + 1 == ncolors or c + 1 == n:
             return colors
         ncolors = c + 1
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
 
 
 def canon_raw(n, rows):
@@ -333,7 +285,7 @@ def canon_raw(n, rows):
     best_perm = None
     best_inv = None
     count = 0
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     gens = []
 
     def leaf(colors):
@@ -341,7 +293,7 @@ def canon_raw(n, rows):
         crows = [0] * n
         for v in range(n):
             pv = colors[v]
-            for u in _bits(rows[v]):
+            for u in bits(rows[v]):
                 crows[pv] |= 1 << colors[u]
         if best_rows is None or crows < best_rows:
             best_rows = crows

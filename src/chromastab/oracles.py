@@ -122,6 +122,24 @@ def has_odd_cycle(g: Graph) -> bool:
     return False
 
 
+def brute_two_disjoint_paths(g: Graph, a: int, b: int) -> bool:
+    """Two internally vertex-disjoint a-b paths, found by listing the interior
+    vertex mask of every simple a-b path and looking for a disjoint pair."""
+    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
+        return False
+    interiors = []
+
+    def extend(v, interior):
+        for u in bits(g.rows[v]):
+            if u == b:
+                interiors.append(interior)
+            elif u != a and not interior >> u & 1:
+                extend(u, interior | 1 << u)
+
+    extend(a, 0)
+    return any(p & q == 0 for i, p in enumerate(interiors) for q in interiors[i + 1:])
+
+
 # ---------------------------------------------------------------------------
 # Kuratowski-subdivision planarity oracle
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_analyze_small_graphs():
     assert rep.planar and rep.connected and rep.two_connected
 
 
+def test_stability_scans_reject_more_than_62_vertices(pure_backend):
+    g = path_graph(63)
+    with pytest.raises(ValueError, match="at most 62 vertices"):
+        chromatic.vertex_stability(g)
+    with pytest.raises(ValueError, match="at most 62 vertices"):
+        chromatic.stability_values(g)
+
+
 def test_report_roundtrip():
     rep = chromatic.analyze(cycle_graph(5))
     back = chromatic.StabilityReport.from_dict(rep.to_dict())

@@ -130,6 +130,40 @@ def test_two_disjoint_paths():
     assert not has_two_disjoint_paths(tree, 0, 2)
 
 
+def _connected(g):
+    seen = {0} if g.n else set()
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for u in range(g.n):
+            if g.has_edge(v, u) and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == g.n
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_connectivity_matches_cutvertex_definition(n):
+    for g in oracles.all_labeled_graphs(n):
+        connected = _connected(g)
+        two_connected = (
+            connected
+            and n >= 3
+            and all(_connected(g.delete_vertices(1 << v)) for v in range(n))
+        )
+        assert g.connectivity() == (connected, two_connected), g.rows
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_two_disjoint_paths_against_brute_force(n):
+    for g in oracles.all_labeled_graphs(n):
+        for a in range(-1, n + 1):
+            for b in range(-1, n + 1):
+                assert has_two_disjoint_paths(g, a, b) == oracles.brute_two_disjoint_paths(
+                    g, a, b
+                ), (g.rows, a, b)
+
+
 @given(graphs())
 @settings(max_examples=120, deadline=None)
 def test_surgery_keeps_invariants(g):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,31 @@ def corpus():
     for g in [families.g9(), families.g10(), families.h_n_e(13, 1)]:
         out.append((g.n, g.rows))
     return out
+
+
+# pure_outputs() of the reference kernels.  The compiled backend must
+# reproduce these outputs bit for bit, so a refactor of pure.py keeps them.
+PURE_OUTPUTS_DIGEST = "c72291d19d020a393fbd39184400f27fc9a9bac62b5846ab11d04068c984fc11"
+
+
+def pure_outputs():
+    """sha256 over the pure kernels' outputs on the corpus: chi, colorings for
+    k = 0..chi+1, both stability witness scans, canon_raw up to 7 vertices."""
+    h = hashlib.sha256()
+    for n, rows in corpus():
+        chi = pure.chromatic_number(n, rows)
+        out = [chi, [pure.color_graph(n, rows, k) for k in range(chi + 2)]]
+        if chi >= 1:
+            out.append(pure.stability_witnesses(n, rows, chi, False))
+            out.append(pure.stability_witnesses(n, rows, chi, True))
+        if n <= 7:
+            out.append(pure.canon_raw(n, rows))
+        h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+def test_pure_outputs_are_pinned():
+    assert pure_outputs() == PURE_OUTPUTS_DIGEST
 
 
 needs_compiled = pytest.mark.skipif(
