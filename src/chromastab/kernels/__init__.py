@@ -32,7 +32,10 @@ def set_backend(name: str):
         _active = pure
     elif name == "compiled":
         if _compiled is None:
-            raise RuntimeError("compiled kernel extension is not available")
+            raise RuntimeError(
+                "compiled kernel extension is not available; build it with "
+                "`python setup.py build_ext --inplace`"
+            )
         _active = _compiled
     elif name == "auto":
         _active = _compiled if _compiled is not None else pure

@@ -7,7 +7,7 @@ import json
 import random
 
 from chromastab import chromatic, families, generate, graph6, iso, oracles, verify
-from chromastab.graph import Graph, cycle_graph
+from chromastab.graph import Graph
 
 from conftest import JOBS
 

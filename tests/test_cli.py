@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from chromastab import cli, families, graph6, iso
 
 

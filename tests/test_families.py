@@ -1,8 +1,8 @@
 import pytest
 
-from chromastab import chromatic, families, graph6, iso
+from chromastab import chromatic, families, iso
 from chromastab.families import FamilyError, FamilyParams
-from chromastab.graph import Graph, cube_graph, cycle_graph, path_graph
+from chromastab.graph import Graph, cube_graph, cycle_graph
 
 
 def labels_of(g, mask):

@@ -1,9 +1,16 @@
 import hashlib
+import importlib.util
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from chromastab import families, kernels
+from chromastab.graph import path_graph
 from chromastab.kernels import pure
 
 
@@ -33,24 +40,78 @@ def corpus():
 PURE_OUTPUTS_DIGEST = "c72291d19d020a393fbd39184400f27fc9a9bac62b5846ab11d04068c984fc11"
 
 
-def pure_outputs():
-    """sha256 over the pure kernels' outputs on the corpus: chi, colorings for
+def pure_outputs(kern=pure):
+    """sha256 over a kernel module's outputs on the corpus: chi, colorings for
     k = 0..chi+1, both stability witness scans, canon_raw up to 7 vertices."""
     h = hashlib.sha256()
     for n, rows in corpus():
-        chi = pure.chromatic_number(n, rows)
-        out = [chi, [pure.color_graph(n, rows, k) for k in range(chi + 2)]]
+        chi = kern.chromatic_number(n, rows)
+        out = [chi, [kern.color_graph(n, rows, k) for k in range(chi + 2)]]
         if chi >= 1:
-            out.append(pure.stability_witnesses(n, rows, chi, False))
-            out.append(pure.stability_witnesses(n, rows, chi, True))
+            out.append(kern.stability_witnesses(n, rows, chi, False))
+            out.append(kern.stability_witnesses(n, rows, chi, True))
         if n <= 7:
-            out.append(pure.canon_raw(n, rows))
+            out.append(kern.canon_raw(n, rows))
         h.update(repr(out).encode())
     return h.hexdigest()
 
 
 def test_pure_outputs_are_pinned():
     assert pure_outputs() == PURE_OUTPUTS_DIGEST
+
+
+def have_c_toolchain():
+    """A C compiler on PATH and the headers to build a CPython extension."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    return shutil.which(cc) is not None and header.exists()
+
+
+@pytest.mark.skipif(not have_c_toolchain(), reason="no C compiler or no Python.h")
+def test_compiled_core_builds_and_matches_pure(tmp_path):
+    """Build _ckern.c out of tree, load it, and hold it to the pure outputs."""
+    root = Path(__file__).resolve().parent.parent
+    lib = tmp_path / "lib"
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib),
+         "--build-temp", str(tmp_path / "temp")],
+        cwd=root, capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stdout + build.stderr
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    so = lib / "chromastab" / "kernels" / ("_ckern" + suffix)
+    assert so.exists(), build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("chromastab.kernels._ckern", so)
+    ck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ck)
+    assert ck.BACKEND == "compiled"
+
+    assert pure_outputs(ck) == PURE_OUTPUTS_DIGEST
+    for n, rows in corpus():
+        chi = pure.chromatic_number(n, rows)
+        assert ck.greedy_clique_bound(n, rows) == pure.greedy_clique_bound(n, rows)
+        for k in (0, 1, 2, chi - 1, chi, chi + 1):
+            for excluded in (0, 0x5555555555555555 & ((1 << n) - 1)):
+                if k >= 0:
+                    assert ck.deletion_colorable(
+                        n, rows, excluded, k
+                    ) == pure.deletion_colorable(n, rows, excluded, k)
+        if chi >= 1:
+            assert ck.stability_values(n, rows, chi) == pure.stability_values(n, rows, chi)
+            assert ck.min_color_class_size(n, rows, chi) == pure.min_color_class_size(
+                n, rows, chi
+            )
+
+    # pure.py has no 0..64 check of its own; the 62-vertex scan limit is shared
+    with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
+        ck.chromatic_number(65, (0,) * 65)
+    path63 = path_graph(63).rows
+    too_big = "^stability scans support at most 62 vertices$"
+    for kern in (pure, ck):
+        with pytest.raises(ValueError, match=too_big):
+            kern.stability_values(63, path63, 2)
+        with pytest.raises(ValueError, match=too_big):
+            kern.stability_witnesses(63, path63, 2, False)
 
 
 needs_compiled = pytest.mark.skipif(

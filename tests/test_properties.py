@@ -3,7 +3,7 @@
 import random
 
 from chromastab import chromatic, families, kernels, verify
-from chromastab.graph import Graph, bits
+from chromastab.graph import bits
 
 from conftest import JOBS
 
