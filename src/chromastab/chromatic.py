@@ -5,6 +5,26 @@ an independent set) whose deletion lowers the chromatic number by exactly
 one.  A size-ascending scan with a (chi-1)-colorability test is exact: a set
 whose deletion lowers chi by more than one always contains a smaller set
 lowering it by exactly one, so the first successful size cannot overshoot.
+
+Disjoint unions reduce to their components.  Call a component C of G top
+when chi(C) = chi(G); chi(G) is the largest chi(C).  Then
+
+* vs(G) and ivs(G) are the sums of vs(C) and ivs(C) over the top
+  components, and the minimum deletion sets of G are exactly the unions of
+  one minimum deletion set per top component.  Proof: G - S is
+  (chi-1)-colorable iff every C - S is; a non-top C already is, and a top C
+  needs |S & C| >= vs(C) (ivs(C)), with equality attainable independently
+  per component.  So a minimum S meets each top C in a minimum deletion set
+  of C and touches no other component.
+* The minimum color-class size over chi-colorings of G is the sum of the
+  top components' minimum class sizes.  Proof: a top C uses all chi colors,
+  so each class meets it in at least its minimum; conversely, give each top
+  C a chi-coloring whose smallest class has color 0, and color the other
+  components with chi-1 colors that avoid color 0.
+
+Every stability entry point below splits G once into components, scans only
+the top ones and combines the results; witness products are sorted, which
+is the ascending order of the whole-graph scan.
 """
 
 from __future__ import annotations
@@ -13,7 +33,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from chromastab import iso, kernels
-from chromastab.graph import Graph, bits
+from chromastab.graph import Graph, bits, component_masks, mask_of
 
 
 class ChromaticError(ValueError):
@@ -104,32 +124,70 @@ def chromatic_number(g: Graph) -> int:
     return kernels.active().chromatic_number(g.n, g.rows)
 
 
-def _require_colorable(g: Graph) -> int:
-    chi = chromatic_number(g)
+def _top_components(g: Graph):
+    """chi(G) and the components C with chi(C) = chi(G), each as
+    (n_C, rows_C, vertices): C relabeled to 0..n_C-1 in ascending order of
+    its vertices of G.  A connected graph is its own single component, with
+    its rows as they are and vertices None."""
+    kern = kernels.active()
+    comps = component_masks(g.n, g.rows)
+    if len(comps) <= 1:
+        top = [(g.n, g.rows, None)]
+        chi = kern.chromatic_number(g.n, g.rows)
+    else:
+        chi, top = 0, []
+        for comp in comps:
+            verts = tuple(bits(comp))
+            index = {v: i for i, v in enumerate(verts)}
+            rows = tuple(mask_of(index[u] for u in bits(g.rows[v])) for v in verts)
+            c = kern.chromatic_number(len(verts), rows)
+            if c > chi:
+                chi, top = c, []
+            if c == chi:
+                top.append((len(verts), rows, verts))
     if chi == 0:
         raise ChromaticError("stability parameters are undefined for the null graph")
-    return chi
+    return chi, top
+
+
+def _lift(mask, verts):
+    """A component's vertex mask in the labels of G."""
+    return mask if verts is None else mask_of(verts[i] for i in bits(mask))
+
+
+def _stability(chi, top, independent_only) -> StabilityResult:
+    """Sum of the top components' values; witnesses are the ascending
+    products of their witness sets."""
+    kern = kernels.active()
+    value, product = 0, [0]
+    for n, rows, verts in top:
+        v, masks = kern.stability_witnesses(n, rows, chi, independent_only)
+        value += v
+        lifted = [_lift(m, verts) for m in masks]
+        product = [a | b for a in product for b in lifted]
+    return StabilityResult(value, tuple(sorted(product)))
 
 
 def vertex_stability(g: Graph) -> StabilityResult:
     """Least size of a vertex set whose deletion lowers chi by one, with all
     witness sets of that size (masks, ascending)."""
-    chi = _require_colorable(g)
-    value, masks = kernels.active().stability_witnesses(g.n, g.rows, chi, False)
-    return StabilityResult(value, masks)
+    return _stability(*_top_components(g), False)
 
 
 def independent_vertex_stability(g: Graph) -> StabilityResult:
     """Same as vertex_stability but restricted to independent sets."""
-    chi = _require_colorable(g)
-    value, masks = kernels.active().stability_witnesses(g.n, g.rows, chi, True)
-    return StabilityResult(value, masks)
+    return _stability(*_top_components(g), True)
 
 
 def stability_values(g: Graph) -> tuple:
     """(vs, ivs) without witness extraction; faster for sweeps."""
-    chi = _require_colorable(g)
-    return kernels.active().stability_values(g.n, g.rows, chi)
+    chi, top = _top_components(g)
+    kern = kernels.active()
+    vs = ivs = 0
+    for n, rows, _verts in top:
+        v, i = kern.stability_values(n, rows, chi)
+        vs, ivs = vs + v, ivs + i
+    return vs, ivs
 
 
 def min_color_class_size(g: Graph) -> int:
@@ -139,10 +197,14 @@ def min_color_class_size(g: Graph) -> int:
     minimum class of an optimal coloring lowers chi by exactly one, and any
     independent deletion set becomes a class of some optimal coloring.
     """
-    chi = _require_colorable(g)
-    out = kernels.active().min_color_class_size(g.n, g.rows, chi)
-    if out is None:
-        raise ChromaticError("graph admits no chi-coloring; inconsistent state")
+    chi, top = _top_components(g)
+    kern = kernels.active()
+    out = 0
+    for n, rows, _verts in top:
+        size = kern.min_color_class_size(n, rows, chi)
+        if size is None:
+            raise ChromaticError("graph admits no chi-coloring; inconsistent state")
+        out += size
     return out
 
 
@@ -169,10 +231,9 @@ def bipartizing_pair_vertices(g: Graph) -> int:
 
 def analyze(g: Graph) -> StabilityReport:
     """Full invariant report; raises for the null graph."""
-    chi = _require_colorable(g)
-    kern = kernels.active()
-    vs, vs_wit = kern.stability_witnesses(g.n, g.rows, chi, False)
-    ivs, ivs_wit = kern.stability_witnesses(g.n, g.rows, chi, True)
+    chi, top = _top_components(g)
+    vs, vs_wit = _stability(chi, top, False)
+    ivs, ivs_wit = _stability(chi, top, True)
     if not vs <= ivs:
         raise AssertionError("vs exceeds ivs; kernel inconsistency")
     if g.n < ivs * chi:

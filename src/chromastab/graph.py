@@ -103,6 +103,12 @@ class Graph:
     rows: tuple
     labels: tuple | None = field(default=None)
 
+    def __post_init__(self):
+        if not 0 <= self.n <= MAX_VERTICES:
+            raise GraphError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        if len(self.rows) != self.n:
+            raise GraphError("adjacency row count mismatch")
+
     @classmethod
     def build(cls, n: int, edges, labels=None) -> "Graph":
         """Graph with the given edges; duplicates collapse, loops are errors."""
@@ -143,10 +149,6 @@ class Graph:
         return g
 
     def _check(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise GraphError("vertex count out of range")
-        if len(self.rows) != self.n:
-            raise GraphError("adjacency row count mismatch")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.rows):
             if row & ~full:

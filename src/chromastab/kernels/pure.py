@@ -13,6 +13,12 @@ from chromastab.graph import UnionFind, bits
 BACKEND = "pure"
 
 
+def _check_order(n):
+    """The compiled kernels' vertex limit: one 64-bit word per row."""
+    if not 0 <= n <= 64:
+        raise ValueError("vertex count outside 0..64")
+
+
 def _subsets_of_size(n, s):
     """All n-bit masks with exactly s bits set, ascending (Gosper's hack)."""
     if s == 0:
@@ -100,17 +106,20 @@ def _two_colorable(rows, active):
 
 def deletion_colorable(n, rows, excluded, k):
     """True if the graph minus the `excluded` vertex mask is k-colorable."""
+    _check_order(n)
     return _colorable_excluding(n, rows, excluded, k)
 
 
 def color_graph(n, rows, k):
     """A proper coloring with at most k colors, or None (see _color_walk)."""
+    _check_order(n)
     colors = _color_walk(n, rows, (1 << n) - 1, k)
     return None if colors is None else tuple(colors)
 
 
 def greedy_clique_bound(n, rows):
     """Size of a greedily grown clique (lower bound on the clique number)."""
+    _check_order(n)
     if n == 0:
         return 0
     order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
@@ -122,6 +131,7 @@ def greedy_clique_bound(n, rows):
 
 
 def chromatic_number(n, rows):
+    _check_order(n)
     if n == 0:
         return 0
     if not any(rows):
@@ -139,6 +149,7 @@ def min_color_class_size(n, rows, k):
     Colorings are enumerated once per color permutation class: vertices are
     scanned in index order and each new color must be the smallest unused one.
     """
+    _check_order(n)
     if n == 0 or k <= 0:
         return None
     best = n + 1
@@ -188,6 +199,7 @@ def _independent(rows, mask):
 
 def _scan_sizes(n):
     """Deletion-set sizes 1..n, within the compiled scans' 62-vertex limit."""
+    _check_order(n)
     if n > 62:
         raise ValueError("stability scans support at most 62 vertices")
     return range(1, n + 1)
@@ -279,6 +291,7 @@ def canon_raw(n, rows):
                    previously separate vertex orbits
       orbits    -- vertex -> smallest vertex of its automorphism orbit
     """
+    _check_order(n)
     if n == 0:
         return (), 1, (), ()
     best_rows = None

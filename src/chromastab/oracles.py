@@ -24,16 +24,12 @@ def all_labeled_graphs(n):
 def brute_canonical_key(g: Graph):
     """(min adjacency rows over all permutations, aut count) in one pass."""
     n = g.n
+    edges = g.edges()
     best = None
     aut = 0
     ident = tuple(g.rows)
     for perm in permutations(range(n)):
-        rows = [0] * n
-        for v in range(n):
-            pv = perm[v]
-            for u in bits(g.rows[v]):
-                rows[pv] |= 1 << perm[u]
-        rows = tuple(rows)
+        rows = _permuted_rows(n, edges, perm)
         if rows == ident:
             aut += 1
         if best is None or rows < best:
@@ -47,21 +43,19 @@ def brute_canonical_key(g: Graph):
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()):
         return False
+    edges = g.edges()
     target = tuple(h.rows)
-    for perm in permutations(range(g.n)):
-        rows = [0] * g.n
-        ok = True
-        for v in range(g.n):
-            pv = perm[v]
-            for u in bits(g.rows[v]):
-                rows[pv] |= 1 << perm[u]
-        for v in range(g.n):
-            if rows[v] != target[v]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(_permuted_rows(g.n, edges, perm) == target for perm in permutations(range(g.n)))
+
+
+def _permuted_rows(n, edges, perm):
+    """Adjacency rows of the graph with edge list `edges` relabeled by perm."""
+    rows = [0] * n
+    for u, v in edges:
+        pu, pv = perm[u], perm[v]
+        rows[pu] |= 1 << pv
+        rows[pv] |= 1 << pu
+    return tuple(rows)
 
 
 def brute_chromatic_number(g: Graph) -> int:

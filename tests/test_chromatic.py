@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from chromastab import chromatic, oracles
+from chromastab import chromatic, kernels, oracles
 from chromastab.chromatic import ChromaticError
 from chromastab.graph import (
     Graph,
@@ -141,3 +143,70 @@ def test_independent_witnesses_are_independent():
     _, witnesses = chromatic.independent_vertex_stability(g)
     for w in witnesses:
         assert all(g.rows[v] & w == 0 for v in bits(w))
+
+
+_K4 = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+_DENSE_PIECES = ((3, _K4[:3]), (4, _K4[:5]), (4, _K4))  # K3, K4 minus an edge, K4
+
+
+def _random_piece(rng, kind):
+    """(size, edges) of one component-like piece; a G(n, p) piece may itself
+    be disconnected."""
+    if kind == "path":
+        size = rng.randint(2, 4)
+        return size, tuple((i, i + 1) for i in range(size - 1))
+    if kind == "dense":
+        return rng.choice(_DENSE_PIECES)
+    size = rng.randint(2, 4)
+    p = rng.choice((0.4, 0.7, 1.0))
+    return size, tuple((u, v) for v in range(size) for u in range(v) if rng.random() < p)
+
+
+def random_union(rng, max_n=11):
+    """A disjoint union on at most max_n vertices in shuffled vertex order:
+    an edgeless graph, or paths, K3 / K4-e / K4 or G(n, p) pieces with
+    isolated vertices mixed in."""
+    kind = rng.choice(("edgeless", "path", "dense", "gnp"))
+    pieces = []
+    if kind != "edgeless":
+        for _ in range(rng.randint(1, 4)):
+            pieces.append(_random_piece(rng, kind))
+    pieces += [(1, ())] * rng.randint(0 if pieces else 1, 3)
+    rng.shuffle(pieces)
+    edges, n = [], 0
+    for size, piece in pieces:
+        if n + size > max_n:
+            continue
+        edges += [(n + u, n + v) for u, v in piece]
+        n += size
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph.build(n, [(order[u], order[v]) for u, v in edges])
+
+
+def test_component_reduction_matches_whole_graph_scans():
+    """The chromatic-layer entry points split a graph into components; they
+    must return exactly what the active kernels return on the whole graph,
+    witness order included."""
+    kern = kernels.active()
+    rng = random.Random(5)
+    disconnected = 0
+    for _ in range(400):
+        g = random_union(rng)
+        disconnected += not g.is_connected()
+        chi = kern.chromatic_number(g.n, g.rows)
+        vs = kern.stability_witnesses(g.n, g.rows, chi, False)
+        ivs = kern.stability_witnesses(g.n, g.rows, chi, True)
+        assert chromatic.vertex_stability(g) == vs
+        assert chromatic.independent_vertex_stability(g) == ivs
+        assert chromatic.stability_values(g) == kern.stability_values(g.n, g.rows, chi)
+        assert chromatic.min_color_class_size(g) == kern.min_color_class_size(g.n, g.rows, chi)
+        rep = chromatic.analyze(g)
+        assert rep.chromatic_number == chi
+        assert (rep.vertex_stability, rep.independent_vertex_stability) == (vs[0], ivs[0])
+        assert rep.vertex_stability_witnesses == tuple(tuple(bits(w)) for w in vs[1])
+        assert rep.independent_stability_witnesses == tuple(tuple(bits(w)) for w in ivs[1])
+        if g.n <= 7:
+            assert vs == oracles.brute_stability(g)
+            assert ivs == oracles.brute_stability(g, independent_only=True)
+    assert disconnected >= 300

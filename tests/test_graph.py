@@ -45,6 +45,16 @@ def test_build_rejects_bad_input():
         Graph.build(3, [], labels=("x", "x", "y"))
 
 
+def test_constructor_checks_vertex_count_and_row_count():
+    with pytest.raises(GraphError, match="outside 0..64"):
+        Graph(65, (0,) * 65)
+    with pytest.raises(GraphError, match="outside 0..64"):
+        Graph(-1, ())
+    with pytest.raises(GraphError, match="row count mismatch"):
+        Graph(3, (0, 0))
+    assert Graph(64, (0,) * 64).n == 64
+
+
 def test_build_collapses_duplicate_edges():
     g = Graph.build(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1

@@ -60,6 +60,24 @@ def test_pure_outputs_are_pinned():
     assert pure_outputs() == PURE_OUTPUTS_DIGEST
 
 
+@pytest.mark.parametrize("n", [-1, 65])
+def test_pure_kernels_reject_vertex_counts_outside_0_64(n):
+    rows = (0,) * max(n, 0)
+    calls = [
+        lambda: pure.deletion_colorable(n, rows, 0, 1),
+        lambda: pure.color_graph(n, rows, 1),
+        lambda: pure.greedy_clique_bound(n, rows),
+        lambda: pure.chromatic_number(n, rows),
+        lambda: pure.min_color_class_size(n, rows, 1),
+        lambda: pure.stability_values(n, rows, 1),
+        lambda: pure.stability_witnesses(n, rows, 1, False),
+        lambda: pure.canon_raw(n, rows),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
+            call()
+
+
 def have_c_toolchain():
     """A C compiler on PATH and the headers to build a CPython extension."""
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -102,9 +120,10 @@ def test_compiled_core_builds_and_matches_pure(tmp_path):
                 n, rows, chi
             )
 
-    # pure.py has no 0..64 check of its own; the 62-vertex scan limit is shared
-    with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
-        ck.chromatic_number(65, (0,) * 65)
+    # both backends share the 0..64 vertex limit and the 62-vertex scan limit
+    for kern in (pure, ck):
+        with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
+            kern.chromatic_number(65, (0,) * 65)
     path63 = path_graph(63).rows
     too_big = "^stability scans support at most 62 vertices$"
     for kern in (pure, ck):
