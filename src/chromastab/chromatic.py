@@ -212,20 +212,21 @@ def bipartizing_pair_vertices(g: Graph) -> int:
     """Mask of vertices x for which some y exists with chi(G - {x,y}) == 2.
 
     The constant 2 is literal (an edge must survive), so this is most
-    meaningful for 3-chromatic graphs.
+    meaningful for 3-chromatic graphs.  The test is symmetric in x and y,
+    so each unordered pair is tested once, unless both ends are already in
+    the mask.
     """
     kern = kernels.active()
     out = 0
     for x in range(g.n):
-        for y in range(g.n):
-            if y == x:
-                continue
+        for y in range(x + 1, g.n):
             mask = 1 << x | 1 << y
+            if out & mask == mask:
+                continue
             if kern.deletion_colorable(g.n, g.rows, mask, 2) and not kern.deletion_colorable(
                 g.n, g.rows, mask, 1
             ):
-                out |= 1 << x
-                break
+                out |= mask
     return out
 
 

@@ -17,6 +17,13 @@ from chromastab import chromatic, families, generate, graph6, verify
 from chromastab.graph import Graph, GraphError
 
 
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="chromastab",
@@ -56,14 +63,14 @@ def _parser():
         default=None,
         help="named filter evaluated on completed graphs",
     )
-    ps.add_argument("--jobs", type=int, default=None)
+    ps.add_argument("--jobs", type=_jobs, default=None)
     ps.add_argument("--output", required=True, help="catalog file path")
 
     pv = sub.add_parser("verify", help="machine-check one named claim")
     pv.add_argument("claim", choices=sorted(verify.CLAIMS))
     pv.add_argument("--n", type=int, default=None, help="order or order cap, claim-specific")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--jobs", type=int, default=None)
+    pv.add_argument("--jobs", type=_jobs, default=None)
     pv.add_argument("--output", default=None, help="also write the JSON report here")
 
     return p

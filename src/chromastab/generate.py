@@ -20,6 +20,12 @@ leave every level's keys and representatives unchanged:
   subset that an earlier one reaches under the parent's automorphism
   generators is skipped.  The automorphism extends to an isomorphism of the
   two children, so the skipped child repeats the first one's key.
+
+Sweeps stream.  `sweep` yields the classes one order above a level parent
+by parent, each with its `class_record` computed where the child is
+generated, so a caller that only counts holds one parent's children at a
+time, plus the keys seen so far for the cross-parent duplicate check.
+`all_levels` sorts and caches the same stream as whole levels.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from chromastab import graph6, iso, kernels
 from chromastab.chromatic import StabilityReport, analyze
@@ -182,14 +189,57 @@ def _orbit(x, gens):
 
 
 def _pmap(fn, tasks, jobs, chunksize=16):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+    """Yield fn(task) for every task, in task order.
+
+    The pool starts at most one worker per task and per usable CPU, and
+    none at all when that leaves a single worker.
+    """
+    workers = min(jobs, len(tasks), default_jobs())
+    if workers <= 1:
+        for task in tasks:
+            yield fn(task)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks, chunksize=chunksize)
 
 
 def default_jobs() -> int:
-    return os.cpu_count() or 1
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _sweep_parent(task):
+    n, rows, max_degree, fn = task
+    return [
+        (key, crows, None if fn is None else fn(crows))
+        for key, crows in _children_of((n, rows, max_degree))
+    ]
+
+
+def sweep(parents, max_degree=None, fn=None, jobs=1):
+    """Yield (key, rows, fn(rows)) for every class one order above a level.
+
+    `parents` is a whole level as (key, rows) pairs.  Classes come parent by
+    parent, in the order given, and by key within a parent, so the stream
+    does not depend on `jobs`; fn runs where the child is generated, and
+    the third item is None without it.  Only the keys seen so far are kept,
+    to check that no class comes from two parents.
+    """
+    tasks = [(len(rows), rows, max_degree, fn) for _key, rows in parents]
+    seen = set()
+    for children in _pmap(_sweep_parent, tasks, jobs):
+        for child in children:
+            if child[0] in seen:
+                raise AssertionError("duplicate class across parents")
+            seen.add(child[0])
+            yield child
+
+
+def records(level, fn, jobs=1):
+    """Yield (key, rows, fn(rows)) for every class of a level, in order."""
+    values = _pmap(fn, [rows for _key, rows in level], jobs, chunksize=64)
+    for (key, rows), value in zip(level, values):
+        yield key, rows, value
 
 
 _LEVEL_CACHE = {}
@@ -201,16 +251,9 @@ def all_levels(n, max_degree=None, jobs=1):
     Levels are cached per max_degree within the process and extended on demand."""
     levels = _LEVEL_CACHE.setdefault(max_degree, {1: [(iso.pack_key(1, (0,)), (0,))]})
     for k in range(1, n):
-        if k + 1 in levels:
-            continue
-        tasks = [(k, rows, max_degree) for _key, rows in levels[k]]
-        merged = {}
-        for chunk in _pmap(_children_of, tasks, jobs):
-            for key, rows in chunk:
-                if key in merged:
-                    raise AssertionError("duplicate class across parents")
-                merged[key] = rows
-        levels[k + 1] = sorted(merged.items())
+        if k + 1 not in levels:
+            children = sweep(levels[k], max_degree, jobs=jobs)
+            levels[k + 1] = sorted((key, rows) for key, rows, _ in children)
     return {k: levels[k] for k in range(1, n + 1)}
 
 
@@ -224,83 +267,56 @@ def class_count(n, max_degree=None, jobs=1) -> int:
     return len(levels_up_to(n, max_degree, jobs))
 
 
-def expand_and_map(parents, map_fn, jobs=1, max_degree=None):
-    """Expand a parent level by one vertex and fold `map_fn` over the children.
+# ---------------------------------------------------------------------------
+# per-class records and the named predicates
+# ---------------------------------------------------------------------------
 
-    map_fn(key, rows) runs inside the worker on every accepted child; the
-    per-parent result lists are concatenated in parent order, so the outcome
-    does not depend on the worker count.  Returns (total_children, results).
+
+def class_record(rows, test=None, mcc=False):
+    """(stage, values) of one class.
+
+    values are (max degree, chi, vs, ivs), computed left to right, then the
+    minimum color-class size when `mcc` is set.  After each of the four,
+    test(values so far) may stop the record: stage is the number of values
+    that passed, and only those values are returned.  vs and ivs come from
+    one kernel call, made only when the chi stage passes.
     """
-    k = len(parents[0][1]) if parents else 0
-    tasks = [(k, rows, max_degree, map_fn) for _key, rows in parents]
-    total = 0
-    out = []
-    seen = set()
-    for keys, results in _pmap(_expand_worker, tasks, jobs, chunksize=4):
-        for key in keys:
-            if key in seen:
-                raise AssertionError("duplicate class across parents")
-            seen.add(key)
-        total += len(keys)
-        out.extend(results)
-    return total, out
-
-
-def _expand_worker(task):
-    n, rows, max_degree, map_fn = task
-    children = _children_of((n, rows, max_degree))
-    keys = [key for key, _ in children]
-    results = [map_fn(child) for child in children]
-    return keys, results
-
-
-# ---------------------------------------------------------------------------
-# filtering funnels
-# ---------------------------------------------------------------------------
-
-
-def _funnel_family_members(task):
-    """Stage record for the max-degree-4 / chi-3 / vs-2 / ivs-3 filter."""
-    key, rows = task
     kern = kernels.active()
     n = len(rows)
-    delta = max((r.bit_count() for r in rows), default=0)
-    if delta != 4:
-        return (key, rows, 0)
-    chi = kern.chromatic_number(n, rows)
-    if chi != 3:
-        return (key, rows, 1)
-    vs, ivs = kern.stability_values(n, rows, chi)
-    if vs != 2:
-        return (key, rows, 2)
-    if ivs != 3:
-        return (key, rows, 3)
-    return (key, rows, 4)
+    values = (max((r.bit_count() for r in rows), default=0),)
+    for stage in range(4):
+        if stage == 1:
+            values += (kern.chromatic_number(n, rows),)
+        elif stage == 2:
+            values += kern.stability_values(n, rows, values[1])
+        if test is not None and not test(values[: stage + 1]):
+            return stage, values[: stage + 1]
+    if mcc:
+        values += (kern.min_color_class_size(n, rows, values[1]),)
+    return 4, values
 
 
-def _funnel_stability_gap(task):
-    """Stage record for the ivs > vs with chi >= max_degree/2 + 1 filter."""
-    key, rows = task
-    kern = kernels.active()
-    n = len(rows)
-    delta = max((r.bit_count() for r in rows), default=0)
-    chi = kern.chromatic_number(n, rows)
-    if 2 * chi < delta + 2:
-        return (key, rows, 1, (delta, chi, None, None))
-    vs, ivs = kern.stability_values(n, rows, chi)
-    if ivs <= vs:
-        return (key, rows, 3, (delta, chi, vs, ivs))
-    return (key, rows, 4, (delta, chi, vs, ivs))
+def _family_members(values):
+    """The values so far start the class profile (4, 3, 2, 3)."""
+    return values == (4, 3, 2, 3)[: len(values)]
+
+
+def _stability_gap(values):
+    """chi >= max_degree/2 + 1 at the chi stage, ivs > vs at the ivs stage;
+    the other two stages always pass."""
+    if len(values) == 2:
+        return 2 * values[1] >= values[0] + 2
+    return len(values) < 4 or values[3] > values[2]
 
 
 NAMED_PREDICATES = {
     "family-members": {
         "stages": ("max_degree=4", "chi=3", "vs=2", "ivs=3"),
-        "fn": _funnel_family_members,
+        "fn": partial(class_record, test=_family_members),
     },
     "stability-gap": {
         "stages": ("max_degree", "chi>=max_degree/2+1", "vs", "ivs>vs"),
-        "fn": _funnel_stability_gap,
+        "fn": partial(class_record, test=_stability_gap),
     },
 }
 
@@ -326,15 +342,14 @@ def enumerate_catalog(spec: GenSpec, jobs=1) -> Catalog:
         survivors = level
     elif isinstance(spec.predicate, str):
         named = NAMED_PREDICATES[spec.predicate]
-        fn = named["fn"]
         stage_names = named["stages"]
-        reached = _pmap(fn, list(level), jobs, chunksize=64)
         counts = [0] * (len(stage_names) + 1)
-        for rec in reached:
-            counts[rec[2]] += 1
+        for key, rows, (stage, _values) in records(level, named["fn"], jobs):
+            counts[stage] += 1
+            if stage == len(stage_names):
+                survivors.append((key, rows))
         for i, name in enumerate(stage_names):
             funnel[name] = sum(counts[i + 1 :])
-        survivors = [(rec[0], rec[1]) for rec in reached if rec[2] == len(stage_names)]
     else:
         survivors = [
             (key, rows)

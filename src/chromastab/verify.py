@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
-from chromastab import chromatic, families, generate, graph6, iso, kernels
+from chromastab import chromatic, families, generate, graph6, iso
 from chromastab.families import FamilyError
 from chromastab.graph import Graph, bits, cube_graph, cycle_graph, path_graph
 
@@ -73,68 +74,20 @@ class _Check:
         )
 
 
-# ---------------------------------------------------------------------------
-# shared sweeps
-# ---------------------------------------------------------------------------
-
-
-def _values_worker(task):
-    key, rows = task
-    kern = kernels.active()
-    n = len(rows)
-    delta = max((r.bit_count() for r in rows), default=0)
-    chi = kern.chromatic_number(n, rows)
-    vs, ivs = kern.stability_values(n, rows, chi)
-    return (key, rows, delta, chi, vs, ivs)
-
-
-_VALUES_CACHE = {}
-
-
-def order_values(max_n, jobs=1):
-    """{order: [(key, rows, delta, chi, vs, ivs), ...]} over every
-    isomorphism class of orders 1..max_n (unbounded degree)."""
-    levels = generate.all_levels(max_n, None, jobs)
-    out = {}
-    for order in range(1, max_n + 1):
-        if order not in _VALUES_CACHE:
-            _VALUES_CACHE[order] = generate._pmap(
-                _values_worker, list(levels[order]), jobs, chunksize=64
-            )
-        out[order] = _VALUES_CACHE[order]
-    return out
-
-
 def _rows_g6(rows):
     return graph6.encode_rows(len(rows), rows)
 
 
-_S9_CATALOG = None
-
-
 def _family_catalog(jobs):
-    """The 30-entry order-9 catalog, built once per process."""
-    global _S9_CATALOG
-    if _S9_CATALOG is None:
-        _S9_CATALOG = generate.enumerate_catalog(
-            generate.GenSpec(9, max_degree=4, predicate="family-members"), jobs
-        )
-    return _S9_CATALOG
+    """The 30-entry order-9 catalog."""
+    return generate.enumerate_catalog(
+        generate.GenSpec(9, max_degree=4, predicate="family-members"), jobs
+    )
 
 
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
-
-
-def _mcc_worker(task):
-    key, rows = task
-    kern = kernels.active()
-    n = len(rows)
-    chi = kern.chromatic_number(n, rows)
-    _vs, ivs = kern.stability_values(n, rows, chi)
-    mcc = kern.min_color_class_size(n, rows, chi)
-    return (rows, ivs, mcc)
 
 
 def verify_obs1(n=None, seed=0, jobs=1) -> VerificationReport:
@@ -145,11 +98,11 @@ def verify_obs1(n=None, seed=0, jobs=1) -> VerificationReport:
     max_n = n or 8
     chk = _Check()
     levels = generate.all_levels(max_n, None, jobs)
+    record = partial(generate.class_record, mcc=True)
     checked = 0
     for order in range(1, max_n + 1):
-        for rows, ivs, mcc in generate._pmap(
-            _mcc_worker, list(levels[order]), jobs, chunksize=64
-        ):
+        for _key, rows, (_stage, values) in generate.records(levels[order], record, jobs):
+            ivs, mcc = values[3:]
             checked += 1
             if not chk.expect(
                 ivs == mcc,
@@ -204,12 +157,14 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
     max_n = n or 9
     chk = _Check()
     small = min(max_n, 8)
-    values = order_values(small, jobs)
+    gap = generate.NAMED_PREDICATES["stability-gap"]["fn"]
+    levels = generate.all_levels(small, None, jobs)
     per_order = {}
     for order in range(1, small + 1):
-        per_order[order] = len(values[order])
-        for key, rows, delta, chi, vs, ivs in values[order]:
-            if ivs > vs and 2 * chi >= delta + 2:
+        per_order[order] = len(levels[order])
+        for _key, rows, (stage, values) in generate.records(levels[order], gap, jobs):
+            if stage == 4:
+                delta, chi, vs, ivs = values
                 chk.expect(
                     False,
                     f"stability gap below order 9: delta={delta} chi={chi} vs={vs} ivs={ivs}",
@@ -218,11 +173,12 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
                 break
     chk.evidence["classes_scanned"] = per_order
     if max_n >= 9 and chk.ok():
-        parents = generate.levels_up_to(8, None, jobs)
-        total, results = generate.expand_and_map(
-            parents, generate._funnel_stability_gap, jobs
-        )
-        hits = [r for r in results if r[2] == 4]
+        total = 0
+        hits = []
+        for _key, rows, (stage, values) in generate.sweep(levels[8], None, gap, jobs):
+            total += 1
+            if stage == 4:
+                hits.append((rows, values))
         chk.evidence["order9_classes"] = total
         want = generate.KNOWN_CLASS_COUNTS[9]
         chk.expect(
@@ -232,14 +188,13 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
         )
         chk.evidence["order9_hits"] = len(hits)
         chk.evidence["order9_hit_keys"] = sorted(
-            iso.canonical_form(Graph(9, r[1])).decode() for r in hits
+            iso.canonical_form(Graph(9, rows)).decode() for rows, _values in hits
         )
-        for r in hits:
-            delta, chi, vs, ivs = r[3]
+        for rows, (delta, chi, vs, ivs) in hits:
             if not chk.expect(
                 (delta, chi, vs, ivs) == (4, 3, 2, 3),
                 f"order-9 gap graph with delta={delta} chi={chi} vs={vs} ivs={ivs}",
-                _rows_g6(r[1]),
+                _rows_g6(rows),
             ):
                 break
     return chk.report("lem9", {"max_order": max_n}, t0)

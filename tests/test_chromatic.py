@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chromastab import chromatic, kernels, oracles
+from chromastab import chromatic, families, generate, kernels, oracles
 from chromastab.chromatic import ChromaticError
 from chromastab.graph import (
     Graph,
@@ -81,6 +81,26 @@ def test_min_color_class_size_examples():
 
 def test_bipartizing_pairs_of_c5():
     assert chromatic.bipartizing_pair_vertices(cycle_graph(5)) == 0b11111
+
+
+def _bipartizing_over_ordered_pairs(g):
+    return mask_of(
+        x
+        for x in range(g.n)
+        if any(
+            chromatic.chromatic_number(g.delete_vertices(1 << x | 1 << y)) == 2
+            for y in range(g.n)
+            if y != x
+        )
+    )
+
+
+def test_bipartizing_pairs_match_the_ordered_pair_definition():
+    levels = generate.all_levels(6)
+    graphs = [Graph(n, rows) for n in levels for _key, rows in levels[n]]
+    graphs += [families.g9(), families.g10()]
+    for g in graphs:
+        assert chromatic.bipartizing_pair_vertices(g) == _bipartizing_over_ordered_pairs(g), g.rows
 
 
 def test_analyze_small_graphs():

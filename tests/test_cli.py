@@ -100,6 +100,18 @@ def test_search_rejects_large_n(tmp_path, capsys):
     assert "exhaustive" in err
 
 
+def test_search_and_verify_reject_jobs_below_one(tmp_path, capsys):
+    for argv in (
+        ("search", "--n", "4", "--output", str(tmp_path / "x")),
+        ("verify", "obs2"),
+    ):
+        for jobs in ("0", "-3"):
+            code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+            assert code == 2
+            assert "--jobs" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_pass_and_exit_codes(tmp_path, capsys):
     out_path = tmp_path / "obs2.json"
     code, out, _ = run_cli(capsys, "verify", "obs2", "--output", str(out_path), "--jobs", "1")

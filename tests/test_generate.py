@@ -212,3 +212,61 @@ def test_family_member_filter_is_empty_below_order_9():
     cat = generate.enumerate_catalog(GenSpec(8, max_degree=4, predicate="family-members"))
     assert len(cat.entries) == 0
     assert cat.meta["funnel"]["ivs=3"] == 0
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_pool_size_is_capped_by_tasks_and_usable_cpus(monkeypatch):
+    monkeypatch.setattr(generate, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(generate.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_SerialPool, "created", [])
+    tasks = list(range(-10, 0))
+    assert list(generate._pmap(abs, tasks, jobs=5000)) == [abs(t) for t in tasks]
+    assert list(generate._pmap(abs, tasks[:2], jobs=5000)) == [10, 9]
+    assert list(generate._pmap(abs, tasks, jobs=2)) == [abs(t) for t in tasks]
+    assert list(generate._pmap(abs, tasks[:1], jobs=5000)) == [10]  # no pool
+    assert _SerialPool.created == [3, 2, 2]
+    assert generate.default_jobs() == 3
+
+    _SerialPool.created.clear()
+    monkeypatch.setattr(generate, "_LEVEL_CACHE", {})
+    cat = generate.enumerate_catalog(GenSpec(5, predicate="stability-gap"), jobs=5000)
+    assert cat.meta["funnel"]["classes"] == 34
+    assert _SerialPool.created and max(_SerialPool.created) <= 3
+
+
+def test_sweep_rejects_a_class_from_two_parents(monkeypatch):
+    parents = generate.levels_up_to(3)
+    child = generate._children_of((3, parents[0][1], None))[0]
+    monkeypatch.setattr(generate, "_children_of", lambda task: [child])
+    with pytest.raises(AssertionError, match="duplicate class across parents"):
+        list(generate.sweep(parents))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_streamed_sweep_matches_records_over_the_next_level(jobs):
+    parents = generate.levels_up_to(6)
+    level = generate.levels_up_to(7)
+    for name in ("family-members", "stability-gap"):
+        fn = generate.NAMED_PREDICATES[name]["fn"]
+        streamed = list(generate.sweep(parents, None, fn, jobs))
+        # every record equal, hence every stage count and every hit
+        assert sorted(streamed) == list(generate.records(level, fn))
+        stages = {stage for _key, _rows, (stage, _values) in streamed}
+        assert len(streamed) == generate.KNOWN_CLASS_COUNTS[7] and len(stages) >= 2

@@ -2,7 +2,9 @@
 
 import random
 
-from chromastab import chromatic, families, kernels, verify
+import pytest
+
+from chromastab import chromatic, families, generate, kernels
 from chromastab.graph import bits
 
 from conftest import JOBS
@@ -10,33 +12,40 @@ from conftest import JOBS
 MAX_ORDER = 8
 
 
-def test_stability_inequalities_everywhere(levels_through_8):
-    values = verify.order_values(MAX_ORDER, jobs=JOBS)
+@pytest.fixture(scope="module")
+def class_values(levels_through_8):
+    """{order: [(delta, chi, vs, ivs), ...]} over every class of order <= 8."""
+    return {
+        order: [values for _key, _rows, (_stage, values)
+                in generate.records(levels_through_8[order], generate.class_record, JOBS)]
+        for order in range(1, MAX_ORDER + 1)
+    }
+
+
+def test_stability_inequalities_everywhere(class_values):
     for order in range(1, MAX_ORDER + 1):
-        for _key, _rows, delta, chi, vs, ivs in values[order]:
+        for delta, chi, vs, ivs in class_values[order]:
             assert vs <= ivs
             assert order >= ivs * chi
 
 
-def test_degree_two_graphs_have_equal_parameters(levels_through_8):
+def test_degree_two_graphs_have_equal_parameters(class_values):
     # includes disconnected unions of paths and cycles
-    values = verify.order_values(MAX_ORDER, jobs=JOBS)
     checked = 0
     for order in range(1, MAX_ORDER + 1):
-        for _key, _rows, delta, chi, vs, ivs in values[order]:
+        for delta, chi, vs, ivs in class_values[order]:
             if delta <= 2:
                 assert vs == ivs
                 checked += 1
     assert checked > 100
 
 
-def test_chi_near_max_degree_forces_equality(levels_through_8):
+def test_chi_near_max_degree_forces_equality(class_values):
     # known result: chi in {max_degree, max_degree + 1} forces equal
     # stability parameters
-    values = verify.order_values(MAX_ORDER, jobs=JOBS)
     checked = 0
     for order in range(1, MAX_ORDER + 1):
-        for _key, _rows, delta, chi, vs, ivs in values[order]:
+        for delta, chi, vs, ivs in class_values[order]:
             if chi in (delta, delta + 1):
                 assert vs == ivs
                 checked += 1
