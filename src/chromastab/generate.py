@@ -19,7 +19,9 @@ leave every level's keys and representatives unchanged:
 - orbit reduction: neighbor subsets are visited in ascending order, and a
   subset that an earlier one reaches under the parent's automorphism
   generators is skipped.  The automorphism extends to an isomorphism of the
-  two children, so the skipped child repeats the first one's key.
+  two children, so the skipped child repeats the first one's key.  The
+  generators generate the parent's automorphism group, so each orbit of
+  subsets is labeled at most once.
 
 Sweeps stream.  `sweep` yields the classes one order above a level parent
 by parent, each with its `class_record` computed where the child is

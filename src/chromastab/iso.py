@@ -2,7 +2,8 @@
 
 The canonical form of a connected graph is the relabeling that minimizes the
 row-bitmask tuple over a partition-refinement backtrack tree (target cell =
-first largest, full backtracking, discovered automorphisms accumulated).
+first largest).  The search prunes the tree with the automorphisms it
+discovers, which generate the automorphism group.
 Disconnected graphs are canonicalized per component and the components are
 concatenated in sorted key order; the automorphism order multiplies the
 per-component orders with a factorial for every repeated component.
@@ -22,11 +23,11 @@ from chromastab.graph import Graph, UnionFind, bits, component_masks, mask_of
 
 @dataclass(frozen=True)
 class AutInfo:
-    """Automorphism group size plus a witness set of generators.
+    """Automorphism group size plus a generating set.
 
     `order` is exact.  `generators` are automorphisms discovered during the
-    canonical search that connect the vertex orbits; they witness every orbit
-    fusion but are not guaranteed to be a minimal generating set.
+    canonical search, each merging two vertex orbits; together they generate
+    the automorphism group, though not always minimally.
     """
 
     order: int

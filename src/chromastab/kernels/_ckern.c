@@ -7,6 +7,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <assert.h>
 #include <limits.h>
 #include <string.h>
 
@@ -235,16 +236,27 @@ static u64 gosper_next(u64 m)
    canonical labeling
    ------------------------------------------------------------------------ */
 
+/* A leaf of the search tree: its individualized vertices, relabeled rows and
+   labeling (vertex -> position) with its inverse. */
+typedef struct {
+    int depth;
+    int path[MAXN];
+    u64 rows[MAXN];
+    int perm[MAXN];
+    int inv[MAXN];
+} Leaf;
+
 typedef struct {
     int n;
     u64 adj[MAXN];
-    int best_perm[MAXN];
-    int best_inv[MAXN];
-    u64 best_rows[MAXN];
-    int has_best;
-    u64 count;
+    /* the vertices individualized on the way to the current node */
+    int depth;
+    int path[MAXN];
+    int has_first;
+    Leaf first, best;
     int uf[MAXN];
-    /* each generator merges at least two orbits, so there are at most n-1 */
+    /* a generator is kept only when it merges two of the n orbits, so there
+       are at most n - 1 */
     int ngens;
     int gens[MAXN - 1][MAXN];
     /* refinement work buffers */
@@ -349,13 +361,26 @@ static void refine(Canon *cs, int *colors)
     }
 }
 
-/* A discrete coloring: keep it if its relabeled rows are the least so far;
-   if they tie, it is an automorphism of the canonical labeling. */
-static void leaf(Canon *cs, const int *colors)
+static void keep_leaf(const Canon *cs, Leaf *lf, const int *colors, const u64 *crows)
+{
+    int n = cs->n;
+    lf->depth = cs->depth;
+    memcpy(lf->path, cs->path, cs->depth * sizeof(int));
+    memcpy(lf->rows, crows, n * sizeof(u64));
+    for (int v = 0; v < n; v++) {
+        lf->perm[v] = colors[v];
+        lf->inv[colors[v]] = v;
+    }
+}
+
+/* A discrete coloring.  If its relabeled rows equal those of the first leaf
+   or of the least leaf so far, it is an automorphism, kept when it merges
+   orbits, and the search resumes where the two paths part; if they are less,
+   it becomes the least leaf.  Returns the depth at which the search resumes. */
+static int leaf(Canon *cs, const int *colors)
 {
     int n = cs->n;
     u64 crows[MAXN];
-    int cmp = -1;
     memset(crows, 0, n * sizeof(u64));
     for (int v = 0; v < n; v++) {
         u64 neigh = cs->adj[v];
@@ -363,47 +388,86 @@ static void leaf(Canon *cs, const int *colors)
             if (neigh >> u & 1)
                 crows[colors[v]] |= BIT(colors[u]);
     }
-    if (cs->has_best) {
-        cmp = 0;
-        for (int v = 0; v < n; v++) {
-            if (crows[v] != cs->best_rows[v]) {
-                cmp = crows[v] < cs->best_rows[v] ? -1 : 1;
-                break;
-            }
-        }
+    if (!cs->has_first) {
+        keep_leaf(cs, &cs->first, colors, crows);
+        cs->best = cs->first;
+        cs->has_first = 1;
+        return cs->depth - 1;
     }
-    if (cmp < 0) {
-        memcpy(cs->best_rows, crows, n * sizeof(u64));
-        for (int v = 0; v < n; v++) {
-            cs->best_perm[v] = colors[v];
-            cs->best_inv[colors[v]] = v;
-        }
-        cs->has_best = 1;
-        cs->count = 1;
-    } else if (cmp == 0) {
+    const Leaf *refs[2] = {&cs->first, &cs->best};
+    for (int r = 0; r < 2; r++) {
+        const Leaf *ref = refs[r];
+        if (memcmp(crows, ref->rows, n * sizeof(u64)) != 0)
+            continue;
         int alpha[MAXN];
         int merged = 0;
-        cs->count++;
         for (int v = 0; v < n; v++)
-            alpha[v] = cs->best_inv[colors[v]];
+            alpha[v] = ref->inv[colors[v]];
         for (int v = 0; v < n; v++)
             if (uf_union(cs, v, alpha[v]))
                 merged = 1;
-        if (merged)
+        if (merged) {
+            /* each kept generator merged two of the n orbits */
+            assert(cs->ngens < n - 1);
             memcpy(cs->gens[cs->ngens++], alpha, n * sizeof(int));
+        }
+        int depth = 0;
+        while (cs->path[depth] == ref->path[depth])
+            depth++;
+        return depth;
     }
+    for (int v = 0; v < n; v++) {
+        if (crows[v] != cs->best.rows[v]) {
+            if (crows[v] < cs->best.rows[v])
+                keep_leaf(cs, &cs->best, colors, crows);
+            break;
+        }
+    }
+    return cs->depth - 1;
+}
+
+/* Mask of every vertex that the kept generators fixing fixed[0..nfixed-1]
+   map the vertices of `start` to. */
+static u64 orbit_mask(const Canon *cs, u64 start, const int *fixed, int nfixed)
+{
+    int use[MAXN - 1];
+    int nuse = 0;
+    for (int i = 0; i < cs->ngens; i++) {
+        int j = 0;
+        while (j < nfixed && cs->gens[i][fixed[j]] == fixed[j])
+            j++;
+        if (j == nfixed)
+            use[nuse++] = i;
+    }
+    u64 orbit = start, todo = start;
+    while (todo) {
+        int v = __builtin_ctzll(todo);
+        todo &= todo - 1;
+        for (int i = 0; i < nuse; i++) {
+            int u = cs->gens[use[i]][v];
+            if (!(orbit >> u & 1)) {
+                orbit |= BIT(u);
+                todo |= BIT(u);
+            }
+        }
+    }
+    return orbit;
 }
 
 /* Individualize each vertex of the first largest non-singleton cell in turn,
-   refine and recurse; a discrete coloring is a leaf. */
-static void search(Canon *cs, const int *colors)
+   skipping those in the orbit of an explored one under the generators that
+   fix the path, refine and recurse; a discrete coloring is a leaf.  Returns
+   the depth at which the search resumes. */
+static int search(Canon *cs, const int *colors)
 {
     int n = cs->n;
+    int depth = cs->depth;
     int cell_size[MAXN];
     int child[MAXN];
     int members[MAXN];
     int nmembers = 0;
     int target = -1, largest = 1;
+    u64 explored = 0;
     memset(cell_size, 0, n * sizeof(int));
     for (int v = 0; v < n; v++)
         cell_size[colors[v]]++;
@@ -413,37 +477,50 @@ static void search(Canon *cs, const int *colors)
             target = c;
         }
     }
-    if (target < 0) {
-        leaf(cs, colors);
-        return;
-    }
+    if (target < 0)
+        return leaf(cs, colors);
     for (int v = 0; v < n; v++)
         if (colors[v] == target)
             members[nmembers++] = v;
     for (int i = 0; i < nmembers; i++) {
+        int w = members[i];
+        if (explored && orbit_mask(cs, explored, cs->path, depth) >> w & 1)
+            continue;
         for (int u = 0; u < n; u++)
             child[u] = 2 * colors[u];
         for (int u = 0; u < nmembers; u++)
             if (u != i)
                 child[members[u]]++;
         refine(cs, child);
-        search(cs, child);
+        cs->path[cs->depth++] = w;
+        int resume = search(cs, child);
+        cs->depth--;
+        if (resume < depth)
+            return resume;
+        explored |= BIT(w);
     }
+    return depth - 1;
 }
 
-/* Fills best_perm, count, gens and uf for the graph in cs->adj. */
-static void canon_run(Canon *cs)
+/* Fills first, best, gens and uf for the graph in cs->adj, and the orbit
+   size of each first-path vertex under the generators fixing the ones
+   before it. */
+static void canon_run(Canon *cs, int *orbit_size)
 {
     int colors[MAXN];
     for (int v = 0; v < cs->n; v++) {
         cs->uf[v] = v;
         colors[v] = 0;
     }
-    cs->has_best = 0;
-    cs->count = 0;
+    cs->depth = 0;
+    cs->has_first = 0;
     cs->ngens = 0;
     refine(cs, colors);
     search(cs, colors);
+    for (int i = 0; i < cs->first.depth; i++) {
+        int v = cs->first.path[i];
+        orbit_size[i] = POPCNT64(orbit_mask(cs, BIT(v), cs->first.path, i));
+    }
 }
 
 /* ------------------------------------------------------------------------
@@ -731,12 +808,22 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
         return NULL;
     if (cs.n == 0)
         return Py_BuildValue("(()i()())", 1);
-    canon_run(&cs);
+    int orbit_size[MAXN];
+    canon_run(&cs, orbit_size);
     int orbits[MAXN];
     for (int v = 0; v < cs.n; v++)
         orbits[v] = uf_find(&cs, v);
-    PyObject *perm = int_tuple(cs.best_perm, cs.n);
-    PyObject *count = PyLong_FromUnsignedLongLong(cs.count);
+    /* the group order overflows 64 bits (21! does), so it is a Python int */
+    PyObject *order = PyLong_FromLong(1);
+    for (int i = 0; order != NULL && i < cs.first.depth; i++) {
+        if (orbit_size[i] == 1)
+            continue;
+        PyObject *size = PyLong_FromLong(orbit_size[i]);
+        PyObject *prod = size == NULL ? NULL : PyNumber_Multiply(order, size);
+        Py_XDECREF(size);
+        Py_SETREF(order, prod);
+    }
+    PyObject *perm = int_tuple(cs.best.perm, cs.n);
     PyObject *gens = PyTuple_New(cs.ngens);
     PyObject *orbs = int_tuple(orbits, cs.n);
     for (int i = 0; gens != NULL && i < cs.ngens; i++) {
@@ -747,10 +834,10 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
             PyTuple_SET_ITEM(gens, i, g);
     }
     PyObject *result = NULL;
-    if (perm != NULL && count != NULL && gens != NULL && orbs != NULL)
-        result = PyTuple_Pack(4, perm, count, gens, orbs);
+    if (perm != NULL && order != NULL && gens != NULL && orbs != NULL)
+        result = PyTuple_Pack(4, perm, order, gens, orbs);
     Py_XDECREF(perm);
-    Py_XDECREF(count);
+    Py_XDECREF(order);
     Py_XDECREF(gens);
     Py_XDECREF(orbs);
     return result;
@@ -776,7 +863,9 @@ static PyMethodDef methods[] = {
     FASTCALL(stability_witnesses, "n, rows, chi, independent_only",
              "(value, masks) exactly as the pure kernel computes them."),
     FASTCALL(canon_raw, "n, rows",
-             "Canonical labeling data; see the pure twin for the full contract."),
+             "(perm, aut_order, gens, orbits) from a refinement tree pruned by the "
+             "automorphisms it finds; aut_order is exact, gens generate the "
+             "automorphism group. See the pure twin for the full contract."),
     {NULL, NULL, 0, NULL},
 };
 

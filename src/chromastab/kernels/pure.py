@@ -280,52 +280,78 @@ def _refine(n, rows, colors):
 
 
 def canon_raw(n, rows):
-    """Canonical labeling by partition refinement plus full backtracking.
+    """Canonical labeling by partition refinement and a search tree pruned by
+    the automorphisms it finds (McKay & Piperno 2014, "Practical graph
+    isomorphism, II").
+
+    Each node individualizes, in ascending order, the vertices of its first
+    largest cell.  A child is skipped when an explored sibling lies in its
+    orbit under the automorphisms found so far that fix the node's
+    individualized vertices.  A leaf whose relabeled rows equal those of the
+    first leaf, or of the least leaf so far, gives an automorphism that maps
+    the rest of its branch onto a branch already explored, so the search
+    resumes where the two paths part.  Every skipped leaf has an explored
+    leaf with equal rows before it, so the first leaf that reaches the
+    minimum is always visited.
 
     Returns (perm, aut_order, gens, orbits):
-      perm      -- vertex -> canonical position; the labeling minimizing the
-                   relabeled row-bitmask tuple over the whole search tree
-      aut_order -- exact automorphism group order (count of leaves matching
-                   the canonical labeling)
-      gens      -- automorphisms discovered while searching that connected
-                   previously separate vertex orbits
+      perm      -- vertex -> canonical position: the first leaf of the
+                   refinement tree minimizing the relabeled row-bitmask tuple
+      aut_order -- exact automorphism group order: the product, over the
+                   first path, of the orbit size of each individualized
+                   vertex under the generators that fix the ones before it
+      gens      -- automorphisms found in the search, each kept only when it
+                   merges two vertex orbits (so at most n - 1); they generate
+                   the automorphism group
       orbits    -- vertex -> smallest vertex of its automorphism orbit
     """
     _check_order(n)
     if n == 0:
         return (), 1, (), ()
-    best_rows = None
-    best_perm = None
-    best_inv = None
-    count = 0
     uf = UnionFind(n)
     gens = []
+    path = []  # the vertices individualized on the way to the current node
+    # the first leaf and the least leaf so far, each as
+    # (path, relabeled rows, inverse labeling, labeling)
+    first = best = None
+
+    def kept(colors, crows):
+        inv = [0] * n
+        for v in range(n):
+            inv[colors[v]] = v
+        return tuple(path), crows, inv, colors
 
     def leaf(colors):
-        nonlocal best_rows, best_perm, best_inv, count
+        """Depth of the node at which the search resumes."""
+        nonlocal first, best
         crows = [0] * n
         for v in range(n):
             pv = colors[v]
             for u in bits(rows[v]):
                 crows[pv] |= 1 << colors[u]
-        if best_rows is None or crows < best_rows:
-            best_rows = crows
-            best_perm = list(colors)
-            best_inv = [0] * n
-            for v in range(n):
-                best_inv[colors[v]] = v
-            count = 1
-        elif crows == best_rows:
-            count += 1
-            alpha = tuple(best_inv[colors[v]] for v in range(n))
-            merged = False
-            for v in range(n):
-                if uf.union(v, alpha[v]):
-                    merged = True
-            if merged:
-                gens.append(alpha)
+        if first is None:
+            first = best = kept(colors, crows)
+            return len(path) - 1
+        for ref_path, ref_rows, ref_inv, _ in (first, best):
+            if crows == ref_rows:
+                alpha = tuple(ref_inv[colors[v]] for v in range(n))
+                merged = False
+                for v in range(n):
+                    if uf.union(v, alpha[v]):
+                        merged = True
+                if merged:
+                    gens.append(alpha)
+                depth = 0
+                while path[depth] == ref_path[depth]:
+                    depth += 1
+                return depth
+        if crows < best[1]:
+            best = kept(colors, crows)
+        return len(path) - 1
 
     def search(colors):
+        """Depth of the node at which the search resumes."""
+        depth = len(path)
         cell_size = [0] * n
         for c in colors:
             cell_size[c] += 1
@@ -336,16 +362,47 @@ def canon_raw(n, rows):
                 largest = cell_size[c]
                 target = c
         if target < 0:
-            leaf(colors)
-            return
+            return leaf(colors)
         members = [v for v in range(n) if colors[v] == target]
+        explored = []
         for w in members:
+            if explored and w in _orbit(explored, _fixing(gens, path)):
+                continue
             child = [2 * c for c in colors]
             for u in members:
                 if u != w:
                     child[u] += 1
-            search(_refine(n, rows, child))
+            path.append(w)
+            resume = search(_refine(n, rows, child))
+            path.pop()
+            if resume < depth:
+                return resume
+            explored.append(w)
+        return depth - 1
 
     search(_refine(n, rows, [0] * n))
+    first_path = first[0]
+    aut_order = 1
+    for i, v in enumerate(first_path):
+        aut_order *= len(_orbit([v], _fixing(gens, first_path[:i])))
     orbits = tuple(uf.find(v) for v in range(n))
-    return tuple(best_perm), count, tuple(gens), orbits
+    return tuple(best[3]), aut_order, tuple(gens), orbits
+
+
+def _fixing(gens, fixed):
+    """The permutations in gens that fix every vertex in `fixed`."""
+    return [g for g in gens if all(g[v] == v for v in fixed)]
+
+
+def _orbit(vertices, gens):
+    """Every vertex that the group generated by gens maps `vertices` to."""
+    orbit = set(vertices)
+    stack = list(orbit)
+    while stack:
+        v = stack.pop()
+        for g in gens:
+            u = g[v]
+            if u not in orbit:
+                orbit.add(u)
+                stack.append(u)
+    return orbit

@@ -1,14 +1,17 @@
 """Brute-force reference oracles for cross-checking the fast paths.
 
 Nothing here shares code with the production algorithms: canonical forms come
-from scanning all n! permutations, colorings from exhaustive assignment,
-planarity from a direct search for subdivided K5/K33 subgraphs.  Intended for
-test-time use on small graphs only.
+from scanning all n! permutations, automorphism groups from extending vertex
+maps one vertex at a time, labeled graph counts from a dynamic program over
+degree multisets, colorings from exhaustive assignment, planarity from a
+direct search for subdivided K5/K33 subgraphs.  Intended for test-time use on
+small graphs only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import comb, prod
 
 from chromastab.graph import Graph, bits, mask_of
 
@@ -38,6 +41,71 @@ def brute_canonical_key(g: Graph):
         best = ()
         aut = 1
     return best, aut
+
+
+def brute_automorphisms(g: Graph):
+    """(|Aut(g)|, orbits), orbits mapping each vertex to the smallest vertex
+    of its orbit.
+
+    Every automorphism is listed: vertex v is mapped to each unused vertex in
+    turn, and a partial map is extended only while it preserves adjacency
+    and non-adjacency among the vertices mapped so far.
+    """
+    n = g.n
+    image = [0] * n
+    used = [False] * n
+    least = list(range(n))
+    order = 0
+
+    def extend(v):
+        nonlocal order
+        if v == n:
+            order += 1
+            for u in range(n):
+                least[u] = min(least[u], image[u])
+            return
+        for x in range(n):
+            if used[x] or g.degree(v) != g.degree(x):
+                continue
+            if all(g.has_edge(u, v) == g.has_edge(image[u], x) for u in range(v)):
+                image[v] = x
+                used[x] = True
+                extend(v + 1)
+                used[x] = False
+
+    extend(0)
+    return order, tuple(least)
+
+
+def labeled_count(n, max_degree=None):
+    """Number of labeled simple graphs on n vertices whose degrees are all at
+    most max_degree (no bound by default).
+
+    Vertices are added one at a time, each joined to some of the earlier
+    ones.  The state is how many earlier vertices have each degree; joining
+    the new vertex to k of the c vertices of degree d can be done in C(c, k)
+    ways.
+    """
+    cap = n - 1 if max_degree is None else max_degree
+    states = {(0,) * (cap + 1): 1}
+    for _ in range(n):
+        nxt = {}
+        for state, ways in states.items():
+            for picks in product(*(range(c + 1) for c in state[:-1])):
+                degree = sum(picks)
+                if degree > cap:
+                    continue
+                new = list(state)
+                for d, k in enumerate(picks):
+                    new[d] -= k
+                    new[d + 1] += k
+                new[degree] += 1
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + ways * prod(
+                    comb(c, k) for c, k in zip(state, picks)
+                )
+        states = nxt
+    return sum(states.values())
 
 
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import math
 import random
 import shutil
 import subprocess
@@ -9,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from chromastab import families, kernels
-from chromastab.graph import path_graph
+from chromastab import families, kernels, oracles
+from chromastab.graph import (
+    Graph,
+    UnionFind,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from chromastab.kernels import pure
 
 
@@ -33,6 +41,38 @@ def corpus():
     for g in [families.g9(), families.g10(), families.h_n_e(13, 1)]:
         out.append((g.n, g.rows))
     return out
+
+
+def petersen():
+    return Graph.build(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+
+
+def hypercube(d):
+    return Graph.build(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d)
+                                if not v >> b & 1])
+
+
+def triangles(k):
+    return Graph.build(3 * k, [(3 * i + a, 3 * i + b) for i in range(k)
+                               for a, b in ((0, 1), (1, 2), (0, 2))])
+
+
+# (name, graph, |Aut|) for symmetric graphs whose groups are known; 21! and
+# 2 * 8!^2 are beyond 64 bits.
+SYMMETRIC = [
+    *((f"K{n}", complete_graph(n), math.factorial(n)) for n in (8, 10, 16, 21)),
+    ("K4,4", complete_bipartite(4, 4), 2 * math.factorial(4) ** 2),
+    ("K8,8", complete_bipartite(8, 8), 2 * math.factorial(8) ** 2),
+    ("Petersen", petersen(), 120),
+    *((f"Q{d}", hypercube(d), 2 ** d * math.factorial(d)) for d in (3, 4, 5)),
+    ("C20", cycle_graph(20), 40),
+    ("6K3", triangles(6), 6 ** 6 * math.factorial(6)),
+]
 
 
 # pure_outputs() of the reference kernels.  The compiled backend must
@@ -85,9 +125,12 @@ def have_c_toolchain():
     return shutil.which(cc) is not None and header.exists()
 
 
-@pytest.mark.skipif(not have_c_toolchain(), reason="no C compiler or no Python.h")
-def test_compiled_core_builds_and_matches_pure(tmp_path):
-    """Build _ckern.c out of tree, load it, and hold it to the pure outputs."""
+@pytest.fixture(scope="module")
+def built_ckern(tmp_path_factory):
+    """_ckern.c built out of tree and loaded."""
+    if not have_c_toolchain():
+        pytest.skip("no C compiler or no Python.h")
+    tmp_path = tmp_path_factory.mktemp("ckern")
     root = Path(__file__).resolve().parent.parent
     lib = tmp_path / "lib"
     build = subprocess.run(
@@ -102,6 +145,12 @@ def test_compiled_core_builds_and_matches_pure(tmp_path):
     spec = importlib.util.spec_from_file_location("chromastab.kernels._ckern", so)
     ck = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ck)
+    return ck
+
+
+def test_compiled_core_builds_and_matches_pure(built_ckern):
+    """Hold the out-of-tree build of _ckern.c to the pure outputs."""
+    ck = built_ckern
     assert ck.BACKEND == "compiled"
 
     assert pure_outputs(ck) == PURE_OUTPUTS_DIGEST
@@ -119,6 +168,9 @@ def test_compiled_core_builds_and_matches_pure(tmp_path):
             assert ck.min_color_class_size(n, rows, chi) == pure.min_color_class_size(
                 n, rows, chi
             )
+        assert ck.canon_raw(n, rows) == pure.canon_raw(n, rows)
+    for _name, g, _order in SYMMETRIC:
+        assert ck.canon_raw(g.n, g.rows) == pure.canon_raw(g.n, g.rows)
 
     # both backends share the 0..64 vertex limit and the 62-vertex scan limit
     for kern in (pure, ck):
@@ -197,3 +249,104 @@ def test_greedy_clique_bound_is_a_lower_bound(backend):
     for n, rows in corpus()[:80]:
         chi = backend.chromatic_number(n, rows)
         assert backend.greedy_clique_bound(n, rows) <= (chi if n else 0)
+
+
+# ---------------------------------------------------------------------------
+# the canon_raw contract, on pure and on the out-of-tree build
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["pure", "built"])
+def canon_kern(request):
+    """pure, then the module that test_compiled_core_builds_and_matches_pure
+    builds."""
+    return pure if request.param == "pure" else request.getfixturevalue("built_ckern")
+
+
+def generated_orbits(n, gens):
+    """vertex -> smallest vertex of its orbit under the group gens generate."""
+    uf = UnionFind(n)
+    for gen in gens:
+        for v in range(n):
+            uf.union(v, gen[v])
+    return tuple(uf.find(v) for v in range(n))
+
+
+def test_canon_raw_generators_are_automorphisms(canon_kern):
+    graphs = [(n, rows) for n, rows in corpus()]
+    graphs += [(g.n, g.rows) for _name, g, _order in SYMMETRIC]
+    for n, rows in graphs:
+        perm, _order, gens, orbits = canon_kern.canon_raw(n, rows)
+        assert sorted(perm) == list(range(n))
+        assert len(gens) <= max(n - 1, 0)
+        for gen in gens:
+            assert sorted(gen) == list(range(n))
+            assert all(rows[gen[v]] == sum(1 << gen[u] for u in range(n) if rows[v] >> u & 1)
+                       for v in range(n))
+        assert generated_orbits(n, gens) == orbits
+
+
+def test_canon_raw_group_matches_brute_force_through_order_7(canon_kern, levels_through_8):
+    for order in range(1, 8):
+        for _key, rows in levels_through_8[order]:
+            _perm, aut_order, gens, orbits = canon_kern.canon_raw(order, rows)
+            brute_order, brute_orbits = oracles.brute_automorphisms(Graph(order, rows))
+            assert (aut_order, orbits) == (brute_order, brute_orbits), rows
+            assert generated_orbits(order, gens) == brute_orbits, rows
+
+
+@pytest.mark.parametrize("name,g,order", SYMMETRIC, ids=[name for name, _g, _o in SYMMETRIC])
+def test_canon_raw_known_group_orders(canon_kern, name, g, order):
+    _perm, aut_order, _gens, orbits = canon_kern.canon_raw(g.n, g.rows)
+    assert aut_order == order
+    assert type(aut_order) is int
+    # every graph here is vertex-transitive
+    assert orbits == (0,) * g.n
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(8, 22)]
+    + [complete_bipartite(p, p) for p in range(2, 9)]
+    + [triangles(6)],
+    ids=[f"K{n}" for n in range(8, 22)] + [f"K{p},{p}" for p in range(2, 9)] + ["6K3"],
+)
+def test_symmetric_graphs_refine_at_most_n_squared_times(monkeypatch, g):
+    calls = 0
+    refine = pure._refine
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(pure, "_refine", counting)
+    pure.canon_raw(g.n, g.rows)
+    assert calls <= g.n ** 2
+
+
+@pytest.mark.parametrize("max_degree", [3, 4, None])
+def test_labeled_graphs_are_counted_by_automorphism_orders(
+    canon_kern, levels_through_8, max_degree
+):
+    """sum of n!/|Aut(G)| over the classes is the number of labeled graphs."""
+    for n in range(1, 9):
+        total = 0
+        for _key, rows in levels_through_8[n]:
+            if max_degree is None or max(r.bit_count() for r in rows) <= max_degree:
+                aut_order = canon_kern.canon_raw(n, rows)[1]
+                assert math.factorial(n) % aut_order == 0
+                total += math.factorial(n) // aut_order
+        assert total == oracles.labeled_count(n, max_degree), n
+        if max_degree is None:
+            assert total == 2 ** math.comb(n, 2)
+
+
+def test_labeled_count_small_cases():
+    assert [oracles.labeled_count(n, 1) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
+    assert [oracles.labeled_count(n, 0) for n in range(4)] == [1, 1, 1, 1]
+    # max degree 2 on 5 vertices, against a scan of all 1,024 labeled graphs
+    direct = sum(1 for g in oracles.all_labeled_graphs(5) if max(g.degrees()) <= 2)
+    assert oracles.labeled_count(5, 2) == direct
+    # the sum of 10!/|Aut(G)| over the 108,376 order-10 classes with max degree 4
+    assert oracles.labeled_count(10, 4) == 275_322_712_826
