@@ -25,6 +25,19 @@ when chi(C) = chi(G); chi(G) is the largest chi(C).  Then
 Every stability entry point below splits G once into components, scans only
 the top ones and combines the results; witness products are sorted, which
 is the ascending order of the whole-graph scan.
+
+Two more facts keep the scans short without changing any output:
+
+* Clique hitting: a set S with chi(G - S) < chi meets every K_chi of G.
+  Proof: otherwise G - S still contains that K_chi, which needs chi colors.
+  So the kernels' scans skip, without a coloring test, every set that misses
+  one of the first n K_chi's they collect.
+* ivs from vs: if some minimum deletion set of C is independent, then
+  ivs(C) = vs(C) and the ivs-witnesses of C are exactly its independent
+  vs-witnesses, in the same order.  Proof: ivs >= vs since independent sets
+  are sets, an independent vs-witness gives ivs <= vs, and every set of size
+  vs that works is a vs-witness.  So `analyze` scans each top component
+  once, and scans independent sets only where no vs-witness is independent.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from chromastab import iso, kernels
-from chromastab.graph import Graph, bits, component_masks, mask_of
+from chromastab.graph import Graph, bits, component_masks, is_independent, mask_of
 
 
 class ChromaticError(ValueError):
@@ -155,17 +168,33 @@ def _lift(mask, verts):
     return mask if verts is None else mask_of(verts[i] for i in bits(mask))
 
 
-def _stability(chi, top, independent_only) -> StabilityResult:
+def _product(top, results) -> StabilityResult:
     """Sum of the top components' values; witnesses are the ascending
-    products of their witness sets."""
-    kern = kernels.active()
+    products of their witness sets.  results[i] is (value, masks) of top[i]."""
     value, product = 0, [0]
-    for n, rows, verts in top:
-        v, masks = kern.stability_witnesses(n, rows, chi, independent_only)
+    for (_n, _rows, verts), (v, masks) in zip(top, results):
         value += v
         lifted = [_lift(m, verts) for m in masks]
         product = [a | b for a in product for b in lifted]
     return StabilityResult(value, tuple(sorted(product)))
+
+
+def _stability(chi, top, independent_only) -> StabilityResult:
+    kern = kernels.active()
+    return _product(
+        top, [kern.stability_witnesses(n, rows, chi, independent_only) for n, rows, _ in top]
+    )
+
+
+def _both_stabilities(chi, n, rows):
+    """A top component's (vs, masks) and (ivs, masks); the independent scan
+    runs only when no vs-witness is independent (ivs from vs, above)."""
+    kern = kernels.active()
+    vs = kern.stability_witnesses(n, rows, chi, False)
+    independent = tuple(m for m in vs[1] if is_independent(rows, m))
+    if independent:
+        return vs, (vs[0], independent)
+    return vs, kern.stability_witnesses(n, rows, chi, True)
 
 
 def vertex_stability(g: Graph) -> StabilityResult:
@@ -214,17 +243,21 @@ def bipartizing_pair_vertices(g: Graph) -> int:
     The constant 2 is literal (an edge must survive), so this is most
     meaningful for 3-chromatic graphs.  The test is symmetric in x and y,
     so each unordered pair is tested once, unless both ends are already in
-    the mask.
+    the mask.  A pair costs one kernel call, for 2-colorability; the
+    m - deg x - deg y + [xy is an edge] edges left outside it say whether
+    chi(G - {x,y}) is 2 rather than less.
     """
     kern = kernels.active()
+    m = g.m
+    deg = g.degrees()
     out = 0
     for x in range(g.n):
         for y in range(x + 1, g.n):
             mask = 1 << x | 1 << y
             if out & mask == mask:
                 continue
-            if kern.deletion_colorable(g.n, g.rows, mask, 2) and not kern.deletion_colorable(
-                g.n, g.rows, mask, 1
+            if kern.deletion_colorable(g.n, g.rows, mask, 2) and (
+                m - deg[x] - deg[y] + (g.rows[x] >> y & 1)
             ):
                 out |= mask
     return out
@@ -233,14 +266,15 @@ def bipartizing_pair_vertices(g: Graph) -> int:
 def analyze(g: Graph) -> StabilityReport:
     """Full invariant report; raises for the null graph."""
     chi, top = _top_components(g)
-    vs, vs_wit = _stability(chi, top, False)
-    ivs, ivs_wit = _stability(chi, top, True)
+    vs_parts, ivs_parts = zip(*(_both_stabilities(chi, n, rows) for n, rows, _ in top))
+    vs, vs_wit = _product(top, vs_parts)
+    ivs, ivs_wit = _product(top, ivs_parts)
     if not vs <= ivs:
         raise AssertionError("vs exceeds ivs; kernel inconsistency")
     if g.n < ivs * chi:
         raise AssertionError("|V| < ivs * chi violates the color-class bound")
     for mask in ivs_wit:
-        if any(g.rows[v] & mask for v in bits(mask)):
+        if not is_independent(g.rows, mask):
             raise AssertionError("non-independent ivs witness")
     conn = g.connectivity()
     return StabilityReport(
@@ -252,7 +286,8 @@ def analyze(g: Graph) -> StabilityReport:
         independent_vertex_stability=ivs,
         vertex_stability_witnesses=tuple(tuple(bits(w)) for w in vs_wit),
         independent_stability_witnesses=tuple(tuple(bits(w)) for w in ivs_wit),
-        bipartizing_pair_vertices=tuple(bits(bipartizing_pair_vertices(g))),
+        # two deletions lower chi by at most two
+        bipartizing_pair_vertices=tuple(bits(bipartizing_pair_vertices(g) if chi < 5 else 0)),
         planar=iso.is_planar(g),
         connected=conn.connected,
         two_connected=conn.two_connected,

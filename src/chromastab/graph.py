@@ -34,6 +34,11 @@ def mask_of(vertices) -> int:
     return m
 
 
+def is_independent(rows, mask) -> bool:
+    """True if no two vertices of mask are adjacent."""
+    return all(rows[v] & mask == 0 for v in bits(mask))
+
+
 def reach(rows, start, banned=0) -> int:
     """Mask of the vertices reachable from start without entering banned."""
     seen = frontier = 1 << start

@@ -232,6 +232,54 @@ static u64 gosper_next(u64 m)
     return (((r ^ m) >> 2) / c) | r;
 }
 
+typedef struct {
+    const u64 *adj;
+    int limit;
+    int count;
+    u64 masks[MAXN];
+} Cliques;
+
+/* Extend clique by candidates in ascending order until `need` more vertices
+   are in; a branch stops once fewer candidates are left than are needed.
+   True once the limit is reached. */
+static int clique_rec(Cliques *cl, u64 clique, u64 cand, int need)
+{
+    if (need == 0) {
+        cl->masks[cl->count++] = clique;
+        return cl->count == cl->limit;
+    }
+    while (POPCNT64(cand) >= need) {
+        u64 low = cand & (~cand + 1);
+        cand ^= low;
+        if (clique_rec(cl, clique | low, cand & cl->adj[POPCNT64(low - 1)], need - 1))
+            return 1;
+    }
+    return 0;
+}
+
+/* The first n cliques of `size` vertices in ascending lexicographic order
+   of their vertex lists (none unless 1 <= size <= n), as the pure _cliques
+   collects them.  Any list of K_chi's keeps the scans' filter exact; the cap
+   bounds the list on graphs with many of them (K_{3,...,3} has 3^(n/3)). */
+static void collect_cliques(int n, const u64 *adj, int size, Cliques *cl)
+{
+    cl->adj = adj;
+    cl->limit = n;
+    cl->count = 0;
+    if (1 <= size && size <= n)
+        clique_rec(cl, 0, all_mask(n), size);
+}
+
+/* True if mask meets every collected clique.  A deletion set that misses a
+   K_chi leaves that K_chi in G - S, so G - S is not (chi-1)-colorable. */
+static int meets_all(u64 mask, const Cliques *cl)
+{
+    for (int i = 0; i < cl->count; i++)
+        if (!(mask & cl->masks[i]))
+            return 0;
+    return 1;
+}
+
 /* ------------------------------------------------------------------------
    canonical labeling
    ------------------------------------------------------------------------ */
@@ -729,13 +777,15 @@ static PyObject *py_stability_values(PyObject *self, PyObject *const *args,
         return NULL;
     if (n > 62)
         return scan_limit_error();
+    Cliques cl;
+    collect_cliques(n, adj, chi, &cl);
     int k = chi - 1;
     u64 top = BIT(n);
     for (int s = 1; s <= n; s++) {
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
             if (vs && !independent(adj, mask))
                 continue;
-            if (colorable_excluding(n, adj, mask, k)) {
+            if (meets_all(mask, &cl) && colorable_excluding(n, adj, mask, k)) {
                 if (!vs)
                     vs = s;
                 if (independent(adj, mask)) {
@@ -758,6 +808,8 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
         return NULL;
     if (n > 62)
         return scan_limit_error();
+    Cliques cl;
+    collect_cliques(n, adj, chi, &cl);
     int k = chi - 1;
     u64 top = BIT(n);
     PyObject *hits = PyList_New(0);
@@ -769,7 +821,7 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
             if (indep && !independent(adj, mask))
                 continue;
-            if (colorable_excluding(n, adj, mask, k)) {
+            if (meets_all(mask, &cl) && colorable_excluding(n, adj, mask, k)) {
                 PyObject *m = PyLong_FromUnsignedLongLong(mask);
                 int err = m == NULL ? -1 : PyList_Append(hits, m);
                 Py_XDECREF(m);
@@ -859,9 +911,11 @@ static PyMethodDef methods[] = {
     FASTCALL(min_color_class_size, "n, rows, k",
              "Minimum color-class size over all proper k-colorings, or None."),
     FASTCALL(stability_values, "n, rows, chi",
-             "(vs, ivs) exactly as the pure kernel computes them."),
+             "(vs, ivs) exactly as the pure kernel computes them; a set that misses "
+             "one of the first n K_chi's is skipped without a coloring test."),
     FASTCALL(stability_witnesses, "n, rows, chi, independent_only",
-             "(value, masks) exactly as the pure kernel computes them."),
+             "(value, masks) exactly as the pure kernel computes them, with the "
+             "same skip of sets that miss one of the first n K_chi's."),
     FASTCALL(canon_raw, "n, rows",
              "(perm, aut_order, gens, orbits) from a refinement tree pruned by the "
              "automorphisms it finds; aut_order is exact, gens generate the "

@@ -8,7 +8,7 @@ same outputs bit for bit; this module is the fallback and the reference.
 
 from __future__ import annotations
 
-from chromastab.graph import UnionFind, bits
+from chromastab.graph import UnionFind, bits, is_independent
 
 BACKEND = "pure"
 
@@ -193,10 +193,6 @@ def min_color_class_size(n, rows, k):
 # ---------------------------------------------------------------------------
 
 
-def _independent(rows, mask):
-    return all(rows[v] & mask == 0 for v in bits(mask))
-
-
 def _scan_sizes(n):
     """Deletion-set sizes 1..n, within the compiled scans' 62-vertex limit."""
     _check_order(n)
@@ -205,23 +201,66 @@ def _scan_sizes(n):
     return range(1, n + 1)
 
 
+def _cliques(n, rows, size, limit):
+    """Up to `limit` cliques of `size` vertices as masks, in ascending
+    lexicographic order of their vertex lists; none unless 1 <= size <= n.
+
+    Bitset recursion: the candidates of a branch are the later common
+    neighbors of its clique, and a branch stops once fewer candidates are
+    left than vertices still needed.
+    """
+    out = []
+
+    def grow(clique, cand, need):
+        """True once the limit is reached."""
+        if need == 0:
+            out.append(clique)
+            return len(out) == limit
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if grow(clique | low, cand & rows[low.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    if 1 <= size <= n:
+        grow(0, (1 << n) - 1, size)
+    return out
+
+
+def _meets_all(mask, cliques):
+    """True if mask meets every clique.  A deletion set that misses a
+    K_chi leaves that K_chi in G - S, so G - S is not (chi-1)-colorable."""
+    for clique in cliques:
+        if not mask & clique:
+            return False
+    return True
+
+
 def stability_values(n, rows, chi):
     """(vs, ivs): least deletion-set sizes lowering the chromatic number by one.
 
     vs ranges over all vertex sets, ivs over independent sets only.  Assumes
     chi >= 1; always terminates because deleting a minimum color class of an
     optimal coloring lowers the chromatic number by exactly one.
+
+    A set that misses one of the first n K_chi's (see _cliques) is skipped
+    without a coloring test, since it cannot lower chi.  Any list of K_chi's
+    keeps that filter exact; the cap of n bounds the list on graphs with many
+    of them (the complete multipartite K_{3,...,3} has 3^(n/3)).
     """
+    sizes = _scan_sizes(n)
+    cliques = _cliques(n, rows, chi, n)
     k = chi - 1
     vs = 0
-    for s in _scan_sizes(n):
+    for s in sizes:
         for mask in _subsets_of_size(n, s):
-            if vs and not _independent(rows, mask):
+            if vs and not is_independent(rows, mask):
                 continue
-            if _colorable_excluding(n, rows, mask, k):
+            if _meets_all(mask, cliques) and _colorable_excluding(n, rows, mask, k):
                 if not vs:
                     vs = s
-                if _independent(rows, mask):
+                if is_independent(rows, mask):
                     return vs, s
     raise AssertionError("no deletion set found; chi inconsistent")
 
@@ -231,15 +270,18 @@ def stability_witnesses(n, rows, chi, independent_only):
 
     With independent_only, only independent sets count.  Witness masks come
     back in ascending numeric order.  Each witness is re-checked to lower the
-    chromatic number by exactly one.
+    chromatic number by exactly one.  As in stability_values, a set that
+    misses one of the first n K_chi's is skipped without a coloring test.
     """
+    sizes = _scan_sizes(n)
+    cliques = _cliques(n, rows, chi, n)
     k = chi - 1
-    for s in _scan_sizes(n):
+    for s in sizes:
         hits = []
         for mask in _subsets_of_size(n, s):
-            if independent_only and not _independent(rows, mask):
+            if independent_only and not is_independent(rows, mask):
                 continue
-            if _colorable_excluding(n, rows, mask, k):
+            if _meets_all(mask, cliques) and _colorable_excluding(n, rows, mask, k):
                 hits.append(mask)
         if hits:
             for mask in hits:

@@ -95,12 +95,64 @@ def _bipartizing_over_ordered_pairs(g):
     )
 
 
+def wheel(spokes):
+    """A hub joined to every vertex of a cycle; 4-chromatic for odd cycles."""
+    return Graph.build(spokes + 1, [(i, (i + 1) % spokes) for i in range(spokes)]
+                       + [(i, spokes) for i in range(spokes)])
+
+
 def test_bipartizing_pairs_match_the_ordered_pair_definition():
     levels = generate.all_levels(6)
     graphs = [Graph(n, rows) for n in levels for _key, rows in levels[n]]
     graphs += [families.g9(), families.g10()]
+    graphs += [complete_graph(5), complete_graph(6), wheel(5), Graph.build(4, []),
+               complete_graph(2)]
     for g in graphs:
         assert chromatic.bipartizing_pair_vertices(g) == _bipartizing_over_ordered_pairs(g), g.rows
+    assert chromatic.chromatic_number(wheel(5)) == 4
+    assert chromatic.bipartizing_pair_vertices(wheel(5)) == 0b111111
+
+
+def counting_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list of its calls' args."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_bipartizing_pairs_call_the_kernel_at_most_once_per_pair(pure_backend, monkeypatch):
+    calls = counting_calls(monkeypatch, kernels.pure, "deletion_colorable")
+    for g in (families.g9(), complete_graph(5), complete_graph(6)):
+        assert chromatic.bipartizing_pair_vertices(g) == _bipartizing_over_ordered_pairs(g)
+        assert len(calls) <= g.n * (g.n - 1) // 2
+        calls.clear()
+    # analyze knows chi, and skips the pairs when chi >= 5
+    for g in (complete_graph(5), complete_graph(6)):
+        assert chromatic.analyze(g).bipartizing_pair_vertices == ()
+    assert calls == []
+
+
+def test_analyze_derives_ivs_from_the_vs_scan(pure_backend, monkeypatch):
+    """One witness scan per top component when some vs-witness is
+    independent; the independent scan only where ivs > vs."""
+    calls = counting_calls(monkeypatch, kernels.pure, "stability_witnesses")
+    k4 = complete_graph(4)
+    two_k4 = Graph.build(8, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()])
+    for g, scans, values in [
+        (cycle_graph(5), [False], (1, 1)),
+        (two_k4, [False, False], (2, 2)),
+        (families.g9(), [False, True], (2, 3)),
+    ]:
+        rep = chromatic.analyze(g)
+        assert [args[3] for args in calls] == scans
+        assert (rep.vertex_stability, rep.independent_vertex_stability) == values
+        calls.clear()
 
 
 def test_analyze_small_graphs():

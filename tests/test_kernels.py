@@ -1,14 +1,18 @@
 import hashlib
 import importlib.util
+import itertools
 import math
 import random
 import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chromastab import families, kernels, oracles
 from chromastab.graph import (
@@ -17,6 +21,7 @@ from chromastab.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    mask_of,
     path_graph,
 )
 from chromastab.kernels import pure
@@ -350,3 +355,131 @@ def test_labeled_count_small_cases():
     assert oracles.labeled_count(5, 2) == direct
     # the sum of 10!/|Aut(G)| over the 108,376 order-10 classes with max degree 4
     assert oracles.labeled_count(10, 4) == 275_322_712_826
+
+
+# ---------------------------------------------------------------------------
+# the stability scans: clique-hitting prefilter, differential fuzz
+# ---------------------------------------------------------------------------
+
+
+def complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.build(n, [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]])
+
+
+@st.composite
+def scan_graphs(draw, max_n=12):
+    """G(n, p) graphs with n <= max_n, from sparse to dense."""
+    n = draw(st.sampled_from(range(max_n + 1)))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9]))
+    rows = random_rows(random.Random(draw(st.integers(0, 2**32))), n, p)
+    return Graph(n, rows)
+
+
+def scan_outputs(kern, n, rows, chi):
+    """Both scans' results, or the error each raised, at one chi."""
+    out = []
+    for call in (
+        lambda: kern.stability_values(n, rows, chi),
+        lambda: kern.stability_witnesses(n, rows, chi, False),
+        lambda: kern.stability_witnesses(n, rows, chi, True),
+    ):
+        try:
+            out.append(call())
+        except (AssertionError, ValueError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+# more K_chi's than vertices, so the scans use only the first n of them
+MANY_CLIQUES = [complete_multipartite(2, 2, 2, 2), complete_multipartite(3, 3, 3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=scan_graphs())
+@example(g=MANY_CLIQUES[0])
+@example(g=MANY_CLIQUES[1])
+@example(g=complete_graph(62))  # the largest order the scans take
+def test_stability_scans_match_between_backends(built_ckern, g):
+    chi = pure.chromatic_number(g.n, g.rows)
+    # any chi the caller passes, where the pure scans stay cheap
+    chis = range(chi + 2) if g.n <= 7 else [chi]
+    for c in chis:
+        assert scan_outputs(pure, g.n, g.rows, c) == scan_outputs(built_ckern, g.n, g.rows, c)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([63, 64]), seed=st.integers(0, 2**32), chi=st.integers(-1, 65))
+def test_stability_scans_reject_over_62_vertices_alike(built_ckern, n, seed, chi):
+    rows = random_rows(random.Random(seed), n, 0.3)
+    expected = [("ValueError", "stability scans support at most 62 vertices")] * 3
+    assert scan_outputs(pure, n, rows, chi) == expected
+    assert scan_outputs(built_ckern, n, rows, chi) == expected
+
+
+def test_scans_on_graphs_with_more_cliques_than_vertices(canon_kern):
+    # the parts are the minimum deletion sets: each leaves K_{p,...,p} minus a part
+    for g, parts in zip(MANY_CLIQUES, [[0b11 << 2 * i for i in range(4)],
+                                        [0b111 << 3 * i for i in range(3)]]):
+        chi = len(parts)
+        assert len(pure._cliques(g.n, g.rows, chi, 1000)) > g.n
+        size = parts[0].bit_count()
+        expected = (size, tuple(parts))
+        assert canon_kern.stability_witnesses(g.n, g.rows, chi, False) == expected
+        assert canon_kern.stability_witnesses(g.n, g.rows, chi, True) == expected
+        assert canon_kern.stability_values(g.n, g.rows, chi) == (size, size)
+
+
+def brute_cliques(n, rows, size):
+    """Every K_size as a mask, in ascending lexicographic order."""
+    return [
+        mask_of(c)
+        for c in itertools.combinations(range(n), size)
+        if all(rows[u] >> v & 1 for u, v in itertools.combinations(c, 2))
+    ]
+
+
+def test_scans_test_colorings_only_of_sets_meeting_every_collected_clique(monkeypatch):
+    graphs = [(n, rows) for n, rows in corpus() if n <= 9] + [(g.n, g.rows) for g in MANY_CLIQUES]
+    tested = []
+    colorable = pure._colorable_excluding
+
+    def recording(n, rows, excluded, k):
+        tested.append(excluded)
+        return colorable(n, rows, excluded, k)
+
+    skipped_any = False
+    for n, rows in graphs:
+        chi = pure.chromatic_number(n, rows)
+        if chi == 0:
+            continue
+        # the scans collect the first n K_chi's, which are all of them when
+        # there are at most n
+        cliques = brute_cliques(n, rows, chi)[:n]
+        assert pure._cliques(n, rows, chi, n) == cliques
+        monkeypatch.setattr(pure, "_colorable_excluding", recording)
+        pure.stability_values(n, rows, chi)
+        pure.stability_witnesses(n, rows, chi, False)
+        pure.stability_witnesses(n, rows, chi, True)
+        monkeypatch.setattr(pure, "_colorable_excluding", colorable)
+        assert all(mask & c for mask in tested for c in cliques), rows
+        skipped_any |= len(tested) < 2 ** n
+        tested.clear()
+    assert skipped_any
+
+
+def test_clique_collection_stops_at_the_cap():
+    """K_{3,...,3} with 20 parts has 3^20 maximum cliques; the collection
+    returns the first 60: one vertex per part, chosen by the base-3 digits
+    of 0..59, most significant part first."""
+    g = complete_multipartite(*[3] * 20)
+    start = time.perf_counter()
+    cliques = pure._cliques(g.n, g.rows, 20, g.n)
+    elapsed = time.perf_counter() - start
+    expected = []
+    for i in range(60):
+        digits = [i // 3 ** (19 - j) % 3 for j in range(20)]
+        expected.append(mask_of(3 * j + d for j, d in enumerate(digits)))
+    assert cliques == expected
+    assert elapsed < 1.0
