@@ -225,6 +225,13 @@ def min_color_class_size(g: Graph) -> int:
     Independent oracle for the independent stability parameter: deleting a
     minimum class of an optimal coloring lowers chi by exactly one, and any
     independent deletion set becomes a class of some optimal coloring.
+
+    The kernel enumerates colorings once per renaming of colors, with a
+    greedy clique Q precolored 0..|Q|-1 and the other vertices in connected
+    order.  That keeps the minimum: Q's vertices have pairwise different
+    colors in every proper coloring, and renaming colors, which keeps every
+    class size, gives Q[i] color i.  With |Q| = chi every class is open
+    from the start, so the smallest class bounds the search at once.
     """
     chi, top = _top_components(g)
     kern = kernels.active()

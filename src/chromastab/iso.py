@@ -200,17 +200,27 @@ def automorphisms(g: Graph) -> AutInfo:
 # ---------------------------------------------------------------------------
 
 
-def _to_networkx(g: Graph):
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
-    return nxg
-
-
 def is_planar(g: Graph) -> bool:
-    """Exact planarity via the left-right criterion, with the m > 3n-6 fast
-    reject for n >= 3."""
-    if g.n >= 3 and g.m > 3 * g.n - 6:
-        return False
-    flag, _ = nx.check_planarity(_to_networkx(g), counterexample=False)
+    """Exact planarity: G is planar iff every connected component is.
+
+    Two counting rules settle a component C with n_C vertices and m_C edges:
+    C is planar when m_C <= 8, since a subdivision of K5 (10 edges) or K3,3
+    (9 edges) has at least 9 edges; and C is not planar when n_C >= 3 and
+    m_C > 3 n_C - 6 (Euler's bound).  Only the components that neither rule
+    settles go, together, to the left-right criterion of networkx.
+    """
+    undecided = 0
+    for comp in component_masks(g.n, g.rows):
+        m = sum((g.rows[v] & comp).bit_count() for v in bits(comp)) // 2
+        if m <= 8:
+            continue
+        # m >= 9 edges need n_C >= 5 vertices, so Euler's bound applies
+        if m > 3 * comp.bit_count() - 6:
+            return False
+        undecided |= comp
+    if not undecided:
+        return True
+    nxg = nx.Graph()
+    nxg.add_edges_from((u, v) for u, v in g.edges() if undecided >> u & 1)
+    flag, _ = nx.check_planarity(nxg, counterexample=False)
     return flag

@@ -129,19 +129,23 @@ static int colorable_excluding(int n, const u64 *adj, u64 excluded, int k)
     return color_rec(0, norder, order, n, adj, active, k, colors, 0);
 }
 
-static int greedy_clique(int n, const u64 *adj)
+/* A clique: each vertex in descending-degree order, ties by index, joins
+   when it is adjacent to every vertex already in.  Fills members[] and
+   returns the clique size. */
+static int greedy_clique(int n, const u64 *adj, int *members)
 {
     int order[MAXN];
     u64 clique = 0;
-    if (n == 0)
-        return 0;
+    int size = 0;
     int norder = active_order(n, adj, all_mask(n), order);
     for (int i = 0; i < norder; i++) {
         int v = order[i];
-        if ((adj[v] & clique) == clique)
+        if ((adj[v] & clique) == clique) {
             clique |= BIT(v);
+            members[size++] = v;
+        }
     }
-    return POPCNT64(clique);
+    return size;
 }
 
 static int chromatic(int n, const u64 *adj)
@@ -157,7 +161,8 @@ static int chromatic(int n, const u64 *adj)
     }
     if (!any_edge)
         return 1;
-    int lb = greedy_clique(n, adj);
+    int members[MAXN];
+    int lb = greedy_clique(n, adj, members);
     if (lb < 2)
         lb = 2;
     for (int k = lb; k <= n; k++)
@@ -166,18 +171,50 @@ static int chromatic(int n, const u64 *adj)
     return n;
 }
 
+/* The greedy clique, then the other vertices in connected order: each next
+   vertex has the most neighbors among those before it, then the highest
+   degree, then the lowest index.  Fills order[0..n-1] and returns the
+   clique size. */
+static int mcc_order(int n, const u64 *adj, int *order)
+{
+    int q = greedy_clique(n, adj, order);
+    u64 placed = 0;
+    for (int i = 0; i < q; i++)
+        placed |= BIT(order[i]);
+    for (int i = q; i < n; i++) {
+        int pick = -1, pick_in = -1, pick_deg = -1;
+        for (int v = 0; v < n; v++) {
+            if (placed >> v & 1)
+                continue;
+            int in = POPCNT64(adj[v] & placed), deg = POPCNT64(adj[v]);
+            if (in > pick_in || (in == pick_in && deg > pick_deg)) {
+                pick = v;
+                pick_in = in;
+                pick_deg = deg;
+            }
+        }
+        order[i] = pick;
+        placed |= BIT(pick);
+    }
+    return q;
+}
+
 typedef struct {
     int n;
     int k;
     int best;
+    int order[MAXN];
     int sizes[MAXN];
-    int assigned[MAXN];
+    int colors[MAXN];
+    u64 colored;
 } MccState;
 
-/* Colorings in index order, each new color the smallest unused one; class
-   sizes only grow, so once every color is open the smallest current size
-   bounds the final minimum from below. */
-static void mcc_rec(MccState *st, const u64 *adj, int v, int used)
+/* Colorings of order[idx..] extending the partial one, each new color the
+   smallest unused one; class sizes only grow, so once every color is open
+   the smallest current size bounds the final minimum from below.  Stops
+   once the minimum is 1, which every class of a coloring using all k
+   colors reaches. */
+static void mcc_rec(MccState *st, const u64 *adj, int idx, int used)
 {
     if (used == st->k) {
         int smallest = st->sizes[0];
@@ -186,30 +223,33 @@ static void mcc_rec(MccState *st, const u64 *adj, int v, int used)
                 smallest = st->sizes[c];
         if (smallest >= st->best)
             return;
-        if (v == st->n) {
+        if (idx == st->n) {
             st->best = smallest;
             return;
         }
-    } else if (v == st->n) {
+    } else if (idx == st->n) {
         return;
     }
-    if (st->k - used > st->n - v)
+    if (st->k - used > st->n - idx)
         return;
+    int v = st->order[idx];
     u64 forb = 0;
-    u64 neigh = adj[v];
-    for (int u = 0; u < v; u++)
-        if (neigh >> u & 1)
-            forb |= BIT(st->assigned[u]);
+    for (u64 m = adj[v] & st->colored; m; m &= m - 1)
+        forb |= BIT(st->colors[__builtin_ctzll(m)]);
     int limit = used + 1 < st->k ? used + 1 : st->k;
+    st->colored |= BIT(v);
     for (int c = 0; c < limit; c++) {
         if (forb >> c & 1)
             continue;
-        st->assigned[v] = c;
+        st->colors[v] = c;
         st->sizes[c]++;
-        mcc_rec(st, adj, v + 1, c == used ? used + 1 : used);
+        mcc_rec(st, adj, idx + 1, c == used ? used + 1 : used);
         st->sizes[c]--;
+        if (st->best == 1)
+            break;
     }
-    st->assigned[v] = -1;
+    st->colored &= ~BIT(v);
+    st->colors[v] = -1;
 }
 
 /* ------------------------------------------------------------------------
@@ -727,9 +767,10 @@ static PyObject *py_greedy_clique_bound(PyObject *self, PyObject *const *args,
 {
     u64 adj[MAXN];
     int n;
+    int members[MAXN];
     if (!nargs_ok("greedy_clique_bound", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
         return NULL;
-    return PyLong_FromLong(greedy_clique(n, adj));
+    return PyLong_FromLong(greedy_clique(n, adj, members));
 }
 
 static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
@@ -742,6 +783,16 @@ static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
     return PyLong_FromLong(chromatic(n, adj));
 }
 
+/* Minimum color-class size over all proper k-colorings that use all k
+   colors, or None: for k <= 0, n == 0, k > n, or when there is no such
+   coloring.  The greedy clique Q of mcc_order is precolored 0..|Q|-1 and
+   the rest follows in connected order.  This keeps the minimum: Q's
+   vertices get pairwise different colors in every proper coloring, so
+   renaming colors, which leaves every class size as it is, turns any
+   coloring into one with Q[i] colored i whose other colors first appear in
+   increasing order, and mcc_rec enumerates that one.  With |Q| = k every
+   class is open from the root, so the bound on the smallest class prunes
+   from the start. */
 static PyObject *py_min_color_class_size(PyObject *self, PyObject *const *args,
                                          Py_ssize_t nargs)
 {
@@ -756,12 +807,23 @@ static PyObject *py_min_color_class_size(PyObject *self, PyObject *const *args,
         return NULL;
     if (st.k <= 0)
         Py_RETURN_NONE;
-    st.best = st.n + 1;
+    /* the clique's vertices get pairwise different colors, so a clique
+       larger than k rules out every k-coloring */
+    int q = mcc_order(st.n, adj, st.order);
+    if (q > st.k)
+        Py_RETURN_NONE;
     for (int v = 0; v < st.n; v++) {
         st.sizes[v] = 0;
-        st.assigned[v] = -1;
+        st.colors[v] = -1;
     }
-    mcc_rec(&st, adj, 0, 0);
+    st.colored = 0;
+    for (int c = 0; c < q; c++) {
+        st.colors[st.order[c]] = c;
+        st.sizes[c] = 1;
+        st.colored |= BIT(st.order[c]);
+    }
+    st.best = st.n + 1;
+    mcc_rec(&st, adj, q, q);
     if (st.best == st.n + 1)
         Py_RETURN_NONE;
     return PyLong_FromLong(st.best);
@@ -909,7 +971,9 @@ static PyMethodDef methods[] = {
              "Size of a greedily grown clique (lower bound on the clique number)."),
     FASTCALL(chromatic_number, "n, rows", "The chromatic number."),
     FASTCALL(min_color_class_size, "n, rows, k",
-             "Minimum color-class size over all proper k-colorings, or None."),
+             "Minimum color-class size over all proper k-colorings that use all k "
+             "colors, or None; the search precolors a greedy clique and orders the "
+             "other vertices by connection, as the pure twin does."),
     FASTCALL(stability_values, "n, rows, chi",
              "(vs, ivs) exactly as the pure kernel computes them; a set that misses "
              "one of the first n K_chi's is skipped without a coloring test."),

@@ -8,7 +8,7 @@ same outputs bit for bit; this module is the fallback and the reference.
 
 from __future__ import annotations
 
-from chromastab.graph import UnionFind, bits, is_independent
+from chromastab.graph import UnionFind, bits, is_independent, mask_of
 
 BACKEND = "pure"
 
@@ -117,17 +117,22 @@ def color_graph(n, rows, k):
     return None if colors is None else tuple(colors)
 
 
+def _greedy_clique(n, rows):
+    """A clique as a vertex list: each vertex in descending-degree order,
+    ties by index, joins when it is adjacent to every vertex already in."""
+    clique = []
+    mask = 0
+    for v in sorted(range(n), key=lambda v: (-rows[v].bit_count(), v)):
+        if rows[v] & mask == mask:
+            clique.append(v)
+            mask |= 1 << v
+    return clique
+
+
 def greedy_clique_bound(n, rows):
     """Size of a greedily grown clique (lower bound on the clique number)."""
     _check_order(n)
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    clique = 0
-    for v in order:
-        if rows[v] & clique == clique:
-            clique |= 1 << v
-    return clique.bit_count()
+    return len(_greedy_clique(n, rows))
 
 
 def chromatic_number(n, rows):
@@ -143,49 +148,91 @@ def chromatic_number(n, rows):
     return n
 
 
-def min_color_class_size(n, rows, k):
-    """Minimum color-class size over all proper k-colorings, or None.
+def _mcc_order(n, rows):
+    """(clique, rest): the greedy clique and the other vertices in connected
+    order.
 
-    Colorings are enumerated once per color permutation class: vertices are
-    scanned in index order and each new color must be the smallest unused one.
+    Each next vertex of `rest` has the most neighbors among the clique and
+    the vertices before it, then the highest degree, then the lowest index.
+    """
+    clique = _greedy_clique(n, rows)
+    placed = mask_of(clique)
+    rest = []
+    left = ((1 << n) - 1) & ~placed
+    while left:
+        v = max(bits(left), key=lambda v: ((rows[v] & placed).bit_count(),
+                                           rows[v].bit_count(), -v))
+        rest.append(v)
+        placed |= 1 << v
+        left ^= 1 << v
+    return clique, rest
+
+
+def _mcc_walk(rows, order, idx, used, k, colors, sizes, best):
+    """Least minimum class size below `best` over the completions of the
+    partial coloring, in which order[:idx] is colored with `used` colors;
+    `best` if there is none.
+
+    Each new color must be the smallest unused one.  Class sizes only grow,
+    so once every color is open the smallest current size bounds the final
+    minimum from below.
+    """
+    if used == k and min(sizes) >= best:
+        return best
+    if idx == len(order):
+        return min(sizes) if used == k else best
+    if k - used > len(order) - idx:
+        return best
+    v = order[idx]
+    forb = 0
+    for u in bits(rows[v]):
+        if colors[u] >= 0:
+            forb |= 1 << colors[u]
+    for c in range(min(used + 1, k)):
+        if forb >> c & 1:
+            continue
+        colors[v] = c
+        sizes[c] += 1
+        best = _mcc_walk(rows, order, idx + 1, used + 1 if c == used else used,
+                         k, colors, sizes, best)
+        sizes[c] -= 1
+        # every class of a coloring that uses all k colors has a vertex
+        if best == 1:
+            break
+    colors[v] = -1
+    return best
+
+
+def min_color_class_size(n, rows, k):
+    """Minimum color-class size over all proper k-colorings that use all k
+    colors, or None: for k <= 0, n == 0, k > n, or when G has no such
+    coloring.
+
+    Colorings are enumerated once per color permutation class.  The
+    vertices of a greedy clique Q come first, precolored 0..|Q|-1 (so
+    |Q| > k means no k-coloring); the other vertices follow in connected
+    order (_mcc_order), and each new color must be the smallest unused one.
+    This keeps the minimum: the vertices of Q get pairwise different colors
+    in every proper coloring, so renaming colors, which leaves every class
+    size as it is, turns any coloring into one with Q[i] colored i whose
+    remaining colors first appear in increasing order, and that one is
+    enumerated.  With |Q| = k every class is open from the root, so the
+    bound on the smallest current class prunes from the start; the search
+    stops once the minimum is 1.
     """
     _check_order(n)
     if n == 0 or k <= 0:
         return None
-    best = n + 1
-    sizes = [0] * k
-    assigned = [-1] * n
-
-    def walk(v, used):
-        nonlocal best
-        # class sizes only grow, so min(current sizes) bounds the final
-        # minimum from below once every color is open
-        if used == k and min(sizes) >= best:
-            return
-        if v == n:
-            if used == k and min(sizes) < best:
-                best = min(sizes)
-            return
-        if k - used > n - v:
-            return
-        forb = 0
-        for u in bits(rows[v]):
-            if u < v:
-                forb |= 1 << assigned[u]
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if forb >> c & 1:
-                continue
-            assigned[v] = c
-            sizes[c] += 1
-            walk(v + 1, used + 1 if c == used else used)
-            sizes[c] -= 1
-        assigned[v] = -1
-
-    walk(0, 0)
-    if best == n + 1:
+    clique, rest = _mcc_order(n, rows)
+    if len(clique) > k:
         return None
-    return best
+    colors = [-1] * n
+    sizes = [0] * k
+    for c, v in enumerate(clique):
+        colors[v] = c
+        sizes[c] = 1
+    best = _mcc_walk(rows, clique + rest, len(clique), len(clique), k, colors, sizes, n + 1)
+    return None if best == n + 1 else best
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,29 @@ def _exists_coloring(g: Graph, k):
     return walk(0, [-1] * g.n)
 
 
+def brute_min_color_class_size(g: Graph, k):
+    """Minimum class size over the proper colorings of g with colors
+    0..k-1 that use every color, or None when there is none (always for
+    k <= 0, n = 0 or k > n).
+
+    Every assignment that gives vertex 0 color 0 is tried, k^(n-1) in all:
+    renaming the colors keeps every class size, and some renaming of any
+    coloring gives vertex 0 color 0.
+    """
+    if g.n == 0 or k <= 0 or k > g.n:
+        return None
+    edges = g.edges()
+    best = None
+    for tail in product(range(k), repeat=g.n - 1):
+        colors = (0,) + tail
+        if len(set(colors)) < k or any(colors[u] == colors[v] for u, v in edges):
+            continue
+        size = min(colors.count(c) for c in range(k))
+        if best is None or size < best:
+            best = size
+    return best
+
+
 def brute_stability(g: Graph, independent_only=False):
     """(value, witness masks) by recomputing the chromatic number per subset."""
     chi = brute_chromatic_number(g)

@@ -1,8 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
-from chromastab import families, iso, oracles
+from chromastab import families, generate, iso, oracles
 from chromastab.graph import (
     Graph,
     complete_bipartite,
@@ -122,6 +123,44 @@ def test_planarity_of_subdivisions():
 def test_planarity_against_kuratowski_oracle(n):
     for g in oracles.all_labeled_graphs(n):
         assert iso.is_planar(g) == oracles.is_planar_bruteforce(g)
+
+
+def test_planarity_of_every_class_through_order_7_matches_kuratowski_oracle():
+    levels = generate.all_levels(7)
+    for n in levels:
+        for _key, rows in levels[n]:
+            g = Graph(n, rows)
+            assert iso.is_planar(g) == oracles.is_planar_bruteforce(g), rows
+
+
+def disjoint_union(graphs, rng):
+    """The disjoint union of graphs, its vertices shuffled by rng."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(n + u, n + v) for u, v in g.edges()]
+        n += g.n
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph.build(n, [(order[u], order[v]) for u, v in edges])
+
+
+def test_planarity_is_decided_per_component():
+    k5, k33 = complete_graph(5), complete_bipartite(3, 3)
+    rng = random.Random(3)
+    # K5 with isolated vertices passes the whole-graph bound m <= 3n - 6,
+    # and so does K3,3 next to a planar K4
+    assert not iso.is_planar(disjoint_union([k5] + [Graph.build(1, [])] * 10, rng))
+    assert not iso.is_planar(disjoint_union([complete_graph(4), k33], rng))
+    assert iso.is_planar(disjoint_union([complete_graph(4)] * 5 + [cycle_graph(9)], rng))
+    # unions of classes of order 4..7 against networkx on the whole graph
+    levels = generate.all_levels(7)
+    pieces = [Graph(n, rows) for n in range(4, 8) for _key, rows in levels[n]]
+    for _ in range(300):
+        g = disjoint_union(rng.sample(pieces, rng.randint(2, 4)), rng)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        assert iso.is_planar(g) == nx.check_planarity(nxg)[0], g.rows
 
 
 def test_kuratowski_oracle_nontrivial_cases():

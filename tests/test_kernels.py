@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromastab import families, kernels, oracles
+from chromastab import families, generate, graph6, kernels, oracles
 from chromastab.graph import (
     Graph,
     UnionFind,
@@ -483,3 +483,94 @@ def test_clique_collection_stops_at_the_cap():
         expected.append(mask_of(3 * j + d for j, d in enumerate(digits)))
     assert cliques == expected
     assert elapsed < 1.0
+
+
+# ---------------------------------------------------------------------------
+# min_color_class_size: brute-force oracle, differential fuzz, pruning
+# ---------------------------------------------------------------------------
+
+
+def test_min_color_class_size_matches_brute_force_through_order_6():
+    levels = generate.all_levels(6)
+    for n in levels:
+        for _key, rows in levels[n]:
+            g = Graph(n, rows)
+            for k in range(1, n + 2):
+                assert pure.min_color_class_size(n, rows, k) == (
+                    oracles.brute_min_color_class_size(g, k)
+                ), (rows, k)
+
+
+def disjoint(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(n + u, n + v) for u, v in g.edges()]
+        n += g.n
+    return Graph.build(n, edges)
+
+
+K3, K5 = complete_graph(3), complete_graph(5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=scan_graphs())
+@example(g=complete_multipartite(3, 3, 3))
+@example(g=disjoint(K3, K3, K3, K3, K5))  # both labelings of 4K3 + K5
+@example(g=disjoint(K5, K3, K3, K3, K3))
+@example(g=Graph.build(12, []))
+def test_min_color_class_size_matches_between_backends(built_ckern, g):
+    chi = pure.chromatic_number(g.n, g.rows)
+    for k in range(chi + 2):
+        got = pure.min_color_class_size(g.n, g.rows, k)
+        assert got == built_ckern.min_color_class_size(g.n, g.rows, k), k
+        # some coloring uses all k colors iff chi <= k <= n; below chi lies
+        # every k below the clique number
+        assert (got is None) == (g.n == 0 or not chi <= k <= g.n), k
+
+
+# The ten top components of the benchmark's seed-0 invariants corpus on
+# which the search in plain index order, without a clique seed, visited the
+# most nodes: 17,173 down to 4,703, 69,303 in all.
+SLOW_MCC = [
+    "O_C?C_W_{?E_FGCCpAwTc",
+    "OQQsYPwHQqPHOAVx}Ty~P",
+    "NRw?ACQOoCl\\OX?||nW",
+    "OQIH?pMZXEJ\\VVz[HZKBf",
+    "NG]eBAF_K]S@?KaisXg",
+    "OZuYm?CPRdPDYmfy|hjjv",
+    "OHA?IT?Go??dHB_Qc~`tI",
+    "O?IO?GoAHEH?oB?KW_CDe",
+    "LACQWIe`ANQtty",
+    "NG_SKSo?my~^QHBYoHG",
+]
+
+
+def test_min_color_class_size_search_is_clique_seeded_and_connected(monkeypatch):
+    calls = []
+    walk = pure._mcc_walk
+
+    def counting(rows, order, idx, used, *rest):
+        calls.append((idx, used))
+        return walk(rows, order, idx, used, *rest)
+
+    monkeypatch.setattr(pure, "_mcc_walk", counting)
+    total = 0
+    for text in SLOW_MCC:
+        g = graph6.decode(text)
+        chi = pure.chromatic_number(g.n, g.rows)
+        omega = pure.greedy_clique_bound(g.n, g.rows)
+        # a clique larger than k rules out k-colorings without a search
+        for k in range(omega):
+            assert pure.min_color_class_size(g.n, g.rows, k) is None
+        assert calls == []
+        assert pure.min_color_class_size(g.n, g.rows, chi) is not None
+        # the search starts with the clique precolored
+        assert calls[0] == (omega, omega)
+        total += len(calls)
+        calls.clear()
+    # 313 nodes; the same seed with the rest in index order visits 16,181
+    assert total <= 1000
+    # an edgeless graph's first complete coloring has a class of one vertex,
+    # and the search stops there: 27 nodes, against 2,022,894 without the stop
+    assert pure.min_color_class_size(12, (0,) * 12, 6) == 1
+    assert len(calls) <= 100
