@@ -24,7 +24,9 @@ when chi(C) = chi(G); chi(G) is the largest chi(C).  Then
 
 Every stability entry point below splits G once into components, scans only
 the top ones and combines the results; witness products are sorted, which
-is the ascending order of the whole-graph scan.
+is the ascending order of the whole-graph scan.  `profile` is the only
+code that computes a graph's (max degree, chi, vs, ivs[, mcc]); sweeps,
+search predicates and verifiers all read it.
 
 Two more facts keep the scans short without changing any output:
 
@@ -137,27 +139,27 @@ def chromatic_number(g: Graph) -> int:
     return kernels.active().chromatic_number(g.n, g.rows)
 
 
-def _top_components(g: Graph):
+def _top_components(n, rows):
     """chi(G) and the components C with chi(C) = chi(G), each as
     (n_C, rows_C, vertices): C relabeled to 0..n_C-1 in ascending order of
     its vertices of G.  A connected graph is its own single component, with
     its rows as they are and vertices None."""
     kern = kernels.active()
-    comps = component_masks(g.n, g.rows)
+    comps = component_masks(n, rows)
     if len(comps) <= 1:
-        top = [(g.n, g.rows, None)]
-        chi = kern.chromatic_number(g.n, g.rows)
+        top = [(n, rows, None)]
+        chi = kern.chromatic_number(n, rows)
     else:
         chi, top = 0, []
         for comp in comps:
             verts = tuple(bits(comp))
             index = {v: i for i, v in enumerate(verts)}
-            rows = tuple(mask_of(index[u] for u in bits(g.rows[v])) for v in verts)
-            c = kern.chromatic_number(len(verts), rows)
+            crows = tuple(mask_of(index[u] for u in bits(rows[v])) for v in verts)
+            c = kern.chromatic_number(len(verts), crows)
             if c > chi:
                 chi, top = c, []
             if c == chi:
-                top.append((len(verts), rows, verts))
+                top.append((len(verts), crows, verts))
     if chi == 0:
         raise ChromaticError("stability parameters are undefined for the null graph")
     return chi, top
@@ -200,23 +202,12 @@ def _both_stabilities(chi, n, rows):
 def vertex_stability(g: Graph) -> StabilityResult:
     """Least size of a vertex set whose deletion lowers chi by one, with all
     witness sets of that size (masks, ascending)."""
-    return _stability(*_top_components(g), False)
+    return _stability(*_top_components(g.n, g.rows), False)
 
 
 def independent_vertex_stability(g: Graph) -> StabilityResult:
     """Same as vertex_stability but restricted to independent sets."""
-    return _stability(*_top_components(g), True)
-
-
-def stability_values(g: Graph) -> tuple:
-    """(vs, ivs) without witness extraction; faster for sweeps."""
-    chi, top = _top_components(g)
-    kern = kernels.active()
-    vs = ivs = 0
-    for n, rows, _verts in top:
-        v, i = kern.stability_values(n, rows, chi)
-        vs, ivs = vs + v, ivs + i
-    return vs, ivs
+    return _stability(*_top_components(g.n, g.rows), True)
 
 
 def min_color_class_size(g: Graph) -> int:
@@ -233,7 +224,11 @@ def min_color_class_size(g: Graph) -> int:
     class size, gives Q[i] color i.  With |Q| = chi every class is open
     from the start, so the smallest class bounds the search at once.
     """
-    chi, top = _top_components(g)
+    return _min_class_size(*_top_components(g.n, g.rows))
+
+
+def _min_class_size(chi, top) -> int:
+    """The sum of the top components' minimum class sizes (see above)."""
     kern = kernels.active()
     out = 0
     for n, rows, _verts in top:
@@ -242,6 +237,41 @@ def min_color_class_size(g: Graph) -> int:
             raise ChromaticError("graph admits no chi-coloring; inconsistent state")
         out += size
     return out
+
+
+# The paper's class: max degree 4, chi 3, vs 2 and ivs 3.
+CLASS_PROFILE = (4, 3, 2, 3)
+
+
+def profile(rows, test=None, mcc=False):
+    """(stage, values) of the graph with these adjacency rows.
+
+    values are (max degree, chi, vs, ivs), computed left to right, then the
+    minimum color-class size when `mcc` is set; the graph is in the paper's
+    class iff they start with CLASS_PROFILE.  After each of the four,
+    test(values so far) may stop the profile: stage is the number of values
+    that passed, and only those values are returned.  chi and every later
+    value come from one split into top components; vs and ivs take one
+    kernel call per top component, made only when the chi stage passes.
+    """
+    n = len(rows)
+    values = (max((r.bit_count() for r in rows), default=0),)
+    for stage in range(4):
+        if stage == 1:
+            chi, top = _top_components(n, rows)
+            values += (chi,)
+        elif stage == 2:
+            kern = kernels.active()
+            vs = ivs = 0
+            for cn, crows, _verts in top:
+                v, i = kern.stability_values(cn, crows, chi)
+                vs, ivs = vs + v, ivs + i
+            values += (vs, ivs)
+        if test is not None and not test(values[: stage + 1]):
+            return stage, values[: stage + 1]
+    if mcc:
+        values += (_min_class_size(chi, top),)
+    return 4, values
 
 
 def bipartizing_pair_vertices(g: Graph) -> int:
@@ -272,7 +302,7 @@ def bipartizing_pair_vertices(g: Graph) -> int:
 
 def analyze(g: Graph) -> StabilityReport:
     """Full invariant report; raises for the null graph."""
-    chi, top = _top_components(g)
+    chi, top = _top_components(g.n, g.rows)
     vs_parts, ivs_parts = zip(*(_both_stabilities(chi, n, rows) for n, rows, _ in top))
     vs, vs_wit = _product(top, vs_parts)
     ivs, ivs_wit = _product(top, ivs_parts)

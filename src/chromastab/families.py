@@ -218,11 +218,3 @@ def bipartite_construction(h: Graph, a: int, b: int) -> Graph:
     ]
     return Graph.build(m + 3, edges, labels)
 
-
-def member_profile(g: Graph) -> tuple:
-    """(max_degree, chi, vs, ivs); class membership means (4, 3, 2, 3)."""
-    chi = chromatic.chromatic_number(g)
-    if chi == 0:
-        raise FamilyError("null_graph", "no invariants for the null graph")
-    vs, ivs = chromatic.stability_values(g)
-    return (g.max_degree, chi, vs, ivs)

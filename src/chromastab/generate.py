@@ -24,10 +24,10 @@ leave every level's keys and representatives unchanged:
   subsets is labeled at most once.
 
 Sweeps stream.  `sweep` yields the classes one order above a level parent
-by parent, each with its `class_record` computed where the child is
-generated, so a caller that only counts holds one parent's children at a
-time, plus the keys seen so far for the cross-parent duplicate check.
-`all_levels` sorts and caches the same stream as whole levels.
+by parent, each with its record (such as `chromatic.profile`) computed where
+the child is generated, so a caller that only counts holds one parent's
+children at a time, plus the keys seen so far for the cross-parent duplicate
+check.  `all_levels` sorts and caches the same stream as whole levels.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from chromastab import graph6, iso, kernels
-from chromastab.chromatic import StabilityReport, analyze
+from chromastab import graph6, iso
+from chromastab.chromatic import CLASS_PROFILE, StabilityReport, analyze, profile
 from chromastab.graph import Graph, bits, component_masks, mask_of
 
 EXHAUSTIVE_CAP = 10
@@ -270,37 +270,13 @@ def class_count(n, max_degree=None, jobs=1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-class records and the named predicates
+# the named predicates: stages of chromatic.profile
 # ---------------------------------------------------------------------------
 
 
-def class_record(rows, test=None, mcc=False):
-    """(stage, values) of one class.
-
-    values are (max degree, chi, vs, ivs), computed left to right, then the
-    minimum color-class size when `mcc` is set.  After each of the four,
-    test(values so far) may stop the record: stage is the number of values
-    that passed, and only those values are returned.  vs and ivs come from
-    one kernel call, made only when the chi stage passes.
-    """
-    kern = kernels.active()
-    n = len(rows)
-    values = (max((r.bit_count() for r in rows), default=0),)
-    for stage in range(4):
-        if stage == 1:
-            values += (kern.chromatic_number(n, rows),)
-        elif stage == 2:
-            values += kern.stability_values(n, rows, values[1])
-        if test is not None and not test(values[: stage + 1]):
-            return stage, values[: stage + 1]
-    if mcc:
-        values += (kern.min_color_class_size(n, rows, values[1]),)
-    return 4, values
-
-
 def _family_members(values):
-    """The values so far start the class profile (4, 3, 2, 3)."""
-    return values == (4, 3, 2, 3)[: len(values)]
+    """The values so far start the paper's class profile."""
+    return values == CLASS_PROFILE[: len(values)]
 
 
 def _stability_gap(values):
@@ -314,11 +290,11 @@ def _stability_gap(values):
 NAMED_PREDICATES = {
     "family-members": {
         "stages": ("max_degree=4", "chi=3", "vs=2", "ivs=3"),
-        "fn": partial(class_record, test=_family_members),
+        "fn": partial(profile, test=_family_members),
     },
     "stability-gap": {
         "stages": ("max_degree", "chi>=max_degree/2+1", "vs", "ivs>vs"),
-        "fn": partial(class_record, test=_stability_gap),
+        "fn": partial(profile, test=_stability_gap),
     },
 }
 

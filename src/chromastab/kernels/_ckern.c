@@ -677,7 +677,9 @@ static int as_u64(PyObject *o, u64 *out)
     return 0;
 }
 
-/* The vertex count (checked to 0..64) and its adjacency rows. */
+/* The vertex count (checked to 0..64) and its adjacency rows, each checked
+   to have no bit outside 0..n-1: a negative row or one of 64 bits or more
+   fails the u64 conversion, a smaller one fails the shift. */
 static int load(PyObject *n_obj, PyObject *rows, u64 *adj, int *n)
 {
     if (as_int(n_obj, n) < 0)
@@ -699,8 +701,12 @@ static int load(PyObject *n_obj, PyObject *rows, u64 *adj, int *n)
             return -1;
         int err = as_u64(row, &adj[i]);
         Py_DECREF(row);
-        if (err < 0)
+        if (err < 0 && !PyErr_ExceptionMatches(PyExc_OverflowError))
             return -1;
+        if (err < 0 || (*n < 64 && adj[i] >> *n)) {
+            PyErr_SetString(PyExc_ValueError, "adjacency row with a bit outside 0..n-1");
+            return -1;
+        }
     }
     return 0;
 }
@@ -760,17 +766,6 @@ static PyObject *py_color_graph(PyObject *self, PyObject *const *args, Py_ssize_
     if (!color_rec(0, norder, order, n, adj, all_mask(n), k, colors, 0))
         Py_RETURN_NONE;
     return int_tuple(colors, n);
-}
-
-static PyObject *py_greedy_clique_bound(PyObject *self, PyObject *const *args,
-                                        Py_ssize_t nargs)
-{
-    u64 adj[MAXN];
-    int n;
-    int members[MAXN];
-    if (!nargs_ok("greedy_clique_bound", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
-        return NULL;
-    return PyLong_FromLong(greedy_clique(n, adj, members));
 }
 
 static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
@@ -967,8 +962,6 @@ static PyMethodDef methods[] = {
              "True if the graph minus the `excluded` vertex mask is k-colorable."),
     FASTCALL(color_graph, "n, rows, k",
              "A proper coloring with at most k colors, or None (see the pure twin)."),
-    FASTCALL(greedy_clique_bound, "n, rows",
-             "Size of a greedily grown clique (lower bound on the clique number)."),
     FASTCALL(chromatic_number, "n, rows", "The chromatic number."),
     FASTCALL(min_color_class_size, "n, rows, k",
              "Minimum color-class size over all proper k-colorings that use all k "

@@ -8,15 +8,22 @@ same outputs bit for bit; this module is the fallback and the reference.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from chromastab.graph import UnionFind, bits, is_independent, mask_of
 
 BACKEND = "pure"
 
 
-def _check_order(n):
-    """The compiled kernels' vertex limit: one 64-bit word per row."""
+def _check_order(n, rows):
+    """The compiled kernels' input limits: one 64-bit word per row, and no
+    row with a bit outside 0..n-1.  One pass: the OR of the rows is negative
+    when some row is, and has a bit at or above n when some row has."""
     if not 0 <= n <= 64:
         raise ValueError("vertex count outside 0..64")
+    if reduce(or_, rows, 0) >> n:
+        raise ValueError("adjacency row with a bit outside 0..n-1")
 
 
 def _subsets_of_size(n, s):
@@ -106,13 +113,13 @@ def _two_colorable(rows, active):
 
 def deletion_colorable(n, rows, excluded, k):
     """True if the graph minus the `excluded` vertex mask is k-colorable."""
-    _check_order(n)
+    _check_order(n, rows)
     return _colorable_excluding(n, rows, excluded, k)
 
 
 def color_graph(n, rows, k):
     """A proper coloring with at most k colors, or None (see _color_walk)."""
-    _check_order(n)
+    _check_order(n, rows)
     colors = _color_walk(n, rows, (1 << n) - 1, k)
     return None if colors is None else tuple(colors)
 
@@ -129,19 +136,13 @@ def _greedy_clique(n, rows):
     return clique
 
 
-def greedy_clique_bound(n, rows):
-    """Size of a greedily grown clique (lower bound on the clique number)."""
-    _check_order(n)
-    return len(_greedy_clique(n, rows))
-
-
 def chromatic_number(n, rows):
-    _check_order(n)
+    _check_order(n, rows)
     if n == 0:
         return 0
     if not any(rows):
         return 1
-    lb = max(2, greedy_clique_bound(n, rows))
+    lb = max(2, len(_greedy_clique(n, rows)))
     for k in range(lb, n + 1):
         if _colorable_excluding(n, rows, 0, k):
             return k
@@ -220,7 +221,7 @@ def min_color_class_size(n, rows, k):
     bound on the smallest current class prunes from the start; the search
     stops once the minimum is 1.
     """
-    _check_order(n)
+    _check_order(n, rows)
     if n == 0 or k <= 0:
         return None
     clique, rest = _mcc_order(n, rows)
@@ -240,9 +241,9 @@ def min_color_class_size(n, rows, k):
 # ---------------------------------------------------------------------------
 
 
-def _scan_sizes(n):
+def _scan_sizes(n, rows):
     """Deletion-set sizes 1..n, within the compiled scans' 62-vertex limit."""
-    _check_order(n)
+    _check_order(n, rows)
     if n > 62:
         raise ValueError("stability scans support at most 62 vertices")
     return range(1, n + 1)
@@ -296,7 +297,7 @@ def stability_values(n, rows, chi):
     keeps that filter exact; the cap of n bounds the list on graphs with many
     of them (the complete multipartite K_{3,...,3} has 3^(n/3)).
     """
-    sizes = _scan_sizes(n)
+    sizes = _scan_sizes(n, rows)
     cliques = _cliques(n, rows, chi, n)
     k = chi - 1
     vs = 0
@@ -320,7 +321,7 @@ def stability_witnesses(n, rows, chi, independent_only):
     chromatic number by exactly one.  As in stability_values, a set that
     misses one of the first n K_chi's is skipped without a coloring test.
     """
-    sizes = _scan_sizes(n)
+    sizes = _scan_sizes(n, rows)
     cliques = _cliques(n, rows, chi, n)
     k = chi - 1
     for s in sizes:
@@ -394,7 +395,7 @@ def canon_raw(n, rows):
                    the automorphism group
       orbits    -- vertex -> smallest vertex of its automorphism orbit
     """
-    _check_order(n)
+    _check_order(n, rows)
     if n == 0:
         return (), 1, (), ()
     uf = UnionFind(n)

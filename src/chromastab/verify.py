@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from chromastab import chromatic, families, generate, graph6, iso
+from chromastab.chromatic import CLASS_PROFILE
 from chromastab.families import FamilyError
 from chromastab.graph import Graph, bits, cube_graph, cycle_graph, path_graph
 
@@ -98,7 +99,7 @@ def verify_obs1(n=None, seed=0, jobs=1) -> VerificationReport:
     max_n = n or 8
     chk = _Check()
     levels = generate.all_levels(max_n, None, jobs)
-    record = partial(generate.class_record, mcc=True)
+    record = partial(chromatic.profile, mcc=True)
     checked = 0
     for order in range(1, max_n + 1):
         for _key, rows, (_stage, values) in generate.records(levels[order], record, jobs):
@@ -113,15 +114,10 @@ def verify_obs1(n=None, seed=0, jobs=1) -> VerificationReport:
         if not chk.ok():
             break
     for g in (families.g9(), families.g10()):
-        ivs = chromatic.independent_vertex_stability(g).value
-        mcc = chromatic.min_color_class_size(g)
+        _delta, chi, _vs, ivs, mcc = chromatic.profile(g.rows, mcc=True)[1]
         checked += 1
         chk.expect(ivs == mcc, f"independent stability {ivs} != min class size {mcc}", g)
-        chk.expect(
-            g.n >= ivs * chromatic.chromatic_number(g),
-            "order below ivs * chi",
-            g,
-        )
+        chk.expect(g.n >= ivs * chi, "order below ivs * chi", g)
     chk.evidence["graphs_checked"] = checked
     return chk.report("obs1", {"max_order": max_n}, t0)
 
@@ -136,7 +132,7 @@ def verify_obs2(n=None, seed=0, jobs=1) -> VerificationReport:
     for g, is_path in [(path_graph(k), True) for k in range(1, max_n + 1)] + [
         (cycle_graph(k), False) for k in range(3, max_n + 1)
     ]:
-        vs, ivs = chromatic.stability_values(g)
+        _delta, _chi, vs, ivs = chromatic.profile(g.rows)[1]
         checked += 1
         if not chk.expect(vs == ivs, f"vs {vs} != ivs {ivs} with max degree <= 2", g):
             break
@@ -190,9 +186,10 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
         chk.evidence["order9_hit_keys"] = sorted(
             iso.canonical_form(Graph(9, rows)).decode() for rows, _values in hits
         )
-        for rows, (delta, chi, vs, ivs) in hits:
+        for rows, values in hits:
+            delta, chi, vs, ivs = values
             if not chk.expect(
-                (delta, chi, vs, ivs) == (4, 3, 2, 3),
+                values == CLASS_PROFILE,
                 f"order-9 gap graph with delta={delta} chi={chi} vs={vs} ivs={ivs}",
                 _rows_g6(rows),
             ):
@@ -222,9 +219,9 @@ def verify_lemd4(n=None, seed=0, jobs=1) -> VerificationReport:
     pairs = 0
     graphs = _lemd4_corpus(jobs)
     for g in graphs:
-        profile = families.member_profile(g)
+        profile = chromatic.profile(g.rows)[1]
         if not chk.expect(
-            profile == (4, 3, 2, 3), f"hypotheses do not hold: {profile}", g
+            profile == CLASS_PROFILE, f"hypotheses do not hold: {profile}", g
         ):
             break
         value, witnesses = chromatic.vertex_stability(g)
@@ -268,9 +265,10 @@ def verify_prop_subdiv(n=None, seed=0, jobs=1) -> VerificationReport:
         out = families.subdivide_family(host, plan)
         plans_run += 1
         orders.append(out.n)
+        profile = chromatic.profile(out.rows)[1]
         if not chk.expect(
-            families.member_profile(out) == (4, 3, 2, 3),
-            f"subdivision left the class: {families.member_profile(out)}",
+            profile == CLASS_PROFILE,
+            f"subdivision left the class: {profile}",
             out,
             host=graph6.encode(host),
             plan=[[list(e), k] for e, k in plan],
@@ -330,9 +328,10 @@ def verify_thm_many(n=None, seed=0, jobs=1) -> VerificationReport:
             ):
                 break
             keys.add(key)
+            profile = chromatic.profile(g.rows)[1]
             if not chk.expect(
-                families.member_profile(g) == (4, 3, 2, 3),
-                f"not a class member: {families.member_profile(g)}",
+                profile == CLASS_PROFILE,
+                f"not a class member: {profile}",
                 g,
                 chords=mask,
             ):
@@ -422,7 +421,7 @@ def verify_prop_bip(n=None, seed=0, jobs=1) -> VerificationReport:
             g = families.bipartite_construction(host, a, b)
             built += 1
             if not chk.expect(
-                families.member_profile(g) == (4, 3, 2, 3),
+                chromatic.profile(g.rows)[1] == CLASS_PROFILE,
                 f"construction on {name} not in the class",
                 g,
                 attachment=[a, b],
@@ -479,7 +478,7 @@ def verify_prop_bip(n=None, seed=0, jobs=1) -> VerificationReport:
             g = families.bipartite_construction(host, a, b)
             built += 1
             if not chk.expect(
-                families.member_profile(g) == (4, 3, 2, 3),
+                chromatic.profile(g.rows)[1] == CLASS_PROFILE,
                 "construction on random host not in the class",
                 g,
                 host=graph6.encode(host),
@@ -517,7 +516,7 @@ def verify_thm_main(n=None, seed=0, jobs=1) -> VerificationReport:
         for g in graphs:
             keys.add(iso.canonical_form(g))
             if not chk.expect(
-                families.member_profile(g) == (4, 3, 2, 3),
+                chromatic.profile(g.rows)[1] == CLASS_PROFILE,
                 f"exhibited graph not in the class at n={order}",
                 g,
             ):

@@ -60,17 +60,19 @@ def test_stability_of_null_graph_is_an_error():
         chromatic.vertex_stability(Graph.build(0, []))
     with pytest.raises(ChromaticError):
         chromatic.min_color_class_size(Graph.build(0, []))
+    with pytest.raises(ChromaticError):
+        chromatic.profile(())
 
 
 def test_edgeless_graph_stability_is_n():
     g = Graph.build(4, [])
-    assert chromatic.stability_values(g) == (4, 4)
+    assert chromatic.profile(g.rows)[1] == (0, 1, 4, 4)
     value, witnesses = chromatic.vertex_stability(g)
     assert value == 4 and witnesses == (0b1111,)
 
 
 def test_even_cycle_stability():
-    assert chromatic.stability_values(cycle_graph(8)) == (4, 4)
+    assert chromatic.profile(cycle_graph(8).rows)[1] == (2, 2, 4, 4)
     assert chromatic.independent_vertex_stability(cycle_graph(8)).value == 4
 
 
@@ -168,7 +170,7 @@ def test_stability_scans_reject_more_than_62_vertices(pure_backend):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         chromatic.vertex_stability(g)
     with pytest.raises(ValueError, match="at most 62 vertices"):
-        chromatic.stability_values(g)
+        chromatic.profile(g.rows)
 
 
 def test_report_roundtrip():
@@ -271,7 +273,7 @@ def test_component_reduction_matches_whole_graph_scans():
         ivs = kern.stability_witnesses(g.n, g.rows, chi, True)
         assert chromatic.vertex_stability(g) == vs
         assert chromatic.independent_vertex_stability(g) == ivs
-        assert chromatic.stability_values(g) == kern.stability_values(g.n, g.rows, chi)
+        assert chromatic.profile(g.rows, mcc=True)[1] == whole_graph_profile(kern, g.n, g.rows)
         assert chromatic.min_color_class_size(g) == kern.min_color_class_size(g.n, g.rows, chi)
         rep = chromatic.analyze(g)
         assert rep.chromatic_number == chi
@@ -282,3 +284,48 @@ def test_component_reduction_matches_whole_graph_scans():
             assert vs == oracles.brute_stability(g)
             assert ivs == oracles.brute_stability(g, independent_only=True)
     assert disconnected >= 300
+
+
+def whole_graph_profile(kern, n, rows):
+    """(max degree, chi, vs, ivs, mcc) from the kernels on the whole graph."""
+    chi = kern.chromatic_number(n, rows)
+    return (max((r.bit_count() for r in rows), default=0), chi,
+            *kern.stability_values(n, rows, chi), kern.min_color_class_size(n, rows, chi))
+
+
+def test_profile_of_every_class_through_order_7_matches_whole_graph_kernels():
+    assert chromatic.profile(families.g9().rows) == (4, chromatic.CLASS_PROFILE)
+    assert chromatic.CLASS_PROFILE == (4, 3, 2, 3)
+    kern = kernels.active()
+    levels = generate.all_levels(7)
+    for n in levels:
+        for _key, rows in levels[n]:
+            assert chromatic.profile(rows, mcc=True) == (4, whole_graph_profile(kern, n, rows))
+            assert chromatic.profile(rows) == (4, whole_graph_profile(kern, n, rows)[:4])
+
+
+def test_profile_stops_at_the_first_stage_its_test_rejects(pure_backend, monkeypatch):
+    """A test that rejects stage s gives (s, values[:s+1]), and no kernel
+    call for a later stage is made."""
+    kernel_calls = {
+        name: counting_calls(monkeypatch, kernels.pure, name)
+        for name in ("chromatic_number", "stability_values", "min_color_class_size")
+    }
+    # the kernel behind stage 1 (chi), 2 and 3 (vs and ivs, one call) and mcc
+    stage_kernel = ["chromatic_number", "stability_values", "stability_values",
+                    "min_color_class_size"]
+    k4 = complete_graph(4)
+    two_k4 = Graph.build(8, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()])
+    for g in (families.g9(), families.g10(), cycle_graph(5), two_k4, Graph.build(3, [])):
+        _stage, values = chromatic.profile(g.rows, mcc=True)
+        # s = 4: the test passes every stage
+        for s in range(5):
+            for calls in kernel_calls.values():
+                calls.clear()
+            seen = []
+            got = chromatic.profile(
+                g.rows, test=lambda v: seen.append(v) or len(v) <= s, mcc=True)
+            assert got == (s, values[: s + 1])
+            assert seen == [values[: i + 1] for i in range(min(s + 1, 4))]
+            made = {name for name, calls in kernel_calls.items() if calls}
+            assert made == set(stage_kernel[:s])

@@ -83,7 +83,7 @@ def test_g_n_base_cases():
 def test_g_n_membership(n):
     g = families.g_n(n)
     assert g.n == n
-    assert families.member_profile(g) == (4, 3, 2, 3)
+    assert chromatic.profile(g.rows)[1] == (4, 3, 2, 3)
     assert g.is_connected()
     assert iso.is_planar(g)
 
@@ -120,7 +120,7 @@ def test_subdivide_family_examples():
     g = families.g9()
     u2w1 = (g.label_index("u2"), g.label_index("w1"))
     out = families.subdivide_family(g, [(u2w1, 2)])
-    assert out.n == 11 and families.member_profile(out) == (4, 3, 2, 3)
+    assert out.n == 11 and chromatic.profile(out.rows)[1] == (4, 3, 2, 3)
     v1v2 = (g.label_index("v1"), g.label_index("v2"))
     with pytest.raises(FamilyError) as exc:
         families.subdivide_family(g, [(v1v2, 2)])
@@ -139,7 +139,7 @@ def test_subdivide_family_examples():
 def test_bipartite_construction_c6():
     g = families.bipartite_construction(cycle_graph(6), 0, 3)
     assert g.n == 9
-    assert families.member_profile(g) == (4, 3, 2, 3)
+    assert chromatic.profile(g.rows)[1] == (4, 3, 2, 3)
     assert g.connectivity().two_connected
     assert iso.is_planar(g)
 
@@ -147,7 +147,7 @@ def test_bipartite_construction_c6():
 def test_bipartite_construction_c8():
     g = families.bipartite_construction(cycle_graph(8), 0, 3)
     assert g.n == 11
-    assert families.member_profile(g) == (4, 3, 2, 3)
+    assert chromatic.profile(g.rows)[1] == (4, 3, 2, 3)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,8 @@
 import hashlib
-import importlib.util
 import itertools
 import math
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,52 +99,34 @@ def test_pure_outputs_are_pinned():
     assert pure_outputs() == PURE_OUTPUTS_DIGEST
 
 
+# rows with a bit outside 0..n-1: beyond n, negative, 64 bits and more
+MALFORMED_ROWS = [
+    (4, (0b10, 0b101, 0b100010, 0)),
+    (2, (-2, 0)),
+    (3, (0, 0, -1 << 70)),
+    (63, (1 << 63,) + (0,) * 62),
+    (64, (1 << 64,) + (0,) * 63),
+]
+
+
+def kernel_calls(kern, n, rows):
+    """One call of every kernel on (n, rows)."""
+    return [
+        lambda: kern.deletion_colorable(n, rows, 0, 1),
+        lambda: kern.color_graph(n, rows, 1),
+        lambda: kern.chromatic_number(n, rows),
+        lambda: kern.min_color_class_size(n, rows, 1),
+        lambda: kern.stability_values(n, rows, 1),
+        lambda: kern.stability_witnesses(n, rows, 1, False),
+        lambda: kern.canon_raw(n, rows),
+    ]
+
+
 @pytest.mark.parametrize("n", [-1, 65])
 def test_pure_kernels_reject_vertex_counts_outside_0_64(n):
-    rows = (0,) * max(n, 0)
-    calls = [
-        lambda: pure.deletion_colorable(n, rows, 0, 1),
-        lambda: pure.color_graph(n, rows, 1),
-        lambda: pure.greedy_clique_bound(n, rows),
-        lambda: pure.chromatic_number(n, rows),
-        lambda: pure.min_color_class_size(n, rows, 1),
-        lambda: pure.stability_values(n, rows, 1),
-        lambda: pure.stability_witnesses(n, rows, 1, False),
-        lambda: pure.canon_raw(n, rows),
-    ]
-    for call in calls:
+    for call in kernel_calls(pure, n, (0,) * max(n, 0)):
         with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
             call()
-
-
-def have_c_toolchain():
-    """A C compiler on PATH and the headers to build a CPython extension."""
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    return shutil.which(cc) is not None and header.exists()
-
-
-@pytest.fixture(scope="module")
-def built_ckern(tmp_path_factory):
-    """_ckern.c built out of tree and loaded."""
-    if not have_c_toolchain():
-        pytest.skip("no C compiler or no Python.h")
-    tmp_path = tmp_path_factory.mktemp("ckern")
-    root = Path(__file__).resolve().parent.parent
-    lib = tmp_path / "lib"
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib),
-         "--build-temp", str(tmp_path / "temp")],
-        cwd=root, capture_output=True, text=True,
-    )
-    assert build.returncode == 0, build.stdout + build.stderr
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    so = lib / "chromastab" / "kernels" / ("_ckern" + suffix)
-    assert so.exists(), build.stdout + build.stderr
-    spec = importlib.util.spec_from_file_location("chromastab.kernels._ckern", so)
-    ck = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ck)
-    return ck
 
 
 def test_compiled_core_builds_and_matches_pure(built_ckern):
@@ -161,7 +137,6 @@ def test_compiled_core_builds_and_matches_pure(built_ckern):
     assert pure_outputs(ck) == PURE_OUTPUTS_DIGEST
     for n, rows in corpus():
         chi = pure.chromatic_number(n, rows)
-        assert ck.greedy_clique_bound(n, rows) == pure.greedy_clique_bound(n, rows)
         for k in (0, 1, 2, chi - 1, chi, chi + 1):
             for excluded in (0, 0x5555555555555555 & ((1 << n) - 1)):
                 if k >= 0:
@@ -189,51 +164,56 @@ def test_compiled_core_builds_and_matches_pure(built_ckern):
         with pytest.raises(ValueError, match=too_big):
             kern.stability_witnesses(63, path63, 2, False)
 
-
-needs_compiled = pytest.mark.skipif(
-    not kernels.have_compiled(), reason="compiled kernel extension not built"
-)
-
-
-@needs_compiled
-def test_backends_agree_everywhere():
-    ck = kernels.set_backend("compiled")
-    try:
-        for n, rows in corpus():
-            chi = pure.chromatic_number(n, rows)
-            assert ck.chromatic_number(n, rows) == chi
-            for k in (0, 1, 2, chi - 1, chi, chi + 1):
-                if k < 0:
-                    continue
-                assert pure.color_graph(n, rows, k) == ck.color_graph(n, rows, k)
-                assert pure.deletion_colorable(n, rows, 0, k) == ck.deletion_colorable(
-                    n, rows, 0, k
-                )
-            if chi >= 1:
-                assert pure.stability_values(n, rows, chi) == ck.stability_values(
-                    n, rows, chi
-                )
-                assert pure.stability_witnesses(
-                    n, rows, chi, False
-                ) == ck.stability_witnesses(n, rows, chi, False)
-                assert pure.stability_witnesses(
-                    n, rows, chi, True
-                ) == ck.stability_witnesses(n, rows, chi, True)
-                assert pure.min_color_class_size(n, rows, chi) == ck.min_color_class_size(
-                    n, rows, chi
-                )
-            assert pure.canon_raw(n, rows) == ck.canon_raw(n, rows)
-    finally:
-        kernels.set_backend("auto")
+    # and reject a negative row or a bit at or above n alike, before any work
+    for kern in (pure, ck):
+        for n, rows in MALFORMED_ROWS:
+            for call in kernel_calls(kern, n, rows):
+                with pytest.raises(ValueError, match=r"^adjacency row with a bit outside 0\.\.n-1$"):
+                    call()
 
 
-@needs_compiled
-def test_backend_switch():
+def test_backends_agree_everywhere(built_ckern):
+    ck = built_ckern
+    for n, rows in corpus():
+        chi = pure.chromatic_number(n, rows)
+        assert ck.chromatic_number(n, rows) == chi
+        for k in (0, 1, 2, chi - 1, chi, chi + 1):
+            if k < 0:
+                continue
+            assert pure.color_graph(n, rows, k) == ck.color_graph(n, rows, k)
+            assert pure.deletion_colorable(n, rows, 0, k) == ck.deletion_colorable(
+                n, rows, 0, k
+            )
+        if chi >= 1:
+            assert pure.stability_values(n, rows, chi) == ck.stability_values(n, rows, chi)
+            assert pure.stability_witnesses(
+                n, rows, chi, False
+            ) == ck.stability_witnesses(n, rows, chi, False)
+            assert pure.stability_witnesses(
+                n, rows, chi, True
+            ) == ck.stability_witnesses(n, rows, chi, True)
+            assert pure.min_color_class_size(n, rows, chi) == ck.min_color_class_size(
+                n, rows, chi
+            )
+        assert pure.canon_raw(n, rows) == ck.canon_raw(n, rows)
+
+
+def test_backend_switch(built_ckern, monkeypatch):
+    """set_backend on a tree where the compiled extension is the built module."""
+    monkeypatch.setattr(kernels, "_compiled", built_ckern)
+    monkeypatch.setattr(kernels, "_active", kernels._active)
+    assert kernels.have_compiled()
     assert kernels.set_backend("pure").BACKEND == "pure"
-    assert kernels.set_backend("compiled").BACKEND == "compiled"
-    assert kernels.set_backend("auto").BACKEND == "compiled"
+    assert kernels.set_backend("compiled") is built_ckern
+    assert kernels.backend_name() == "compiled"
+    assert kernels.set_backend("auto") is built_ckern
     with pytest.raises(ValueError):
         kernels.set_backend("nope")
+    # and on a tree without it
+    monkeypatch.setattr(kernels, "_compiled", None)
+    assert kernels.set_backend("auto") is pure
+    with pytest.raises(RuntimeError, match="not available"):
+        kernels.set_backend("compiled")
 
 
 def test_proper_coloring_output(backend):
@@ -250,22 +230,9 @@ def test_proper_coloring_output(backend):
         assert backend.color_graph(n, rows, chi - 1) is None
 
 
-def test_greedy_clique_bound_is_a_lower_bound(backend):
-    for n, rows in corpus()[:80]:
-        chi = backend.chromatic_number(n, rows)
-        assert backend.greedy_clique_bound(n, rows) <= (chi if n else 0)
-
-
 # ---------------------------------------------------------------------------
 # the canon_raw contract, on pure and on the out-of-tree build
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(params=["pure", "built"])
-def canon_kern(request):
-    """pure, then the module that test_compiled_core_builds_and_matches_pure
-    builds."""
-    return pure if request.param == "pure" else request.getfixturevalue("built_ckern")
 
 
 def generated_orbits(n, gens):
@@ -277,11 +244,11 @@ def generated_orbits(n, gens):
     return tuple(uf.find(v) for v in range(n))
 
 
-def test_canon_raw_generators_are_automorphisms(canon_kern):
+def test_canon_raw_generators_are_automorphisms(backend):
     graphs = [(n, rows) for n, rows in corpus()]
     graphs += [(g.n, g.rows) for _name, g, _order in SYMMETRIC]
     for n, rows in graphs:
-        perm, _order, gens, orbits = canon_kern.canon_raw(n, rows)
+        perm, _order, gens, orbits = backend.canon_raw(n, rows)
         assert sorted(perm) == list(range(n))
         assert len(gens) <= max(n - 1, 0)
         for gen in gens:
@@ -291,18 +258,18 @@ def test_canon_raw_generators_are_automorphisms(canon_kern):
         assert generated_orbits(n, gens) == orbits
 
 
-def test_canon_raw_group_matches_brute_force_through_order_7(canon_kern, levels_through_8):
+def test_canon_raw_group_matches_brute_force_through_order_7(backend, levels_through_8):
     for order in range(1, 8):
         for _key, rows in levels_through_8[order]:
-            _perm, aut_order, gens, orbits = canon_kern.canon_raw(order, rows)
+            _perm, aut_order, gens, orbits = backend.canon_raw(order, rows)
             brute_order, brute_orbits = oracles.brute_automorphisms(Graph(order, rows))
             assert (aut_order, orbits) == (brute_order, brute_orbits), rows
             assert generated_orbits(order, gens) == brute_orbits, rows
 
 
 @pytest.mark.parametrize("name,g,order", SYMMETRIC, ids=[name for name, _g, _o in SYMMETRIC])
-def test_canon_raw_known_group_orders(canon_kern, name, g, order):
-    _perm, aut_order, _gens, orbits = canon_kern.canon_raw(g.n, g.rows)
+def test_canon_raw_known_group_orders(backend, name, g, order):
+    _perm, aut_order, _gens, orbits = backend.canon_raw(g.n, g.rows)
     assert aut_order == order
     assert type(aut_order) is int
     # every graph here is vertex-transitive
@@ -332,14 +299,14 @@ def test_symmetric_graphs_refine_at_most_n_squared_times(monkeypatch, g):
 
 @pytest.mark.parametrize("max_degree", [3, 4, None])
 def test_labeled_graphs_are_counted_by_automorphism_orders(
-    canon_kern, levels_through_8, max_degree
+    backend, levels_through_8, max_degree
 ):
     """sum of n!/|Aut(G)| over the classes is the number of labeled graphs."""
     for n in range(1, 9):
         total = 0
         for _key, rows in levels_through_8[n]:
             if max_degree is None or max(r.bit_count() for r in rows) <= max_degree:
-                aut_order = canon_kern.canon_raw(n, rows)[1]
+                aut_order = backend.canon_raw(n, rows)[1]
                 assert math.factorial(n) % aut_order == 0
                 total += math.factorial(n) // aut_order
         assert total == oracles.labeled_count(n, max_degree), n
@@ -418,7 +385,7 @@ def test_stability_scans_reject_over_62_vertices_alike(built_ckern, n, seed, chi
     assert scan_outputs(built_ckern, n, rows, chi) == expected
 
 
-def test_scans_on_graphs_with_more_cliques_than_vertices(canon_kern):
+def test_scans_on_graphs_with_more_cliques_than_vertices(backend):
     # the parts are the minimum deletion sets: each leaves K_{p,...,p} minus a part
     for g, parts in zip(MANY_CLIQUES, [[0b11 << 2 * i for i in range(4)],
                                         [0b111 << 3 * i for i in range(3)]]):
@@ -426,9 +393,9 @@ def test_scans_on_graphs_with_more_cliques_than_vertices(canon_kern):
         assert len(pure._cliques(g.n, g.rows, chi, 1000)) > g.n
         size = parts[0].bit_count()
         expected = (size, tuple(parts))
-        assert canon_kern.stability_witnesses(g.n, g.rows, chi, False) == expected
-        assert canon_kern.stability_witnesses(g.n, g.rows, chi, True) == expected
-        assert canon_kern.stability_values(g.n, g.rows, chi) == (size, size)
+        assert backend.stability_witnesses(g.n, g.rows, chi, False) == expected
+        assert backend.stability_witnesses(g.n, g.rows, chi, True) == expected
+        assert backend.stability_values(g.n, g.rows, chi) == (size, size)
 
 
 def brute_cliques(n, rows, size):
@@ -558,7 +525,7 @@ def test_min_color_class_size_search_is_clique_seeded_and_connected(monkeypatch)
     for text in SLOW_MCC:
         g = graph6.decode(text)
         chi = pure.chromatic_number(g.n, g.rows)
-        omega = pure.greedy_clique_bound(g.n, g.rows)
+        omega = len(pure._greedy_clique(g.n, g.rows))
         # a clique larger than k rules out k-colorings without a search
         for k in range(omega):
             assert pure.min_color_class_size(g.n, g.rows, k) is None

@@ -17,7 +17,7 @@ def class_values(levels_through_8):
     """{order: [(delta, chi, vs, ivs), ...]} over every class of order <= 8."""
     return {
         order: [values for _key, _rows, (_stage, values)
-                in generate.records(levels_through_8[order], generate.class_record, JOBS)]
+                in generate.records(levels_through_8[order], chromatic.profile, JOBS)]
         for order in range(1, MAX_ORDER + 1)
     }
 
@@ -81,7 +81,7 @@ def test_subdivision_preserves_membership_beyond_catalog(s9_catalog):
         rng.shuffle(eligible)
         plan = [(e, 2 * rng.randint(1, 2)) for e in eligible[: rng.randint(1, 2)]]
         out = families.subdivide_family(host, plan)
-        assert families.member_profile(out) == (4, 3, 2, 3)
+        assert chromatic.profile(out.rows)[1] == (4, 3, 2, 3)
 
 
 def test_catalog_members_have_degree_four_witness_pairs(s9_catalog):
