@@ -48,7 +48,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from chromastab import iso, kernels
-from chromastab.graph import Graph, bits, component_masks, is_independent, mask_of
+from chromastab.graph import Graph, bits, component_masks, induced, is_independent, mask_of
 
 
 class ChromaticError(ValueError):
@@ -152,9 +152,7 @@ def _top_components(n, rows):
     else:
         chi, top = 0, []
         for comp in comps:
-            verts = tuple(bits(comp))
-            index = {v: i for i, v in enumerate(verts)}
-            crows = tuple(mask_of(index[u] for u in bits(rows[v])) for v in verts)
+            verts, crows = induced(rows, comp)
             c = kern.chromatic_number(len(verts), crows)
             if c > chi:
                 chi, top = c, []

@@ -5,7 +5,9 @@ admissible neighbor subset; a child is accepted only when the new vertex
 lies in the automorphism orbit of the canonically last vertex (McKay 1998,
 "Isomorph-free exhaustive generation").  Distinct parents then never produce
 isomorphic accepted children, so a per-parent key dedup suffices and the
-output is independent of scheduling.
+output is independent of scheduling.  A class's key is `iso.canon_data`'s
+graph6 key, the canonical graph6 bytes that catalogs and
+`iso.canonical_form` use too.
 
 Two reductions skip canonical labeling whose answer is already known; both
 leave every level's keys and representatives unchanged:
@@ -102,7 +104,8 @@ class Catalog:
 
 
 def _children_of(task):
-    """Accepted one-vertex extensions of a parent: sorted list of (packed_key, rows).
+    """Accepted one-vertex extensions of a parent: sorted list of (key, rows),
+    key being the child's canonical graph6 bytes.
 
     Neighbor subsets are visited in ascending order.  A subset that an
     earlier one reaches under the parent's automorphism generators is
@@ -137,8 +140,7 @@ def _children_of(task):
             crows = tuple(child)
             data = iso.canon_data(n + 1, crows)
             if data.last_orbit >> n & 1:
-                key = iso.pack_key(n + 1, iso.apply_perm(n + 1, crows, data.perm))
-                accepted.setdefault(key, crows)
+                accepted.setdefault(data.key, crows)
         if x == eligible:
             break
         x = (x - eligible) & eligible  # next subset of `eligible`, ascending
@@ -248,10 +250,11 @@ _LEVEL_CACHE = {}
 
 
 def all_levels(n, max_degree=None, jobs=1):
-    """{order: sorted list of (packed_key, rows)} for every order 1..n, one
+    """{order: sorted list of (graph6 key, rows)} for every order 1..n, one
     representative per isomorphism class (respecting the degree bound).
     Levels are cached per max_degree within the process and extended on demand."""
-    levels = _LEVEL_CACHE.setdefault(max_degree, {1: [(iso.pack_key(1, (0,)), (0,))]})
+    k1 = (graph6.encode_rows(1, (0,)).encode(), (0,))
+    levels = _LEVEL_CACHE.setdefault(max_degree, {1: [k1]})
     for k in range(1, n):
         if k + 1 not in levels:
             children = sweep(levels[k], max_degree, jobs=jobs)
@@ -261,7 +264,7 @@ def all_levels(n, max_degree=None, jobs=1):
 
 def levels_up_to(n, max_degree=None, jobs=1):
     """One representative of every isomorphism class of order exactly n
-    (respecting the degree bound), as a sorted list of (packed_key, rows)."""
+    (respecting the degree bound), as a sorted list of (graph6 key, rows)."""
     return all_levels(n, max_degree, jobs)[n]
 
 
@@ -336,11 +339,10 @@ def enumerate_catalog(spec: GenSpec, jobs=1) -> Catalog:
         ]
         funnel["predicate"] = len(survivors)
 
-    entries = []
-    for _key, rows in survivors:
-        g = Graph(len(rows), rows)
-        canon = iso.canonical_graph(g)
-        entries.append(CatalogEntry(graph6.encode(canon), analyze(canon)))
+    # a level key is the canonical graph6 of its class
+    entries = [
+        CatalogEntry(key.decode(), analyze(graph6.decode(key))) for key, _rows in survivors
+    ]
     entries.sort(key=lambda e: e.key)
     meta = {
         "spec": {

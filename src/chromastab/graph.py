@@ -51,6 +51,26 @@ def reach(rows, start, banned=0) -> int:
     return seen
 
 
+def induced(rows, mask):
+    """The subgraph induced on a vertex mask: its vertices in ascending order,
+    and its rows relabeled to 0..len(verts)-1 in that order."""
+    verts = list(bits(mask))
+    index = {v: i for i, v in enumerate(verts)}
+    # tuple() of a list: a tuple grown from a generator can keep an oversized
+    # block, which CPython's tuple free lists hold on to after it is freed
+    return verts, tuple([mask_of(index[u] for u in bits(rows[v] & mask)) for v in verts])
+
+
+def apply_perm(n, rows, perm):
+    """Rows of the graph relabeled by perm (vertex -> new position)."""
+    out = [0] * n
+    for v in range(n):
+        pv = perm[v]
+        for u in bits(rows[v]):
+            out[pv] |= 1 << perm[u]
+    return tuple(out)
+
+
 def component_masks(n, rows):
     """Connected components of raw adjacency rows as vertex masks, by
     smallest contained vertex."""
@@ -211,13 +231,7 @@ class Graph:
 
     def delete_vertices(self, s) -> "Graph":
         """Graph minus a vertex set; survivors are reindexed order-preservingly."""
-        mask = self._as_mask(s)
-        keep = [v for v in range(self.n) if not mask >> v & 1]
-        index = {v: i for i, v in enumerate(keep)}
-        rows = [0] * len(keep)
-        for v in keep:
-            for u in bits(self.rows[v] & ~mask):
-                rows[index[v]] |= 1 << index[u]
+        keep, rows = induced(self.rows, self.vertex_mask() & ~self._as_mask(s))
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[v] for v in keep)
@@ -277,10 +291,7 @@ class Graph:
         """Apply a vertex permutation (perm[v] = new index of v)."""
         if sorted(perm) != list(range(self.n)):
             raise GraphError("not a permutation of the vertices")
-        rows = [0] * self.n
-        for v in range(self.n):
-            for u in bits(self.rows[v]):
-                rows[perm[v]] |= 1 << perm[u]
+        rows = apply_perm(self.n, self.rows, perm)
         labels = None
         if self.labels is not None:
             out = [None] * self.n
@@ -313,9 +324,6 @@ class Graph:
                         return None
         left = mask_of(v for v in range(self.n) if side[v] == 0)
         return left, self.vertex_mask() & ~left
-
-    def is_bipartite(self) -> bool:
-        return self.bipartition() is not None
 
     def component_masks(self):
         """Connected components as vertex masks, by smallest contained vertex."""

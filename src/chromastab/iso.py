@@ -11,14 +11,21 @@ per-component orders with a factorial for every repeated component.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import networkx as nx
 
 from chromastab import graph6, kernels
-from chromastab.graph import Graph, UnionFind, bits, component_masks, mask_of
+from chromastab.graph import (
+    Graph,
+    UnionFind,
+    apply_perm,
+    bits,
+    component_masks,
+    induced,
+    mask_of,
+)
 
 
 @dataclass(frozen=True)
@@ -52,117 +59,64 @@ def canon_data(n, rows) -> CanonData:
     comps = component_masks(n, rows)
     if len(comps) == 1:
         perm, order, gens, orbits = kern.canon_raw(n, rows)
-        crows = apply_perm(n, rows, perm)
-        key = graph6.encode_rows(n, crows).encode()
+        key = graph6.encode_rows(n, apply_perm(n, rows, perm)).encode()
         last = _orbit_mask(orbits, perm.index(n - 1))
         return CanonData(key, perm, order, gens, orbits, last)
 
+    # Components go in (n_C, pack_key) order, pack_key being the canonical
+    # rows as 8 little-endian bytes each; this order defines the canonical
+    # form of a disconnected graph.
     pieces = []
     for comp in comps:
-        verts = list(bits(comp))
-        index = {v: i for i, v in enumerate(verts)}
+        verts, sub = induced(rows, comp)
         nc = len(verts)
-        sub = tuple(
-            mask_of(index[u] for u in bits(rows[v] & comp)) for v in verts
-        )
-        perm, order, gens, orbits = kern.canon_raw(nc, sub)
-        crows = apply_perm(nc, sub, perm)
-        pieces.append(
-            {
-                "verts": verts,
-                "n": nc,
-                "key": pack_key(nc, crows),
-                "perm": perm,
-                "order": order,
-                "gens": gens,
-                "orbits": orbits,
-            }
-        )
-    pieces.sort(key=lambda p: (p["n"], p["key"]))
-
-    offsets = []
-    total = 0
-    for p in pieces:
-        offsets.append(total)
-        total += p["n"]
-    assert total == n
+        perm, porder, gens, _orbits = kern.canon_raw(nc, sub)
+        pack_key = b"".join(r.to_bytes(8, "little") for r in apply_perm(nc, sub, perm))
+        pieces.append(((nc, pack_key), verts, perm, porder, gens))
+    pieces.sort(key=lambda p: p[0])
 
     gperm = [0] * n
-    for p, off in zip(pieces, offsets):
-        for local, v in enumerate(p["verts"]):
-            gperm[v] = off + p["perm"][local]
+    ggens = []
+    offsets = []
+    off = 0
+    order = 1
+    for _cls, verts, perm, porder, gens in pieces:
+        offsets.append(off)
+        for local, v in enumerate(verts):
+            gperm[v] = off + perm[local]
+        for gen in gens:
+            lifted = list(range(n))
+            for local, v in enumerate(verts):
+                lifted[v] = verts[gen[local]]
+            ggens.append(tuple(lifted))
+        order *= porder
+        off += len(verts)
+    inv = [0] * n
+    for v, pos in enumerate(gperm):
+        inv[pos] = v
+    # consecutive identical pieces i-1, i: swapping them maps canonical
+    # position off_{i-1} + j to off_i + j; a run of r such pieces adds r!
+    run = 1
+    for i in range(1, len(pieces)):
+        if pieces[i][0] != pieces[i - 1][0]:
+            run = 1
+            continue
+        run += 1
+        order *= run
+        swap = list(range(n))
+        for j in range(len(pieces[i][1])):
+            a, b = inv[offsets[i - 1] + j], inv[offsets[i] + j]
+            swap[a], swap[b] = b, a
+        ggens.append(tuple(swap))
 
     orb = UnionFind(n)
-    ggens = []
-    for p in pieces:
-        for gen in p["gens"]:
-            lifted = list(range(n))
-            for local, v in enumerate(p["verts"]):
-                lifted[v] = p["verts"][gen[local]]
-            ggens.append(tuple(lifted))
-            for v in range(n):
-                orb.union(v, lifted[v])
-
-    order = 1
-    for p in pieces:
-        order *= p["order"]
-    i = 0
-    while i < len(pieces):
-        j = i
-        while j < len(pieces) and (pieces[j]["n"], pieces[j]["key"]) == (
-            pieces[i]["n"],
-            pieces[i]["key"],
-        ):
-            j += 1
-        mult = j - i
-        order *= math.factorial(mult)
-        for a in range(i, j - 1):
-            swap = _swap_components(n, pieces[a], pieces[a + 1])
-            ggens.append(swap)
-            for v in range(n):
-                orb.union(v, swap[v])
-        i = j
-
+    for gen in ggens:
+        for v in range(n):
+            orb.union(v, gen[v])
     orbits = tuple(orb.find(v) for v in range(n))
-    crows = apply_perm(n, rows, gperm)
-    key = graph6.encode_rows(n, crows).encode()
-    last_vertex = gperm.index(n - 1)
-    return CanonData(key, tuple(gperm), order, tuple(ggens), orbits, _orbit_mask(orbits, last_vertex))
-
-
-def _swap_components(n, pa, pb):
-    """Automorphism exchanging two isomorphic components via their canonical
-    labelings, identity elsewhere."""
-    perm = list(range(n))
-    inv_b = [0] * pb["n"]
-    for local, pos in enumerate(pb["perm"]):
-        inv_b[pos] = local
-    inv_a = [0] * pa["n"]
-    for local, pos in enumerate(pa["perm"]):
-        inv_a[pos] = local
-    for local, v in enumerate(pa["verts"]):
-        perm[v] = pb["verts"][inv_b[pa["perm"][local]]]
-    for local, v in enumerate(pb["verts"]):
-        perm[v] = pa["verts"][inv_a[pb["perm"][local]]]
-    return tuple(perm)
-
-
-def apply_perm(n, rows, perm):
-    """Rows of the graph relabeled by perm (vertex -> new position)."""
-    out = [0] * n
-    for v in range(n):
-        pv = perm[v]
-        for u in bits(rows[v]):
-            out[pv] |= 1 << perm[u]
-    return tuple(out)
-
-
-def pack_key(n, rows):
-    """Fixed-width byte key of (n, rows): n, then each row as 8 little-endian bytes."""
-    data = bytearray([n])
-    for r in rows:
-        data += int(r).to_bytes(8, "little")
-    return bytes(data)
+    key = graph6.encode_rows(n, apply_perm(n, rows, gperm)).encode()
+    last = _orbit_mask(orbits, inv[n - 1])
+    return CanonData(key, tuple(gperm), order, tuple(ggens), orbits, last)
 
 
 def _orbit_mask(orbits, v):

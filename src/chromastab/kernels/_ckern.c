@@ -625,21 +625,9 @@ static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return 0;
 }
 
-/* New reference to an int: the object itself, or what its __int__ returns. */
-static PyObject *as_pylong(PyObject *o)
-{
-    if (PyLong_Check(o))
-        return Py_NewRef(o);
-    PyNumberMethods *nb = Py_TYPE(o)->tp_as_number;
-    PyObject *r = nb && nb->nb_int ? nb->nb_int(o) : NULL;
-    if (r == NULL && !PyErr_Occurred())
-        PyErr_SetString(PyExc_TypeError, "an integer is required");
-    return r;
-}
-
 static int as_int(PyObject *o, int *out)
 {
-    PyObject *x = as_pylong(o);
+    PyObject *x = PyNumber_Index(o);
     if (x == NULL)
         return -1;
     long v = PyLong_AsLong(x);
@@ -656,23 +644,13 @@ static int as_int(PyObject *o, int *out)
 
 static int as_u64(PyObject *o, u64 *out)
 {
-    PyObject *x = as_pylong(o);
+    PyObject *x = PyNumber_Index(o);
     if (x == NULL)
         return -1;
-#if ULONG_MAX == 0xffffffffffffffffULL
-    u64 v = PyLong_AsUnsignedLong(x);
-#else
     u64 v = PyLong_AsUnsignedLongLong(x);
-#endif
-    if (v == (u64)-1 && PyErr_Occurred()) {
-        if (PyErr_ExceptionMatches(PyExc_OverflowError) &&
-            PyObject_RichCompareBool(x, Py_False, Py_LT) == 1)
-            PyErr_SetString(PyExc_OverflowError,
-                            "can't convert negative value to unsigned PY_LONG_LONG");
-        Py_DECREF(x);
-        return -1;
-    }
     Py_DECREF(x);
+    if (v == (u64)-1 && PyErr_Occurred())
+        return -1;
     *out = v;
     return 0;
 }
@@ -741,8 +719,11 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
 {
     u64 adj[MAXN], excluded;
     int n, k;
-    if (!nargs_ok("deletion_colorable", nargs, 4) || load(args[0], args[1], adj, &n) < 0 ||
-        as_u64(args[2], &excluded) < 0 || as_int(args[3], &k) < 0)
+    if (!nargs_ok("deletion_colorable", nargs, 4) || load(args[0], args[1], adj, &n) < 0)
+        return NULL;
+    /* any int: only its low n bits matter, as in pure's `full & ~excluded` */
+    excluded = PyLong_AsUnsignedLongLongMask(args[2]);
+    if ((excluded == (u64)-1 && PyErr_Occurred()) || as_int(args[3], &k) < 0)
         return NULL;
     return PyBool_FromLong(colorable_excluding(n, adj, excluded, k));
 }

@@ -171,10 +171,10 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
     if max_n >= 9 and chk.ok():
         total = 0
         hits = []
-        for _key, rows, (stage, values) in generate.sweep(levels[8], None, gap, jobs):
+        for key, rows, (stage, values) in generate.sweep(levels[8], None, gap, jobs):
             total += 1
             if stage == 4:
-                hits.append((rows, values))
+                hits.append((key, rows, values))
         chk.evidence["order9_classes"] = total
         want = generate.KNOWN_CLASS_COUNTS[9]
         chk.expect(
@@ -183,10 +183,8 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
             order9_classes=total,
         )
         chk.evidence["order9_hits"] = len(hits)
-        chk.evidence["order9_hit_keys"] = sorted(
-            iso.canonical_form(Graph(9, rows)).decode() for rows, _values in hits
-        )
-        for rows, values in hits:
+        chk.evidence["order9_hit_keys"] = sorted(key.decode() for key, _rows, _values in hits)
+        for _key, rows, values in hits:
             delta, chi, vs, ivs = values
             if not chk.expect(
                 values == CLASS_PROFILE,

@@ -6,7 +6,7 @@ import pytest
 
 from chromastab import generate, graph6, iso, oracles
 from chromastab.generate import Catalog, GenSpec, GenerateError
-from chromastab.graph import bits, component_masks
+from chromastab.graph import Graph, bits, component_masks
 
 
 def test_known_counts_small():
@@ -70,10 +70,19 @@ def test_reduced_expansion_matches_unreduced(max_degree, top):
                 for v in range(n + 1):
                     for u in bits(child[v]):
                         relabeled[perm[v]] |= 1 << perm[u]
-                key = bytes([n + 1]) + b"".join(r.to_bytes(8, "little") for r in relabeled)
+                key = graph6.encode_rows(n + 1, relabeled).encode()
                 first.setdefault(key, child)
         want = sorted(first.items())
         assert generate._children_of((n, rows, max_degree)) == want
+
+
+@pytest.mark.parametrize("max_degree", [None, 3, 4])
+def test_level_keys_are_canonical_forms(max_degree):
+    for n, level in generate.all_levels(7, max_degree).items():
+        keys = [key for key, _rows in level]
+        assert keys == sorted(set(keys))
+        for key, rows in level:
+            assert key == iso.canonical_form(Graph(n, rows))
 
 
 def test_spec_validation():
@@ -98,8 +107,6 @@ def test_matches_bruteforce_dedup_n5():
     # the enumerated representatives cover exactly the brute-force classes
     enum_keys = set()
     for _key, rows in level:
-        from chromastab.graph import Graph
-
         enum_keys.add(oracles.brute_canonical_key(Graph(5, rows))[0])
     assert enum_keys == keys
 
@@ -115,8 +122,6 @@ def test_degree_bound_matches_postfilter():
     for bound in (2, 3):
         bounded = {key for key, _ in generate.levels_up_to(6, max_degree=bound)}
         unbounded = generate.levels_up_to(6)
-        from chromastab.graph import Graph
-
         filtered = {
             key
             for key, rows in unbounded

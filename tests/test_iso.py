@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from chromastab import families, generate, iso, oracles
 from chromastab.graph import (
     Graph,
+    UnionFind,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -59,6 +62,52 @@ def test_disconnected_composition():
     assert iso.automorphisms(edgeless).order == 120
     mixed = Graph.build(5, [(0, 1), (1, 2), (0, 2)])  # K3 + 2 isolated
     assert iso.automorphisms(mixed).order == 12
+
+
+def shuffled_union(rng, parts):
+    """The disjoint union of graphs given as rows, randomly relabeled."""
+    n = sum(len(rows) for rows in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, off = [], 0
+    for rows in parts:
+        edges += [
+            (perm[off + u], perm[off + v])
+            for u in range(len(rows))
+            for v in range(u + 1, len(rows))
+            if rows[u] >> v & 1
+        ]
+        off += len(rows)
+    return Graph.build(n, edges)
+
+
+def test_composition_matches_brute_automorphisms():
+    """Unions of 2-4 classes of order <= 4, one piece repeated: canon_data's
+    group order and orbits are the brute-force ones, its generators are
+    automorphisms whose orbits are those orbits, and a reshuffle keeps the
+    key.  Unions with more degree-preserving bijections than 8! are skipped,
+    since the oracle lists every automorphism."""
+    pieces = [rows for n in range(1, 5) for _key, rows in generate.levels_up_to(n)]
+    rng = random.Random(11)
+    checked = 0
+    while checked < 150:
+        parts = [rng.choice(pieces) for _ in range(rng.randint(1, 3))]
+        parts.append(rng.choice(parts))
+        g = shuffled_union(rng, parts)
+        bijections = math.prod(math.factorial(c) for c in Counter(g.degrees()).values())
+        if g.n > 12 or bijections > math.factorial(8):
+            continue
+        checked += 1
+        data = iso.canon_data(g.n, g.rows)
+        assert (data.aut_order, data.orbits) == oracles.brute_automorphisms(g)
+        orbits = UnionFind(g.n)
+        for gen in data.generators:
+            assert g.relabel(gen).rows == g.rows
+            for v in range(g.n):
+                orbits.union(v, gen[v])
+        assert tuple(orbits.find(v) for v in range(g.n)) == data.orbits
+        h = shuffled_union(rng, parts)
+        assert iso.canon_data(h.n, h.rows).key == data.key
 
 
 def test_generators_preserve_adjacency():

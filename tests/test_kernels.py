@@ -171,6 +171,19 @@ def test_compiled_core_builds_and_matches_pure(built_ckern):
                 with pytest.raises(ValueError, match=r"^adjacency row with a bit outside 0\.\.n-1$"):
                     call()
 
+    # and agree on malformed non-row arguments.  Only the low n bits of
+    # `excluded` matter; a float row or vertex count is a TypeError.  A float
+    # k is left out: pure takes k = 1.0 and 2.0 as 1 and 2.
+    for kern in (pure, ck):
+        assert kern.deletion_colorable(2, (2, 1), -1, 2) is True
+        assert kern.deletion_colorable(2, (2, 1), 1 << 70, 2) is True
+        assert kern.deletion_colorable(3, (6, 5, 3), -1 << 70 | 1, 2) is True
+        calls = kernel_calls(kern, 3, (1.5, 0, 0)) + kernel_calls(kern, 3.0, (0, 0, 0))
+        calls.append(lambda: kern.deletion_colorable(3, (6, 5, 3), 1.5, 2))
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
 
 def test_backends_agree_everywhere(built_ckern):
     ck = built_ckern
