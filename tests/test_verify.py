@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -84,3 +85,19 @@ def test_search_30_report(s9_catalog):
         "targets": 23,
         "planar_targets": 4,
     }
+
+
+PINNED_CLAIMS = ("obs2", "lemd4", "prop-subdiv", "thm-many", "prop-bip", "thm-main", "search-30")
+PINNED_REPORTS_DIGEST = "888a9b7edc23e12512eb4e3a692885e199da36b1d06aea1f6b98d59a76ed5116"
+
+
+def test_verifier_reports_are_pinned(s9_catalog):
+    """Every default-argument report except obs1 and lem9 (the slow sweeps),
+    without its wall time, hashes to a fixed value on both backends."""
+    reports = []
+    for claim in PINNED_CLAIMS:
+        d = verify.run(claim, jobs=1).to_dict()
+        d.pop("wall_time_s")
+        reports.append(d)
+    blob = b"\n".join(json.dumps(d, separators=(",", ":")).encode() for d in reports)
+    assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS_DIGEST
