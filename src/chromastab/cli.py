@@ -35,7 +35,7 @@ def _parser():
     pp.add_argument("graph", help="graph6 string, a file containing one, or - for stdin")
 
     pf = sub.add_parser("family", help="emit a named construction")
-    pf.add_argument("family", choices=families.FAMILY_IDS)
+    pf.add_argument("family", choices=tuple(_FAMILIES))
     pf.add_argument("--n", type=int, default=None, help="target order (GN, HNE)")
     pf.add_argument(
         "--chords",
@@ -109,17 +109,23 @@ def _parse_plan(text):
     return tuple(plan)
 
 
+def _host(args):
+    return _read_graph(args.host) if args.host else None
+
+
+# family id -> constructor called with the parsed `family` arguments
+_FAMILIES = {
+    "G9": lambda args: families.g9(),
+    "G10": lambda args: families.g10(),
+    "GN": lambda args: families.g_n(args.n),
+    "HNE": lambda args: families.h_n_e(args.n, int(args.chords, 16)),
+    "BIP": lambda args: families.bipartite_construction(_host(args), args.a, args.b),
+    "SUBDIV": lambda args: families.subdivide_family(_host(args), _parse_plan(args.plan or "")),
+}
+
+
 def _cmd_family(args) -> int:
-    params = families.FamilyParams(
-        family=args.family,
-        n=args.n,
-        chords=int(args.chords, 16),
-        host=_read_graph(args.host) if args.host else None,
-        a=args.a,
-        b=args.b,
-        plan=_parse_plan(args.plan) if args.plan else (),
-    )
-    g = families.construct(params)
+    g = _FAMILIES[args.family](args)
     if args.format == "g6":
         payload = graph6.encode(g) + "\n"
     elif args.format == "dot":

@@ -10,8 +10,6 @@ bipartite-host construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from chromastab import chromatic
 from chromastab.graph import Graph, GraphError, has_two_disjoint_paths
 
@@ -22,39 +20,6 @@ class FamilyError(GraphError):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-
-
-FAMILY_IDS = ("G9", "G10", "GN", "HNE", "BIP", "SUBDIV")
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """CLI-facing parameter record selecting one construction."""
-
-    family: str
-    n: int | None = None
-    chords: int = 0
-    host: Graph | None = None
-    a: int | None = None
-    b: int | None = None
-    plan: tuple = field(default_factory=tuple)
-
-
-def construct(params: FamilyParams) -> Graph:
-    fam = params.family.upper()
-    if fam == "G9":
-        return g9()
-    if fam == "G10":
-        return g10()
-    if fam == "GN":
-        return g_n(params.n)
-    if fam == "HNE":
-        return h_n_e(params.n, params.chords)
-    if fam == "BIP":
-        return bipartite_construction(params.host, params.a, params.b)
-    if fam == "SUBDIV":
-        return subdivide_family(params.host, params.plan)
-    raise FamilyError("unknown_family", f"unknown family id {params.family!r}")
 
 
 _G9_LABELS = ("u1", "u2", "u3", "v1", "v2", "v3", "w1", "w2", "w3")
@@ -145,6 +110,8 @@ def subdivide_family(g: Graph, plan) -> Graph:
     plan: iterable of ((u, v), count) with every count positive and even and
     every edge distinct and present in g.
     """
+    if g is None:
+        raise FamilyError("missing_host", "host graph required")
     core = chromatic.bipartizing_pair_vertices(g)
     out = g
     seen = set()

@@ -60,8 +60,8 @@ class GenerateError(ValueError):
 class GenSpec:
     """What to enumerate: order, optional degree bound, optional filters.
 
-    `predicate` is either one of the named filters ("family-members",
-    "stability-gap") or any callable Graph -> bool.
+    `predicate` is None or the name of one of the NAMED_PREDICATES
+    ("family-members", "stability-gap").
     """
 
     n: int
@@ -76,7 +76,7 @@ class GenSpec:
             )
         if self.max_degree is not None and not 0 <= self.max_degree <= self.n - 1:
             raise GenerateError(f"max_degree {self.max_degree} outside 0..n-1")
-        if isinstance(self.predicate, str) and self.predicate not in NAMED_PREDICATES:
+        if self.predicate not in (None, *NAMED_PREDICATES):
             raise GenerateError(f"unknown predicate {self.predicate!r}")
 
 
@@ -321,7 +321,7 @@ def enumerate_catalog(spec: GenSpec, jobs=1) -> Catalog:
 
     if spec.predicate is None:
         survivors = level
-    elif isinstance(spec.predicate, str):
+    else:
         named = NAMED_PREDICATES[spec.predicate]
         stage_names = named["stages"]
         counts = [0] * (len(stage_names) + 1)
@@ -331,13 +331,6 @@ def enumerate_catalog(spec: GenSpec, jobs=1) -> Catalog:
                 survivors.append((key, rows))
         for i, name in enumerate(stage_names):
             funnel[name] = sum(counts[i + 1 :])
-    else:
-        survivors = [
-            (key, rows)
-            for key, rows in level
-            if spec.predicate(Graph(len(rows), rows))
-        ]
-        funnel["predicate"] = len(survivors)
 
     # a level key is the canonical graph6 of its class
     entries = [
@@ -349,7 +342,7 @@ def enumerate_catalog(spec: GenSpec, jobs=1) -> Catalog:
             "n": spec.n,
             "max_degree": spec.max_degree,
             "connected_only": spec.connected_only,
-            "predicate": spec.predicate if isinstance(spec.predicate, str) else None,
+            "predicate": spec.predicate,
         },
         "funnel": funnel,
         "entry_count": len(entries),

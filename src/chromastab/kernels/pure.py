@@ -9,7 +9,7 @@ same outputs bit for bit; this module is the fallback and the reference.
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from operator import index, or_
 
 from chromastab.graph import UnionFind, bits, is_independent, mask_of
 
@@ -24,6 +24,15 @@ def _check_order(n, rows):
         raise ValueError("vertex count outside 0..64")
     if reduce(or_, rows, 0) >> n:
         raise ValueError("adjacency row with a bit outside 0..n-1")
+
+
+def _c_int(x):
+    """A color count as the compiled kernels convert it: an integer (else
+    TypeError) within the range of a C int (else OverflowError)."""
+    x = index(x)
+    if not -(1 << 31) <= x < 1 << 31:
+        raise OverflowError("value too large to convert to int")
+    return x
 
 
 def _subsets_of_size(n, s):
@@ -114,13 +123,13 @@ def _two_colorable(rows, active):
 def deletion_colorable(n, rows, excluded, k):
     """True if the graph minus the `excluded` vertex mask is k-colorable."""
     _check_order(n, rows)
-    return _colorable_excluding(n, rows, excluded, k)
+    return _colorable_excluding(n, rows, excluded, _c_int(k))
 
 
 def color_graph(n, rows, k):
     """A proper coloring with at most k colors, or None (see _color_walk)."""
     _check_order(n, rows)
-    colors = _color_walk(n, rows, (1 << n) - 1, k)
+    colors = _color_walk(n, rows, (1 << n) - 1, _c_int(k))
     return None if colors is None else tuple(colors)
 
 
@@ -222,7 +231,7 @@ def min_color_class_size(n, rows, k):
     stops once the minimum is 1.
     """
     _check_order(n, rows)
-    if n == 0 or k <= 0:
+    if n == 0 or (k := _c_int(k)) <= 0:
         return None
     clique, rest = _mcc_order(n, rows)
     if len(clique) > k:
@@ -241,12 +250,14 @@ def min_color_class_size(n, rows, k):
 # ---------------------------------------------------------------------------
 
 
-def _scan_sizes(n, rows):
-    """Deletion-set sizes 1..n, within the compiled scans' 62-vertex limit."""
+def _scan_chi(n, rows, chi):
+    """chi after the compiled scans' checks, in their order: the rows, chi,
+    then the 62-vertex limit."""
     _check_order(n, rows)
+    chi = _c_int(chi)
     if n > 62:
         raise ValueError("stability scans support at most 62 vertices")
-    return range(1, n + 1)
+    return chi
 
 
 def _cliques(n, rows, size, limit):
@@ -297,11 +308,11 @@ def stability_values(n, rows, chi):
     keeps that filter exact; the cap of n bounds the list on graphs with many
     of them (the complete multipartite K_{3,...,3} has 3^(n/3)).
     """
-    sizes = _scan_sizes(n, rows)
+    chi = _scan_chi(n, rows, chi)
     cliques = _cliques(n, rows, chi, n)
     k = chi - 1
     vs = 0
-    for s in sizes:
+    for s in range(1, n + 1):
         for mask in _subsets_of_size(n, s):
             if vs and not is_independent(rows, mask):
                 continue
@@ -321,10 +332,10 @@ def stability_witnesses(n, rows, chi, independent_only):
     chromatic number by exactly one.  As in stability_values, a set that
     misses one of the first n K_chi's is skipped without a coloring test.
     """
-    sizes = _scan_sizes(n, rows)
+    chi = _scan_chi(n, rows, chi)
     cliques = _cliques(n, rows, chi, n)
     k = chi - 1
-    for s in sizes:
+    for s in range(1, n + 1):
         hits = []
         for mask in _subsets_of_size(n, s):
             if independent_only and not is_independent(rows, mask):

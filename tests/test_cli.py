@@ -69,6 +69,13 @@ def test_family_bip_and_subdiv(capsys):
     assert graph6.decode(out.strip()).n == 11
 
 
+def test_family_without_required_arguments_is_a_usage_error(capsys):
+    for family in ("SUBDIV", "BIP", "GN", "HNE"):
+        code, out, err = run_cli(capsys, "family", family)
+        assert code == 2, family
+        assert err.startswith("error: ") and "Traceback" not in err and out == ""
+
+
 def test_family_formats_and_sidecar(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "family", "G9", "--format", "dot")
     assert code == 0 and out.startswith("graph G9 {") and 'label="v1"' in out

@@ -1,7 +1,7 @@
 import pytest
 
 from chromastab import chromatic, families, iso
-from chromastab.families import FamilyError, FamilyParams
+from chromastab.families import FamilyError
 from chromastab.graph import Graph, cube_graph, cycle_graph
 
 
@@ -185,15 +185,6 @@ def test_degree_five_host_rejected():
     with pytest.raises(FamilyError) as exc:
         families.bipartite_construction(host, 1, 2)
     assert exc.value.code == "degree_too_large"
-
-
-def test_construct_dispatch():
-    assert families.construct(FamilyParams("G9")).rows == families.g9().rows
-    assert families.construct(FamilyParams("GN", n=11)).rows == families.g_n(11).rows
-    g = families.construct(FamilyParams("HNE", n=14, chords=1))
-    assert g.rows == families.h_n_e(14, 1).rows
-    with pytest.raises(FamilyError):
-        families.construct(FamilyParams("NOPE"))
 
 
 def test_g9_vs_bipartite_c6_are_distinct_classes():

@@ -122,6 +122,17 @@ def kernel_calls(kern, n, rows):
     ]
 
 
+def color_count_calls(kern, k):
+    """One call of every kernel that takes a color count k or chi, on K2."""
+    return [
+        lambda: kern.deletion_colorable(2, (2, 1), 0, k),
+        lambda: kern.color_graph(2, (2, 1), k),
+        lambda: kern.min_color_class_size(2, (2, 1), k),
+        lambda: kern.stability_values(2, (2, 1), k),
+        lambda: kern.stability_witnesses(2, (2, 1), k, False),
+    ]
+
+
 @pytest.mark.parametrize("n", [-1, 65])
 def test_pure_kernels_reject_vertex_counts_outside_0_64(n):
     for call in kernel_calls(pure, n, (0,) * max(n, 0)):
@@ -172,16 +183,22 @@ def test_compiled_core_builds_and_matches_pure(built_ckern):
                     call()
 
     # and agree on malformed non-row arguments.  Only the low n bits of
-    # `excluded` matter; a float row or vertex count is a TypeError.  A float
-    # k is left out: pure takes k = 1.0 and 2.0 as 1 and 2.
+    # `excluded` matter; a float row, vertex count, k or chi is a TypeError,
+    # and a k or chi outside the C int range an OverflowError.
     for kern in (pure, ck):
         assert kern.deletion_colorable(2, (2, 1), -1, 2) is True
         assert kern.deletion_colorable(2, (2, 1), 1 << 70, 2) is True
         assert kern.deletion_colorable(3, (6, 5, 3), -1 << 70 | 1, 2) is True
         calls = kernel_calls(kern, 3, (1.5, 0, 0)) + kernel_calls(kern, 3.0, (0, 0, 0))
         calls.append(lambda: kern.deletion_colorable(3, (6, 5, 3), 1.5, 2))
+        calls += color_count_calls(kern, 2.0) + [
+            lambda: kern.deletion_colorable(2, (2, 1), 3, "x")
+        ]
         for call in calls:
             with pytest.raises(TypeError):
+                call()
+        for call in color_count_calls(kern, 1 << 40):
+            with pytest.raises(OverflowError):
                 call()
 
 

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from chromastab import verify
+from chromastab import families, graph6, verify
+from chromastab.graph import cycle_graph
 from chromastab.verify import VerificationReport, _Check
 
 from conftest import JOBS
@@ -44,6 +45,9 @@ def test_thm_many_single_order_scope():
     assert rep.passed
     assert rep.scope == {"orders": [13]}
     assert rep.evidence["graphs_per_order"] == {13: 2}
+    # g_n(11) is a class member, but the chorded family starts at order 13
+    with pytest.raises(families.FamilyError, match="n >= 13"):
+        verify.verify_thm_many(n=11, jobs=1)
 
 
 def test_thm_main_single_order_scope():
@@ -101,3 +105,25 @@ def test_verifier_reports_are_pinned(s9_catalog):
         reports.append(d)
     blob = b"\n".join(json.dumps(d, separators=(",", ":")).encode() for d in reports)
     assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS_DIGEST
+
+
+def test_member_failure_states_the_profile():
+    chk = _Check()
+    c5 = cycle_graph(5)
+    assert not chk.member(c5, "C5", n=5)
+    assert chk.failure == {
+        "assertion": "C5: (2, 3, 1, 1)",
+        "graph6": graph6.encode(c5),
+        "context": {"n": 5},
+    }
+
+
+def test_rejects_needs_the_named_diagnostic():
+    c6 = cycle_graph(6)
+    build = families.bipartite_construction
+    assert _Check().rejects("even_distance", build, c6, 0, 2)
+    for a, b in ((0, 3), (0, 1)):  # accepted, and rejected as adjacent
+        chk = _Check()
+        assert not chk.rejects("even_distance", build, c6, a, b)
+        assert chk.failure["graph6"] == graph6.encode(c6)
+        assert chk.failure["context"] == {"args": [a, b]}
