@@ -78,6 +78,8 @@ def _a_path(g: Graph, n: int):
 
 def chord_count(n: int) -> int:
     """Number of available chord positions for the given order (n >= 13)."""
+    if n is None or n < 13:
+        raise FamilyError("order_too_small", f"chorded family needs n >= 13, got {n}")
     ell = (n - 7) if n % 2 == 1 else (n - 8)
     return ell // 2 - 2
 
@@ -85,12 +87,10 @@ def chord_count(n: int) -> int:
 def h_n_e(n: int, chords: int = 0) -> Graph:
     """g_n with the path relabeled a_0..a_ell and chord a_i a_(ell-1-i) added
     for every set bit i-1 of `chords` (little-endian chord indices 1..)."""
-    if n is None or n < 13:
-        raise FamilyError("order_too_small", f"chorded family needs n >= 13, got {n}")
+    available = chord_count(n)
     base = g_n(n)
     path = _a_path(base, n)
     ell = len(path) - 1
-    available = ell // 2 - 2
     if chords < 0 or chords >> available:
         raise FamilyError(
             "chord_out_of_range",

@@ -7,14 +7,14 @@ discovers, which generate the automorphism group.
 Disconnected graphs are canonicalized per component and the components are
 concatenated in sorted key order; the automorphism order multiplies the
 per-component orders with a factorial for every repeated component.
+Planarity is decided per component: counting settles most components, and
+the planar kernel runs the left-right criterion on the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import networkx as nx
 
 from chromastab import graph6, kernels
 from chromastab.graph import (
@@ -161,7 +161,7 @@ def is_planar(g: Graph) -> bool:
     C is planar when m_C <= 8, since a subdivision of K5 (10 edges) or K3,3
     (9 edges) has at least 9 edges; and C is not planar when n_C >= 3 and
     m_C > 3 n_C - 6 (Euler's bound).  Only the components that neither rule
-    settles go, together, to the left-right criterion of networkx.
+    settles go, together, to the left-right test of the planar kernel.
     """
     undecided = 0
     for comp in component_masks(g.n, g.rows):
@@ -174,7 +174,5 @@ def is_planar(g: Graph) -> bool:
         undecided |= comp
     if not undecided:
         return True
-    nxg = nx.Graph()
-    nxg.add_edges_from((u, v) for u, v in g.edges() if undecided >> u & 1)
-    flag, _ = nx.check_planarity(nxg, counterexample=False)
-    return flag
+    verts, sub = induced(g.rows, undecided)
+    return kernels.active().planar(len(verts), sub)

@@ -612,6 +612,217 @@ static void canon_run(Canon *cs, int *orbit_size)
 }
 
 /* ------------------------------------------------------------------------
+   planarity
+   ------------------------------------------------------------------------ */
+
+/* The testing phase of the left-right criterion, as the pure planar runs it.
+   An edge is the int v << 6 | w once orient() directs it from v to w, and
+   NONE is no edge.  A conflict pair is {left low, left high, right low,
+   right high}; an interval runs from its high return edge down to its low
+   one through ref.  Each pair holds return edges of its own, and a graph
+   that passes the Euler bound has at most 3 * 64 - 6 edges, so MAXPAIRS
+   bounds the stack. */
+#define NONE (-1)
+#define HEAD(e) ((e) & 63)
+#define MAXPAIRS (3 * MAXN)
+
+typedef struct {
+    u64 adj[MAXN];
+    int height[MAXN];
+    int parent[MAXN];    /* the tree edge into a vertex, NONE at a root */
+    u64 heads[MAXN];     /* the heads of a vertex's out-edges */
+    int nout[MAXN];
+    int out[MAXN][MAXN]; /* out-edges by nesting depth, then head */
+    int lowpt[MAXN * MAXN];
+    int lowpt2[MAXN * MAXN];
+    int nesting[MAXN * MAXN];
+    int ref[MAXN * MAXN];
+    int npairs;
+    int pairs[MAXPAIRS][4];
+} Planar;
+
+/* DFS orientation: heights, lowpoints and nesting depths. */
+static void orient(Planar *p, int v)
+{
+    int e = p->parent[v];
+    for (u64 nb = p->adj[v]; nb; nb &= nb - 1) {
+        int w = __builtin_ctzll(nb);
+        if (p->heads[w] >> v & 1)
+            continue; /* oriented from w to v already */
+        int vw = v << 6 | w;
+        p->heads[v] |= BIT(w);
+        p->lowpt[vw] = p->lowpt2[vw] = p->height[v];
+        p->ref[vw] = NONE;
+        if (p->height[w] < 0) { /* tree edge */
+            p->parent[w] = vw;
+            p->height[w] = p->height[v] + 1;
+            orient(p, w);
+        } else { /* back edge */
+            p->lowpt[vw] = p->height[w];
+        }
+        p->nesting[vw] = 2 * p->lowpt[vw] + (p->lowpt2[vw] < p->height[v]);
+        if (e == NONE)
+            continue;
+        if (p->lowpt[vw] < p->lowpt[e]) {
+            p->lowpt2[e] = p->lowpt[e] < p->lowpt2[vw] ? p->lowpt[e] : p->lowpt2[vw];
+            p->lowpt[e] = p->lowpt[vw];
+        } else if (p->lowpt[vw] > p->lowpt[e]) {
+            if (p->lowpt[vw] < p->lowpt2[e])
+                p->lowpt2[e] = p->lowpt[vw];
+        } else if (p->lowpt2[vw] < p->lowpt2[e]) {
+            p->lowpt2[e] = p->lowpt2[vw];
+        }
+    }
+}
+
+/* True if the interval with high end `high` holds a return edge that ends
+   above lowpt(b). */
+static int conflicting(const Planar *p, int high, int b)
+{
+    return high != NONE && p->lowpt[high] > p->lowpt[b];
+}
+
+static int lowest(const Planar *p, const int *pair)
+{
+    if (pair[1] == NONE)
+        return p->lowpt[pair[2]];
+    if (pair[3] == NONE)
+        return p->lowpt[pair[0]];
+    return p->lowpt[pair[0]] < p->lowpt[pair[2]] ? p->lowpt[pair[0]] : p->lowpt[pair[2]];
+}
+
+/* Append the interval low..high below pair's left (side 0) or right (side
+   2) interval. */
+static void extend(Planar *p, int *pair, int side, int low, int high)
+{
+    if (pair[side + 1] == NONE)
+        pair[side + 1] = high;
+    else
+        p->ref[pair[side]] = high;
+    pair[side] = low;
+}
+
+static void swap_sides(int *q)
+{
+    int low = q[0], high = q[1];
+    q[0] = q[2];
+    q[1] = q[3];
+    q[2] = low;
+    q[3] = high;
+}
+
+/* Merge the return edges of ei, and those of its earlier siblings that
+   conflict with them, into one new conflict pair; false if they cannot be
+   placed. */
+static int add_constraints(Planar *p, int ei, int e, int bottom)
+{
+    int new[4] = {NONE, NONE, NONE, NONE};
+    int q[4];
+    /* the return edges of ei, above lowpt(e), go right as one interval */
+    do {
+        memcpy(q, p->pairs[--p->npairs], sizeof(q));
+        if (q[1] != NONE)
+            swap_sides(q);
+        if (q[1] != NONE)
+            return 0;
+        if (p->lowpt[q[2]] > p->lowpt[e])
+            extend(p, new, 2, q[2], q[3]);
+    } while (p->npairs != bottom);
+    /* the earlier siblings' return edges above lowpt(ei) go left */
+    while (p->npairs && (conflicting(p, p->pairs[p->npairs - 1][1], ei) ||
+                         conflicting(p, p->pairs[p->npairs - 1][3], ei))) {
+        memcpy(q, p->pairs[--p->npairs], sizeof(q));
+        if (conflicting(p, q[3], ei))
+            swap_sides(q);
+        if (conflicting(p, q[3], ei))
+            return 0;
+        if (q[3] != NONE)
+            extend(p, new, 2, q[2], q[3]);
+        extend(p, new, 0, q[0], q[1]);
+    }
+    if (new[1] != NONE || new[3] != NONE)
+        memcpy(p->pairs[p->npairs++], new, sizeof(new));
+    return 1;
+}
+
+/* Drop the return edges that end at the tail u of e. */
+static void remove_back_edges(Planar *p, int e)
+{
+    int u = e >> 6;
+    while (p->npairs && lowest(p, p->pairs[p->npairs - 1]) == p->height[u])
+        p->npairs--;
+    if (!p->npairs)
+        return;
+    int *pair = p->pairs[p->npairs - 1];
+    for (int high = 1; high <= 3; high += 2) {
+        while (pair[high] != NONE && HEAD(pair[high]) == u)
+            pair[high] = p->ref[pair[high]];
+        if (pair[high] == NONE)
+            pair[high - 1] = NONE;
+    }
+}
+
+static int lr_test(Planar *p, int v)
+{
+    int e = p->parent[v];
+    for (int i = 0; i < p->nout[v]; i++) {
+        int ei = p->out[v][i];
+        int bottom = p->npairs;
+        if (p->parent[HEAD(ei)] == ei) {
+            if (!lr_test(p, HEAD(ei)))
+                return 0;
+        } else {
+            int *pair = p->pairs[p->npairs++];
+            pair[0] = pair[1] = NONE;
+            pair[2] = pair[3] = ei;
+        }
+        if (i && p->lowpt[ei] < p->height[v] && !add_constraints(p, ei, e, bottom))
+            return 0;
+    }
+    if (e != NONE)
+        remove_back_edges(p, e);
+    return 1;
+}
+
+static int planar(Planar *p, int n)
+{
+    int m2 = 0;
+    for (int v = 0; v < n; v++)
+        m2 += POPCNT64(p->adj[v]);
+    if (n > 2 && m2 > 2 * (3 * n - 6))
+        return 0;
+    for (int v = 0; v < n; v++) {
+        p->height[v] = -1;
+        p->parent[v] = NONE;
+        p->heads[v] = 0;
+    }
+    for (int v = 0; v < n; v++) {
+        if (p->height[v] < 0) {
+            p->height[v] = 0;
+            orient(p, v);
+        }
+    }
+    for (int v = 0; v < n; v++) {
+        int c = 0;
+        for (u64 h = p->heads[v]; h; h &= h - 1) {
+            int e = v << 6 | __builtin_ctzll(h);
+            int i = c++;
+            while (i > 0 && p->nesting[p->out[v][i - 1]] > p->nesting[e]) {
+                p->out[v][i] = p->out[v][i - 1];
+                i--;
+            }
+            p->out[v][i] = e;
+        }
+        p->nout[v] = c;
+    }
+    p->npairs = 0;
+    for (int v = 0; v < n; v++)
+        if (p->parent[v] == NONE && !lr_test(p, v))
+            return 0;
+    return 1;
+}
+
+/* ------------------------------------------------------------------------
    Python wrappers
    ------------------------------------------------------------------------ */
 
@@ -706,6 +917,13 @@ static PyObject *scan_limit_error(void)
 {
     PyErr_SetString(PyExc_ValueError, "stability scans support at most 62 vertices");
     return NULL;
+}
+
+/* The color count the scans test, chi - 1, without the overflow at INT_MIN:
+   every count up to 0 colors only the empty graph, so chi <= 1 gives 0. */
+static int scan_colors(int chi)
+{
+    return chi > 1 ? chi - 1 : 0;
 }
 
 static PyObject *no_deletion_set_error(void)
@@ -817,7 +1035,7 @@ static PyObject *py_stability_values(PyObject *self, PyObject *const *args,
         return scan_limit_error();
     Cliques cl;
     collect_cliques(n, adj, chi, &cl);
-    int k = chi - 1;
+    int k = scan_colors(chi);
     u64 top = BIT(n);
     for (int s = 1; s <= n; s++) {
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
@@ -848,7 +1066,7 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
         return scan_limit_error();
     Cliques cl;
     collect_cliques(n, adj, chi, &cl);
-    int k = chi - 1;
+    int k = scan_colors(chi);
     u64 top = BIT(n);
     PyObject *hits = PyList_New(0);
     if (hits == NULL)
@@ -933,6 +1151,15 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
     return result;
 }
 
+static PyObject *py_planar(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Planar p;
+    int n;
+    if (!nargs_ok("planar", nargs, 2) || load(args[0], args[1], p.adj, &n) < 0)
+        return NULL;
+    return PyBool_FromLong(planar(&p, n));
+}
+
 /* The "--" line gives inspect.signature the positional parameters. */
 #define FASTCALL(name, params, doc)                                       \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL,       \
@@ -958,6 +1185,9 @@ static PyMethodDef methods[] = {
              "(perm, aut_order, gens, orbits) from a refinement tree pruned by the "
              "automorphisms it finds; aut_order is exact, gens generate the "
              "automorphism group. See the pure twin for the full contract."),
+    FASTCALL(planar, "n, rows",
+             "True if the graph is planar: the testing phase of the left-right "
+             "criterion, as the pure twin runs it."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -507,3 +507,147 @@ def _orbit(vertices, gens):
                 orbit.add(u)
                 stack.append(u)
     return orbit
+
+
+# ---------------------------------------------------------------------------
+# planarity
+# ---------------------------------------------------------------------------
+
+
+def planar(n, rows):
+    """True if the graph is planar: the testing phase of the left-right
+    criterion of de Fraysseix and Rosenstiehl, as engineered in Brandes 2009,
+    "The left-right planarity test", without the embedding.
+
+    An edge is the int v << 6 | w once the first DFS orients it from v to w.
+    That DFS gives each vertex its height and each edge its lowpoints and
+    nesting depth.  The second DFS takes each vertex's out-edges by nesting
+    depth and keeps the return edges that constrain one another as a stack
+    of conflict pairs [left low, left high, right low, right high]; an
+    interval runs from its high return edge down to its low one through ref.
+    The graph is planar iff no constraint contradicts the others.  What only
+    the embedding phase reads (the sides, the lowpoint edges and the ref
+    links of tree edges and aligned intervals) is not kept.
+    """
+    _check_order(n, rows)
+    if n > 2 and sum(r.bit_count() for r in rows) > 2 * (3 * n - 6):
+        return False
+    height = [-1] * n
+    parent = [-1] * n  # vertex -> the tree edge into it, -1 at a root
+    heads = [0] * n    # vertex -> mask of the heads of its out-edges
+    lowpt, lowpt2, nesting = {}, {}, {}
+
+    def orient(v):
+        e = parent[v]
+        for w in bits(rows[v]):
+            if heads[w] >> v & 1:
+                continue  # oriented from w to v already
+            vw = v << 6 | w
+            heads[v] |= 1 << w
+            lowpt[vw] = lowpt2[vw] = height[v]
+            if height[w] < 0:  # tree edge
+                parent[w] = vw
+                height[w] = height[v] + 1
+                orient(w)
+            else:  # back edge
+                lowpt[vw] = height[w]
+            nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < height[v])
+            if e >= 0:
+                if lowpt[vw] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                    lowpt[e] = lowpt[vw]
+                elif lowpt[vw] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[vw])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    for v in range(n):
+        if height[v] < 0:
+            height[v] = 0
+            orient(v)
+    out = [sorted((v << 6 | w for w in bits(heads[v])), key=nesting.__getitem__)
+           for v in range(n)]
+
+    ref = {}
+    pairs = []
+
+    def conflicting(high, b):
+        """True if the interval with high end `high` holds a return edge
+        that ends above lowpt(b)."""
+        return high is not None and lowpt[high] > lowpt[b]
+
+    def lowest(pair):
+        if pair[1] is None:
+            return lowpt[pair[2]]
+        if pair[3] is None:
+            return lowpt[pair[0]]
+        return min(lowpt[pair[0]], lowpt[pair[2]])
+
+    def extend(pair, side, low, high):
+        """Append the interval low..high below pair's left (side 0) or
+        right (side 2) interval."""
+        if pair[side + 1] is None:
+            pair[side + 1] = high
+        else:
+            ref[pair[side]] = high
+        pair[side] = low
+
+    def add_constraints(ei, e, bottom):
+        """Merge the return edges of ei, and those of its earlier siblings
+        that conflict with them, into one new conflict pair; False if they
+        cannot be placed."""
+        new = [None] * 4
+        # the return edges of ei, above lowpt(e), go right as one interval
+        while True:
+            q = pairs.pop()
+            if q[1] is not None:
+                q = q[2:] + q[:2]
+            if q[1] is not None:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                extend(new, 2, q[2], q[3])
+            if len(pairs) == bottom:
+                break
+        # the earlier siblings' return edges above lowpt(ei) go left
+        while pairs and (conflicting(pairs[-1][1], ei) or conflicting(pairs[-1][3], ei)):
+            q = pairs.pop()
+            if conflicting(q[3], ei):
+                q = q[2:] + q[:2]
+            if conflicting(q[3], ei):
+                return False
+            if q[3] is not None:
+                extend(new, 2, q[2], q[3])
+            extend(new, 0, q[0], q[1])
+        if new[1] is not None or new[3] is not None:
+            pairs.append(new)
+        return True
+
+    def remove_back_edges(e):
+        """Drop the return edges that end at the tail u of e."""
+        u = e >> 6
+        while pairs and lowest(pairs[-1]) == height[u]:
+            pairs.pop()
+        if pairs:
+            pair = pairs[-1]
+            for high in (1, 3):
+                while pair[high] is not None and pair[high] & 63 == u:
+                    pair[high] = ref.get(pair[high])
+                if pair[high] is None:
+                    pair[high - 1] = None
+
+    def test(v):
+        e = parent[v]
+        for i, ei in enumerate(out[v]):
+            bottom = len(pairs)
+            if parent[ei & 63] == ei:
+                if not test(ei & 63):
+                    return False
+            else:
+                pairs.append([None, None, ei, ei])
+            if i and lowpt[ei] < height[v] and not add_constraints(ei, e, bottom):
+                return False
+        if e >= 0:
+            remove_back_edges(e)
+        return True
+
+    return all(test(v) for v in range(n) if parent[v] < 0)

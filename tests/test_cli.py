@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from chromastab import cli, families, graph6, iso
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -142,3 +148,12 @@ def test_verify_report_determinism(capsys):
     a.pop("wall_time_s")
     b.pop("wall_time_s")
     assert a == b
+
+
+def test_importing_the_cli_never_loads_networkx():
+    """networkx is a test oracle only; it once cost most of every start."""
+    code = "import sys, chromastab.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -5,7 +5,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from chromastab import families, generate, iso, oracles
+from chromastab import families, generate, iso, kernels, oracles
 from chromastab.graph import (
     Graph,
     UnionFind,
@@ -210,6 +210,14 @@ def test_planarity_is_decided_per_component():
         nxg.add_nodes_from(range(g.n))
         nxg.add_edges_from(g.edges())
         assert iso.is_planar(g) == nx.check_planarity(nxg)[0], g.rows
+
+
+def test_planarity_checks_hold_on_the_built_module(built_ckern, monkeypatch):
+    """The order-7 oracle check and the 300 unions, with is_planar handing
+    the components it leaves open to the compiled planar kernel."""
+    monkeypatch.setattr(kernels, "_active", built_ckern)
+    test_planarity_of_every_class_through_order_7_matches_kuratowski_oracle()
+    test_planarity_is_decided_per_component()
 
 
 def test_kuratowski_oracle_nontrivial_cases():

@@ -4,6 +4,7 @@ import math
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,7 @@ def kernel_calls(kern, n, rows):
         lambda: kern.stability_values(n, rows, 1),
         lambda: kern.stability_witnesses(n, rows, 1, False),
         lambda: kern.canon_raw(n, rows),
+        lambda: kern.planar(n, rows),
     ]
 
 
@@ -165,8 +167,10 @@ def test_compiled_core_builds_and_matches_pure(built_ckern):
 
     # both backends share the 0..64 vertex limit and the 62-vertex scan limit
     for kern in (pure, ck):
-        with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
-            kern.chromatic_number(65, (0,) * 65)
+        for n in (-1, 65):
+            for call in kernel_calls(kern, n, (0,) * max(n, 0)):
+                with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
+                    call()
     path63 = path_graph(63).rows
     too_big = "^stability scans support at most 62 vertices$"
     for kern in (pure, ck):
@@ -226,6 +230,7 @@ def test_backends_agree_everywhere(built_ckern):
                 n, rows, chi
             )
         assert pure.canon_raw(n, rows) == ck.canon_raw(n, rows)
+        assert pure.planar(n, rows) == ck.planar(n, rows)
 
 
 def test_backend_switch(built_ckern, monkeypatch):
@@ -393,15 +398,21 @@ def scan_outputs(kern, n, rows, chi):
 MANY_CLIQUES = [complete_multipartite(2, 2, 2, 2), complete_multipartite(3, 3, 3)]
 
 
+# chi at and near the ends of the C int range, where chi - 1 can overflow
+EXTREME_CHIS = [-(1 << 31), -(1 << 31) + 1, -1, 0, (1 << 31) - 1]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(g=scan_graphs())
 @example(g=MANY_CLIQUES[0])
 @example(g=MANY_CLIQUES[1])
 @example(g=complete_graph(62))  # the largest order the scans take
+@example(g=Graph.build(1, []))
+@example(g=complete_graph(2))
 def test_stability_scans_match_between_backends(built_ckern, g):
     chi = pure.chromatic_number(g.n, g.rows)
     # any chi the caller passes, where the pure scans stay cheap
-    chis = range(chi + 2) if g.n <= 7 else [chi]
+    chis = [*range(chi + 2), *EXTREME_CHIS] if g.n <= 7 else [chi]
     for c in chis:
         assert scan_outputs(pure, g.n, g.rows, c) == scan_outputs(built_ckern, g.n, g.rows, c)
 
@@ -571,3 +582,90 @@ def test_min_color_class_size_search_is_clique_seeded_and_connected(monkeypatch)
     # and the search stops there: 27 nodes, against 2,022,894 without the stop
     assert pure.min_color_class_size(12, (0,) * 12, 6) == 1
     assert len(calls) <= 100
+
+
+# ---------------------------------------------------------------------------
+# planar: differential fuzz against networkx, Kuratowski subdivisions spliced in
+# ---------------------------------------------------------------------------
+
+
+def grid(a, b, diagonals=False):
+    """The a x b grid, each square split by a diagonal when `diagonals`."""
+    at = lambda i, j: i * b + j  # noqa: E731
+    edges = [(at(i, j), at(i, j + 1)) for i in range(a) for j in range(b - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(a - 1) for j in range(b)]
+    if diagonals:
+        edges += [(at(i, j), at(i + 1, j + 1)) for i in range(a - 1) for j in range(b - 1)]
+    return Graph.build(a * b, edges)
+
+
+def wheel(k):
+    """A hub 0 joined to every vertex of the cycle 1..k."""
+    return Graph.build(k + 1, [(0, i) for i in range(1, k + 1)]
+                       + [(i, i % k + 1) for i in range(1, k + 1)])
+
+
+def fan_triangulation(k):
+    """The cycle 0..k-1 triangulated by chords from 0."""
+    return Graph.build(k, [(i, (i + 1) % k) for i in range(k)] + [(0, i) for i in range(2, k - 1)])
+
+
+PLANAR_HOSTS = {
+    "grid": lambda rng: grid(rng.randint(2, 6), rng.randint(2, 6)),
+    "triangulated grid": lambda rng: grid(rng.randint(2, 6), rng.randint(2, 6), True),
+    "wheel": lambda rng: wheel(rng.randint(3, 30)),
+    "fan": lambda rng: fan_triangulation(rng.randint(3, 30)),
+}
+
+
+@st.composite
+def planarity_cases(draw):
+    """(graph, known planarity or None), vertices shuffled.
+
+    Either a G(n, p) graph with n <= 64 and mean degree around the planarity
+    threshold, or a planar host (grid, wheel, triangulated cycle) with a few
+    random edges added, or a host joined by two edges to a K5 or K3,3 with
+    some edges subdivided, which is not planar.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    host = draw(st.sampled_from(["G(n,p)", *PLANAR_HOSTS]))
+    if host == "G(n,p)":
+        n = draw(st.integers(0, 64))
+        degree = draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0]))
+        return Graph(n, random_rows(rng, n, min(1.0, degree / max(n - 1, 1)))), None
+    g = PLANAR_HOSTS[host](rng)
+    edges, n, known = g.edges(), g.n, None
+    splice = draw(st.sampled_from([None, "K5", "K3,3"]))
+    if splice:
+        k = complete_graph(5) if splice == "K5" else complete_bipartite(3, 3)
+        for e in k.edges():
+            if rng.random() < 0.5:
+                k = k.subdivide_edge(e, rng.randint(1, 2))
+        edges += [(n + u, n + v) for u, v in k.edges()]
+        edges += [(rng.randrange(n), n + rng.randrange(k.n)) for _ in range(2)]
+        n += k.n
+        known = False
+    else:
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph.build(n, [(order[u], order[v]) for u, v in edges]), known
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=planarity_cases())
+@example(case=(Graph.build(0, []), True))
+@example(case=(complete_graph(5), False))
+@example(case=(complete_bipartite(3, 3), False))
+@example(case=(petersen(), False))
+@example(case=(grid(8, 8, True), True))  # 64 vertices
+@example(case=(complete_graph(64), False))
+def test_planar_matches_networkx_and_between_backends(built_ckern, case):
+    g, known = case
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    expected = nx.check_planarity(nxg)[0]
+    assert known in (None, expected)
+    assert pure.planar(g.n, g.rows) == expected
+    assert built_ckern.planar(g.n, g.rows) == expected

@@ -45,9 +45,11 @@ def test_thm_many_single_order_scope():
     assert rep.passed
     assert rep.scope == {"orders": [13]}
     assert rep.evidence["graphs_per_order"] == {13: 2}
-    # g_n(11) is a class member, but the chorded family starts at order 13
-    with pytest.raises(families.FamilyError, match="n >= 13"):
-        verify.verify_thm_many(n=11, jobs=1)
+    # g_n(11) is a class member, but the chorded family starts at order 13;
+    # below 11 its chord count would be negative
+    for n in (9, 10, 11):
+        with pytest.raises(families.FamilyError, match="n >= 13"):
+            verify.verify_thm_many(n=n, jobs=1)
 
 
 def test_thm_main_single_order_scope():
