@@ -146,7 +146,7 @@ def bipartite_construction(h: Graph, a: int, b: int) -> Graph:
         raise FamilyError("missing_host", "host graph required")
     if a is None or b is None or not (0 <= a < h.n and 0 <= b < h.n) or a == b:
         raise FamilyError("bad_attachment", f"attachment vertices ({a}, {b}) invalid")
-    if h.bipartition() is None:
+    if chromatic.chromatic_number(h) > 2:
         raise FamilyError("not_bipartite", "host graph is not bipartite")
     if h.max_degree > 4:
         raise FamilyError("degree_too_large", f"host maximum degree {h.max_degree} exceeds 4")

@@ -119,9 +119,12 @@ def _norm_edge(e):
 class Graph:
     """Simple undirected graph: vertex count, neighbor bitmasks, optional labels.
 
-    Values are immutable after construction and safe to share between
-    workers; every surgery operation returns a new graph and re-checks the
-    adjacency invariants (symmetry, no loops, bits within range).
+    Every construction, direct or through `build`, graph6 decoding or a
+    surgery operation, checks the adjacency invariants once (0 <= n <= 64,
+    one row per vertex, neighbor bits within range, no loops, symmetry) and
+    the labels (a tuple or list with one tag or None per vertex, tags unique).
+    Rows and labels are stored as tuples, so values are immutable and safe to
+    share between workers.
     """
 
     n: int
@@ -129,62 +132,41 @@ class Graph:
     labels: tuple | None = field(default=None)
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
-            raise GraphError("adjacency row count mismatch")
-
-    @classmethod
-    def build(cls, n: int, edges, labels=None) -> "Graph":
-        """Graph with the given edges; duplicates collapse, loops are errors."""
+        n, rows, labels = self.n, self.rows, self.labels
         if not 0 <= n <= MAX_VERTICES:
             raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        rows = [0] * n
-        for e in edges:
-            u, v = _norm_edge(e)
-            if u == v:
-                raise GraphError(f"loop requested at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge endpoint out of range: ({u}, {v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls._from_rows(n, rows, cls._norm_labels(n, labels))
-
-    @staticmethod
-    def _norm_labels(n, labels):
-        if labels is None:
-            return None
-        if isinstance(labels, dict):
-            out = [None] * n
-            for v, tag in labels.items():
-                out[v] = tag
-        else:
-            out = list(labels)
-            if len(out) != n:
-                raise GraphError("labels length does not match vertex count")
-        present = [t for t in out if t is not None]
-        if len(present) != len(set(present)):
-            raise GraphError("labels must be unique per vertex")
-        return tuple(out)
-
-    @classmethod
-    def _from_rows(cls, n, rows, labels=None) -> "Graph":
-        g = cls(n, tuple(rows), labels)
-        g._check()
-        return g
-
-    def _check(self):
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        if len(rows) != n:
+            raise GraphError("adjacency row count mismatch")
+        if not isinstance(rows, tuple):
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise GraphError(f"neighbor bit out of range in row {v}")
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
             for u in bits(row):
-                if not self.rows[u] >> v & 1:
+                if not rows[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise GraphError("labels length mismatch")
+        if labels is None:
+            return
+        if not isinstance(labels, (tuple, list)):
+            raise GraphError(f"labels must be a tuple or list, not {type(labels).__name__}")
+        if len(labels) != n:
+            raise GraphError("labels length does not match vertex count")
+        present = [t for t in labels if t is not None]
+        if len(present) != len(set(present)):
+            raise GraphError("labels must be unique per vertex")
+        object.__setattr__(self, "labels", tuple(labels))
+
+    @classmethod
+    def build(cls, n: int, edges, labels=None) -> "Graph":
+        """Graph with the given edges; duplicates collapse, loops are errors."""
+        # checked before (0,) * n allocates anything
+        if not 0 <= n <= MAX_VERTICES:
+            raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        return cls(n, (0,) * n, labels).add_edges(edges)
 
     # -- basic queries ------------------------------------------------------
 
@@ -235,7 +217,7 @@ class Graph:
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[v] for v in keep)
-        return Graph._from_rows(len(keep), rows, labels)
+        return Graph(len(keep), rows, labels)
 
     def subdivide_edge(self, e, k: int) -> "Graph":
         """Replace edge e by a path through k new vertices appended at the end.
@@ -272,7 +254,7 @@ class Graph:
                 taken.add(tag)
                 new.append(tag)
             labels = self.labels + tuple(new)
-        return Graph._from_rows(n2, rows, labels)
+        return Graph(n2, rows, labels)
 
     def add_edges(self, es) -> "Graph":
         """Union with the given edge list (existing edges are fine)."""
@@ -285,7 +267,7 @@ class Graph:
                 raise GraphError(f"edge endpoint out of range: ({u}, {v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph._from_rows(self.n, rows, self.labels)
+        return Graph(self.n, rows, self.labels)
 
     def relabel(self, perm) -> "Graph":
         """Apply a vertex permutation (perm[v] = new index of v)."""
@@ -298,39 +280,15 @@ class Graph:
             for v, tag in enumerate(self.labels):
                 out[perm[v]] = tag
             labels = tuple(out)
-        return Graph._from_rows(self.n, rows, labels)
+        return Graph(self.n, rows, labels)
 
     def with_labels(self, labels) -> "Graph":
-        return Graph._from_rows(self.n, self.rows, self._norm_labels(self.n, labels))
+        return Graph(self.n, self.rows, labels)
 
     # -- structure predicates -------------------------------------------------
 
-    def bipartition(self):
-        """A 2-part vertex partition (pair of masks) or None if an odd closed
-        walk exists; BFS 2-coloring per component."""
-        side = [-1] * self.n
-        for start in range(self.n):
-            if side[start] >= 0:
-                continue
-            side[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in bits(self.rows[v]):
-                    if side[u] < 0:
-                        side[u] = side[v] ^ 1
-                        queue.append(u)
-                    elif side[u] == side[v]:
-                        return None
-        left = mask_of(v for v in range(self.n) if side[v] == 0)
-        return left, self.vertex_mask() & ~left
-
-    def component_masks(self):
-        """Connected components as vertex masks, by smallest contained vertex."""
-        return component_masks(self.n, self.rows)
-
     def is_connected(self) -> bool:
-        return len(self.component_masks()) <= 1
+        return len(component_masks(self.n, self.rows)) <= 1
 
     def connectivity(self) -> ConnectivityInfo:
         """(connected, two_connected); 2-connected means connected, n >= 3 and

@@ -1,13 +1,14 @@
-"""graph6 codec (bit-exact, n <= 62) and a DOT emitter.
+"""graph6 codec (bit-exact, 0 <= n <= 64) and a DOT emitter.
 
 graph6 packs the upper triangle of the adjacency matrix column by column,
 x(0,1) x(0,2) x(1,2) x(0,3) ..., six bits per printable byte with offset 63,
-zero-padded to a multiple of six.
+zero-padded to a multiple of six.  The size comes first: one byte n + 63 for
+n <= 62, or "~" and n as 18 bits in three such bytes for 63 <= n <= 64.
 """
 
 from __future__ import annotations
 
-from chromastab.graph import Graph
+from chromastab.graph import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
 
@@ -22,14 +23,23 @@ class Graph6Error(ValueError):
 
 def encode(g: Graph) -> str:
     """graph6 string of a graph (labels are not part of the format)."""
-    if g.n > 62:
-        raise Graph6Error("graph6 output supports at most 62 vertices", 0)
-    out = [chr(g.n + 63)]
+    return encode_rows(g.n, g.rows)
+
+
+def encode_rows(n: int, rows) -> str:
+    """graph6 string straight from the adjacency rows of a graph on n <= 64
+    vertices; n >= 63 takes the long size form."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise Graph6Error(f"graph6 output supports 0..{MAX_VERTICES} vertices, got {n}", 0)
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     acc = 0
     nbits = 0
-    for v in range(1, g.n):
+    for v in range(1, n):
         for u in range(v):
-            acc = (acc << 1) | (g.rows[u] >> v & 1)
+            acc = (acc << 1) | (rows[u] >> v & 1)
             nbits += 1
             if nbits == 6:
                 out.append(chr(acc + 63))
@@ -38,11 +48,6 @@ def encode(g: Graph) -> str:
     if nbits:
         out.append(chr((acc << (6 - nbits)) + 63))
     return "".join(out)
-
-
-def encode_rows(n: int, rows) -> str:
-    """graph6 string straight from raw adjacency rows."""
-    return encode(Graph(n, tuple(rows)))
 
 
 def decode(text) -> Graph:
@@ -56,47 +61,39 @@ def decode(text) -> Graph:
         s = s[len(_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string", base)
-    first = ord(s[0])
-    if first == 126:
-        raise Graph6Error("multi-byte vertex counts (n > 62) are not supported", base)
-    if not 63 <= first <= 125:
-        raise Graph6Error(f"invalid vertex-count byte {s[0]!r}", base)
-    n = first - 63
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
+    for i, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"invalid graph6 byte {ch!r}", base + i)
+    if s[0] != "~":
+        n, start = ord(s[0]) - 63, 1
+    else:
+        if len(s) < 4:
+            raise Graph6Error("truncated long vertex count", base + len(s))
+        n, start = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63, 4
+        if not 63 <= n <= MAX_VERTICES:
+            raise Graph6Error(f"vertex count {n} outside the long form's 63..{MAX_VERTICES}", base)
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
+    body = s[start:]
     if len(body) < need:
         raise Graph6Error(
             f"truncated graph6 string: need {need} data bytes, got {len(body)}",
             base + len(s),
         )
     if len(body) > need:
-        raise Graph6Error("trailing bytes after graph6 data", base + 1 + need)
+        raise Graph6Error("trailing bytes after graph6 data", base + start + need)
+    bitstr = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bitstr[pairs:]:
+        raise Graph6Error("nonzero padding bits", base + start + need - 1)
     rows = [0] * n
-    bit = 0
-    for i, ch in enumerate(body):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(f"invalid graph6 byte {ch!r}", base + 1 + i)
-        code -= 63
-        for j in range(5, -1, -1):
-            if bit >= n * (n - 1) // 2:
-                if code >> j & 1:
-                    raise Graph6Error("nonzero padding bits", base + 1 + i)
-                continue
-            if code >> j & 1:
-                u, v = _bit_to_pair(bit)
+    pos = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bitstr[pos + u] == "1":
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            bit += 1
-    return Graph(n, tuple(rows))
-
-
-def _bit_to_pair(bit):
-    # column-major upper triangle: column v holds bits for u in 0..v-1
-    v = 1
-    while v * (v - 1) // 2 + v <= bit:
-        v += 1
-    return bit - v * (v - 1) // 2, v
+        pos += v
+    return Graph(n, rows)
 
 
 def to_dot(g: Graph, name="G") -> str:

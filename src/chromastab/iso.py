@@ -14,7 +14,6 @@ the planar kernel runs the left-right criterion on the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from chromastab import graph6, kernels
 from chromastab.graph import (
@@ -124,19 +123,14 @@ def _orbit_mask(orbits, v):
     return mask_of(u for u, r in enumerate(orbits) if r == root)
 
 
-@lru_cache(maxsize=4096)
-def _canon_cached(n, rows):
-    return canon_data(n, rows)
-
-
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-class key: graph6 bytes of the canonically relabeled graph."""
-    return _canon_cached(g.n, g.rows).key
+    return canon_data(g.n, g.rows).key
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled graph itself (labels carried along)."""
-    data = _canon_cached(g.n, g.rows)
+    data = canon_data(g.n, g.rows)
     return g.relabel(data.perm)
 
 
@@ -145,7 +139,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def automorphisms(g: Graph) -> AutInfo:
-    data = _canon_cached(g.n, g.rows)
+    data = canon_data(g.n, g.rows)
     return AutInfo(data.aut_order, data.generators)
 
 

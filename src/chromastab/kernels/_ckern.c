@@ -1193,10 +1193,10 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
-    "_ckern",
-    "Compiled kernels; same functions and same outputs as chromastab.kernels.pure.",
-    -1,
-    methods,
+    .m_name = "_ckern",
+    .m_doc = "Compiled kernels; same functions and same outputs as chromastab.kernels.pure.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC PyInit__ckern(void)

@@ -167,7 +167,7 @@ def verify_obs1(n=None, seed=0, jobs=1) -> VerificationReport:
     size over all optimal colorings, on every graph of order <= n (default 8)
     plus the two named 9/10-vertex base graphs."""
     t0 = time.perf_counter()
-    max_n = n or 8
+    max_n = 8 if n is None else n
     chk = _Check()
     record = partial(chromatic.profile, mcc=True)
     scanned = _scan_levels(chk, max_n, record, _ivs_not_mcc, jobs)
@@ -183,7 +183,7 @@ def verify_obs2(n=None, seed=0, jobs=1) -> VerificationReport:
     """Graphs with maximum degree <= 2 have equal stability parameters;
     checked on all paths and cycles up to the given order (default 12)."""
     t0 = time.perf_counter()
-    max_n = n or 12
+    max_n = 12 if n is None else n
     chk = _Check()
     checked = 0
     for g, is_path in [(path_graph(k), True) for k in range(1, max_n + 1)] + [
@@ -212,7 +212,7 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
     """No graph of order <= 8 has ivs > vs together with chi >= max_degree/2
     + 1; at order 9 every such graph has chi=3, ivs=3, vs=2 and max degree 4."""
     t0 = time.perf_counter()
-    max_n = n or 9
+    max_n = 9 if n is None else n
     chk = _Check()
     gap = generate.NAMED_PREDICATES["stability-gap"]["fn"]
     chk.evidence["classes_scanned"] = _scan_levels(chk, min(max_n, 8), gap, _small_gap, jobs)
@@ -252,7 +252,7 @@ def _lemd4_corpus(jobs):
     return graphs
 
 
-def verify_lemd4(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_lemd4(seed=0, jobs=1) -> VerificationReport:
     """On every class member checked (the 30-graph catalog plus family
     graphs), the maximum degree is 4 and both vertices of every minimum
     deletion pair have degree 4."""
@@ -291,7 +291,7 @@ def _split_edges(g):
     return split
 
 
-def verify_prop_subdiv(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_prop_subdiv(seed=0, jobs=1) -> VerificationReport:
     """Even subdivisions of edges with at most one endpoint among the
     bipartizing-pair vertices preserve class membership; 50 seeded random
     plans over five catalog members, plus rejection checks."""
@@ -331,7 +331,7 @@ def verify_thm_many(n=None, seed=0, jobs=1) -> VerificationReport:
     members, rigid whenever at least one chord is present."""
     t0 = time.perf_counter()
     chk = _Check()
-    orders = [n] if n else list(range(13, 19))
+    orders = list(range(13, 19)) if n is None else [n]
     per_n = {}
     for order in orders:
         per_n[order] = _members(chk, order, chorded=True)
@@ -385,7 +385,7 @@ def _random_bipartite_host(rng):
     return g, (0, 3)
 
 
-def verify_prop_bip(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_prop_bip(seed=0, jobs=1) -> VerificationReport:
     """Attaching a triangle through two degree-2 vertices of a bipartite host
     (odd distance, common cycle) lands in the class three vertices larger;
     named hosts, 20 seeded random hosts, and rejection diagnostics."""
@@ -463,7 +463,7 @@ def verify_thm_main(n=None, seed=0, jobs=1) -> VerificationReport:
     max(1, 2^floor((n-11)/2)) pairwise nonisomorphic planar class members."""
     t0 = time.perf_counter()
     chk = _Check()
-    orders = [n] if n else list(range(9, 19))
+    orders = list(range(9, 19)) if n is None else [n]
     shown = {}
     for order in orders:
         required = max(1, 1 << max(0, (order - 11) // 2))
@@ -479,7 +479,7 @@ def verify_thm_main(n=None, seed=0, jobs=1) -> VerificationReport:
     return chk.report("thm-main", {"orders": orders}, t0)
 
 
-def verify_search_30(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_search_30(seed=0, jobs=1) -> VerificationReport:
     """The order-9 search finds exactly 30 classes; the planar ones include
     the base graph, and exactly four planar members arise by adding one edge
     to another member (23 members arise that way overall)."""
@@ -524,7 +524,17 @@ CLAIMS = {
 }
 
 
+# the claims whose verifier takes an order n
+ORDERED_CLAIMS = frozenset({"obs1", "obs2", "lem9", "thm-many", "thm-main"})
+
+
 def run(claim, n=None, seed=0, jobs=1) -> VerificationReport:
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim id {claim!r}; known: {', '.join(sorted(CLAIMS))}")
+    if n is None:
+        return CLAIMS[claim](seed=seed, jobs=jobs)
+    if claim not in ORDERED_CLAIMS:
+        raise ValueError(f"claim {claim} takes no order n")
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
     return CLAIMS[claim](n=n, seed=seed, jobs=jobs)

@@ -134,6 +134,28 @@ def test_verify_pass_and_exit_codes(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == report
 
 
+def test_verify_rejects_an_order_below_one(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "obs2", "--n", n, "--jobs", "1")
+        assert code == 2 and out == ""
+        assert "error:" in err and "at least 1" in err
+
+
+def test_verify_rejects_an_order_for_a_claim_without_one(capsys):
+    for claim in ("lemd4", "prop-subdiv", "prop-bip", "search-30"):
+        code, out, err = run_cli(capsys, "verify", claim, "--n", "8", "--jobs", "1")
+        assert code == 2 and out == ""
+        assert "error:" in err and "takes no order" in err
+
+
+def test_verify_runs_the_order_given(capsys):
+    code, out, _ = run_cli(capsys, "verify", "obs2", "--n", "1", "--jobs", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["scope"] == {"max_order": 1}
+    assert report["evidence"]["graphs_checked"] == 1
+
+
 def test_verify_unknown_claim(capsys):
     code, _out, _err = run_cli(capsys, "verify", "nope")
     assert code == 2

@@ -13,6 +13,7 @@ from chromastab.graph import (
     path_graph,
 )
 from chromastab import iso, oracles
+from chromastab.chromatic import chromatic_number
 
 
 @st.composite
@@ -53,6 +54,31 @@ def test_constructor_checks_vertex_count_and_row_count():
     with pytest.raises(GraphError, match="row count mismatch"):
         Graph(3, (0, 0))
     assert Graph(64, (0,) * 64).n == 64
+
+
+@pytest.mark.parametrize(
+    "n, rows, labels, match",
+    [
+        (3, (2, 0, 0), None, "asymmetric"),
+        (2, (-1, 0), None, "out of range"),
+        (2, (4, 0), None, "out of range"),
+        (2, (1, 0), None, "self-loop"),
+        (2, (2, 1), ("a", "a"), "unique"),
+        (2, (2, 1), ("a",), "length"),
+        (2, (2, 1), {0: "a", 1: "b"}, "tuple or list"),
+    ],
+)
+def test_constructor_checks_rows_and_labels(n, rows, labels, match):
+    with pytest.raises(GraphError, match=match):
+        Graph(n, rows, labels)
+
+
+def test_constructor_stores_tuples():
+    g = Graph(2, [2, 1], ["a", None])
+    assert g.rows == (2, 1) and g.labels == ("a", None)
+    assert g == Graph.build(2, [(0, 1)], labels=("a", None))
+    with pytest.raises(GraphError, match="tuple or list"):
+        complete_graph(2).with_labels({0: "a", 1: "b"})
 
 
 def test_build_collapses_duplicate_edges():
@@ -103,15 +129,6 @@ def test_add_edges():
         p3.add_edges([(0, 0)])
     with pytest.raises(GraphError):
         p3.add_edges([(0, 9)])
-
-
-def test_bipartition():
-    assert cycle_graph(6).bipartition() is not None
-    assert cycle_graph(5).bipartition() is None
-    left, right = cycle_graph(6).bipartition()
-    assert left | right == 0b111111 and left & right == 0
-    # the null graph is bipartite
-    assert Graph.build(0, []).bipartition() == (0, 0)
 
 
 def test_degree_profile():
@@ -196,13 +213,13 @@ def test_even_subdivision_preserves_bipartiteness(g, half):
         return
     e = g.edges()[0]
     h = g.subdivide_edge(e, 2 * half)
-    assert (g.bipartition() is None) == (h.bipartition() is None)
+    assert (chromatic_number(g) <= 2) == (chromatic_number(h) <= 2)
 
 
 @given(graphs(max_n=6))
 @settings(max_examples=80, deadline=None)
 def test_bipartite_iff_no_odd_cycle(g):
-    assert (g.bipartition() is not None) == (not oracles.has_odd_cycle(g))
+    assert (chromatic_number(g) <= 2) == (not oracles.has_odd_cycle(g))
 
 
 def test_mask_helpers():

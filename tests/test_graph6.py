@@ -52,7 +52,11 @@ def test_parse_errors_carry_offsets():
         graph6.decode("")
     assert exc.value.offset == 0
     with pytest.raises(graph6.Graph6Error):
-        graph6.decode("~???")  # multi-byte n unsupported
+        graph6.decode("~???")  # the long form of n = 0: only 63..64 take it
+    with pytest.raises(graph6.Graph6Error):
+        graph6.decode("~~??????")  # the 8-byte form is beyond 64 vertices
+    with pytest.raises(graph6.Graph6Error):
+        graph6.decode("~?@")  # a long size cut short
     with pytest.raises(graph6.Graph6Error) as exc:
         graph6.decode("D")  # truncated: n=5 needs 2 data bytes
     assert "truncated" in str(exc.value)
@@ -65,9 +69,25 @@ def test_parse_errors_carry_offsets():
         graph6.decode("A~")  # nonzero padding bits
 
 
-def test_encode_rejects_large_graphs():
+@pytest.mark.parametrize("n, size", [(62, "}"), (63, "~??~"), (64, "~?@?")])
+def test_long_size_form_matches_networkx(n, size):
+    g = Graph.build(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n - 2)])
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+    assert graph6.encode(g) == theirs
+    assert graph6.decode(theirs).rows == g.rows
+    assert theirs.startswith(size)
+
+
+def test_decode_rejects_more_than_64_vertices():
+    # "~?@@" is the long form of n = 65, here with an edgeless body
+    text = "~?@@" + "?" * ((65 * 64 // 2 + 5) // 6)
+    with pytest.raises(graph6.Graph6Error, match="65"):
+        graph6.decode(text)
     with pytest.raises(graph6.Graph6Error):
-        graph6.encode(Graph.build(63, []))
+        graph6.encode_rows(65, (0,) * 65)
 
 
 def test_dot_output():

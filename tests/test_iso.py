@@ -45,6 +45,8 @@ def test_are_isomorphic():
         (complete_bipartite(3, 3), 72),
         (complete_bipartite(2, 3), 12),
         (Graph.build(1, []), 1),
+        (cycle_graph(63), 126),
+        (cycle_graph(64), 128),
     ],
 )
 def test_automorphism_orders(g, order):
@@ -135,6 +137,20 @@ def test_canonical_key_is_graph6_of_canonical_graph():
     cg = iso.canonical_graph(g)
     assert graph6.encode(cg).encode() == key
     assert graph6.decode(key.decode()).n == 9
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_canonical_forms_of_63_and_64_vertex_graphs(n):
+    from chromastab import graph6
+
+    g = Graph.build(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+    key = iso.canonical_form(g)
+    assert key.startswith(b"~")
+    assert graph6.encode(iso.canonical_graph(g)).encode() == key
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    assert iso.canonical_form(g.relabel(perm)) == key
+    assert graph6.decode(key).m == n + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import math
 import random
+import subprocess
+import sysconfig
 import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -20,6 +23,8 @@ from chromastab.graph import (
     path_graph,
 )
 from chromastab.kernels import pure
+
+from conftest import have_c_toolchain
 
 
 def random_rows(rng, n, p):
@@ -140,6 +145,20 @@ def test_pure_kernels_reject_vertex_counts_outside_0_64(n):
     for call in kernel_calls(pure, n, (0,) * max(n, 0)):
         with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
             call()
+
+
+def test_compiled_core_compiles_without_warnings():
+    """_ckern.c passes -Wall -Wextra under the build's own C compiler."""
+    if not have_c_toolchain():
+        pytest.skip("no C compiler or no Python.h")
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    source = Path(kernels.__file__).with_name("_ckern.c")
+    check = subprocess.run(
+        cc + ["-fsyntax-only", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+              "-I", sysconfig.get_paths()["include"], str(source)],
+        capture_output=True, text=True,
+    )
+    assert check.returncode == 0, check.stdout + check.stderr
 
 
 def test_compiled_core_builds_and_matches_pure(built_ckern):
