@@ -68,8 +68,8 @@ def _parser():
 
     pv = sub.add_parser("verify", help="machine-check one named claim")
     pv.add_argument("claim", choices=sorted(verify.CLAIMS))
-    pv.add_argument("--n", type=int, default=None, help="order or order cap (obs1, obs2, lem9, thm-many, thm-main only)")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--n", type=int, default=None, help="order or order cap, for claims that take one")
+    pv.add_argument("--seed", type=int, default=None, help="random seed, for claims that take one")
     pv.add_argument("--jobs", type=_jobs, default=None)
     pv.add_argument("--output", default=None, help="also write the JSON report here")
 

@@ -1,10 +1,14 @@
 """Named verifiers: each machine-checks one statement about the graph class
 at desk scale and emits a structured pass/fail report.
 
-Claim ids: obs1, obs2, lem9, lemd4, prop-subdiv, thm-many, prop-bip,
-thm-main, search-30.
+`run(claim, n, seed, jobs)` calls the verifier `CLAIMS[claim]` as
+`verifier(chk, **params)`, times the call and files the report under the
+claim id, with the scope the verifier returns.  Of `n` (an order or order
+cap), `seed` and `jobs`, a verifier declares only those it reads, each with
+its default; `run` rejects an `n` or a `seed` the verifier does not
+declare, and passes `jobs` only where declared.
 
-Every verifier records its checks on a `_Check`, which keeps the first
+Every verifier records its checks on the `_Check`, which keeps the first
 violation as a self-contained counterexample.  Three checks are shared:
 `_Check.member` (membership in the paper's class, its failure carrying the
 graph's profile), `_Check.rejects` (a family constructor must fail with a
@@ -15,6 +19,7 @@ levels through `_scan_levels`.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -84,24 +89,20 @@ class _Check:
             args=list(args[1:]),
         )
 
-    def report(self, claim, scope, t0) -> VerificationReport:
-        evidence = dict(self.evidence)
-        if self.failure is not None:
-            evidence["counterexample"] = self.failure
-        return VerificationReport(
-            claim=claim,
-            scope=scope,
-            verdict="pass" if self.failure is None else "fail",
-            evidence=evidence,
-            wall_time_s=round(time.perf_counter() - t0, 3),
-        )
-
 
 def _family_catalog(jobs):
     """The 30-entry order-9 catalog."""
     return generate.enumerate_catalog(
         generate.GenSpec(9, max_degree=4, predicate="family-members"), jobs
     )
+
+
+def _check_sweep_order(n):
+    """Reject an order past the known class counts before any level is
+    built: order 10 alone has 12,005,168 classes."""
+    top = max(generate.KNOWN_CLASS_COUNTS)
+    if n > top:
+        raise ValueError(f"the level sweeps stop at order {top}, got {n}")
 
 
 def _scan_levels(chk, max_n, fn, violation, jobs):
@@ -162,32 +163,27 @@ def _ivs_not_mcc(_stage, values):
         return f"independent stability {ivs} != min color class size {mcc}"
 
 
-def verify_obs1(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_obs1(chk, n=8, jobs=1) -> dict:
     """The independent stability parameter equals the minimum color-class
-    size over all optimal colorings, on every graph of order <= n (default 8)
-    plus the two named 9/10-vertex base graphs."""
-    t0 = time.perf_counter()
-    max_n = 8 if n is None else n
-    chk = _Check()
+    size over all optimal colorings, on every graph of order <= n plus the
+    two named 9/10-vertex base graphs."""
+    _check_sweep_order(n)
     record = partial(chromatic.profile, mcc=True)
-    scanned = _scan_levels(chk, max_n, record, _ivs_not_mcc, jobs)
+    scanned = _scan_levels(chk, n, record, _ivs_not_mcc, jobs)
     for g in (families.g9(), families.g10()):
         _delta, chi, _vs, ivs, mcc = record(g.rows)[1]
         chk.expect(ivs == mcc, f"independent stability {ivs} != min class size {mcc}", g)
         chk.expect(g.n >= ivs * chi, "order below ivs * chi", g)
     chk.evidence["graphs_checked"] = sum(scanned.values()) + 2
-    return chk.report("obs1", {"max_order": max_n}, t0)
+    return {"max_order": n}
 
 
-def verify_obs2(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_obs2(chk, n=12) -> dict:
     """Graphs with maximum degree <= 2 have equal stability parameters;
-    checked on all paths and cycles up to the given order (default 12)."""
-    t0 = time.perf_counter()
-    max_n = 12 if n is None else n
-    chk = _Check()
+    checked on all paths and cycles up to order n."""
     checked = 0
-    for g, is_path in [(path_graph(k), True) for k in range(1, max_n + 1)] + [
-        (cycle_graph(k), False) for k in range(3, max_n + 1)
+    for g, is_path in [(path_graph(k), True) for k in range(1, n + 1)] + [
+        (cycle_graph(k), False) for k in range(3, n + 1)
     ]:
         _delta, _chi, vs, ivs = chromatic.profile(g.rows)[1]
         checked += 1
@@ -200,7 +196,7 @@ def verify_obs2(n=None, seed=0, jobs=1) -> VerificationReport:
                 g,
             )
     chk.evidence["graphs_checked"] = checked
-    return chk.report("obs2", {"max_order": max_n}, t0)
+    return {"max_order": n}
 
 
 def _small_gap(stage, values):
@@ -208,15 +204,14 @@ def _small_gap(stage, values):
         return "stability gap below order 9: delta={} chi={} vs={} ivs={}".format(*values)
 
 
-def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_lem9(chk, n=9, jobs=1) -> dict:
     """No graph of order <= 8 has ivs > vs together with chi >= max_degree/2
-    + 1; at order 9 every such graph has chi=3, ivs=3, vs=2 and max degree 4."""
-    t0 = time.perf_counter()
-    max_n = 9 if n is None else n
-    chk = _Check()
+    + 1; at order 9 every such graph has chi=3, ivs=3, vs=2 and max degree 4.
+    An n below 9 stops the scan at order n."""
+    _check_sweep_order(n)
     gap = generate.NAMED_PREDICATES["stability-gap"]["fn"]
-    chk.evidence["classes_scanned"] = _scan_levels(chk, min(max_n, 8), gap, _small_gap, jobs)
-    if max_n >= 9 and chk.ok():
+    chk.evidence["classes_scanned"] = _scan_levels(chk, min(n, 8), gap, _small_gap, jobs)
+    if n == 9 and chk.ok():
         total = 0
         hits = []
         level8 = generate.all_levels(8, None, jobs)[8]
@@ -236,7 +231,7 @@ def verify_lem9(n=None, seed=0, jobs=1) -> VerificationReport:
         for _key, rows in hits:
             if not chk.member(Graph(len(rows), rows), "order-9 gap graph outside the class"):
                 break
-    return chk.report("lem9", {"max_order": max_n}, t0)
+    return {"max_order": n}
 
 
 def _lemd4_corpus(jobs):
@@ -252,12 +247,10 @@ def _lemd4_corpus(jobs):
     return graphs
 
 
-def verify_lemd4(seed=0, jobs=1) -> VerificationReport:
+def verify_lemd4(chk, jobs=1) -> dict:
     """On every class member checked (the 30-graph catalog plus family
     graphs), the maximum degree is 4 and both vertices of every minimum
     deletion pair have degree 4."""
-    t0 = time.perf_counter()
-    chk = _Check()
     pairs = 0
     graphs = _lemd4_corpus(jobs)
     for g in graphs:
@@ -278,7 +271,7 @@ def verify_lemd4(seed=0, jobs=1) -> VerificationReport:
             break
     chk.evidence["graphs_checked"] = len(graphs)
     chk.evidence["witness_pairs_checked"] = pairs
-    return chk.report("lemd4", {"graphs": len(graphs)}, t0)
+    return {"graphs": len(graphs)}
 
 
 def _split_edges(g):
@@ -291,12 +284,10 @@ def _split_edges(g):
     return split
 
 
-def verify_prop_subdiv(seed=0, jobs=1) -> VerificationReport:
+def verify_prop_subdiv(chk, seed=0, jobs=1) -> dict:
     """Even subdivisions of edges with at most one endpoint among the
     bipartizing-pair vertices preserve class membership; 50 seeded random
     plans over five catalog members, plus rejection checks."""
-    t0 = time.perf_counter()
-    chk = _Check()
     rng = random.Random(seed)
     hosts = _family_catalog(jobs).graphs()[:5]
     splits = [_split_edges(host) for host in hosts]
@@ -322,15 +313,13 @@ def verify_prop_subdiv(seed=0, jobs=1) -> VerificationReport:
     chk.rejects("odd_count", families.subdivide_family, hosts[0], [(eligible[0], 3)])
     chk.evidence["plans_run"] = len(orders)
     chk.evidence["output_orders"] = sorted(set(orders))
-    return chk.report("prop-subdiv", {"seed": seed, "hosts": 5, "plans": 50}, t0)
+    return {"seed": seed, "hosts": 5, "plans": 50}
 
 
-def verify_thm_many(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_thm_many(chk, n=None) -> dict:
     """For each order in 13..18 (or just the given one), the chorded family
     yields 2^(available chords) pairwise nonisomorphic planar 2-connected
     members, rigid whenever at least one chord is present."""
-    t0 = time.perf_counter()
-    chk = _Check()
     orders = list(range(13, 19)) if n is None else [n]
     per_n = {}
     for order in orders:
@@ -343,7 +332,7 @@ def verify_thm_many(n=None, seed=0, jobs=1) -> VerificationReport:
         if not chk.ok():
             break
     chk.evidence["graphs_per_order"] = per_n
-    return chk.report("thm-many", {"orders": orders}, t0)
+    return {"orders": orders}
 
 
 def _valid_attachment_pairs(h: Graph):
@@ -385,12 +374,10 @@ def _random_bipartite_host(rng):
     return g, (0, 3)
 
 
-def verify_prop_bip(seed=0, jobs=1) -> VerificationReport:
+def verify_prop_bip(chk, seed=0) -> dict:
     """Attaching a triangle through two degree-2 vertices of a bipartite host
     (odd distance, common cycle) lands in the class three vertices larger;
     named hosts, 20 seeded random hosts, and rejection diagnostics."""
-    t0 = time.perf_counter()
-    chk = _Check()
     rng = random.Random(seed)
     build = families.bipartite_construction
     built = 0
@@ -455,14 +442,12 @@ def verify_prop_bip(seed=0, jobs=1) -> VerificationReport:
     chk.evidence["valid_pairs_per_named_host"] = valid_counts
     chk.evidence["random_hosts"] = random_hosts
     chk.evidence["planar_outputs_from_random_hosts"] = planar_outputs
-    return chk.report("prop-bip", {"seed": seed, "random_hosts": 20}, t0)
+    return {"seed": seed, "random_hosts": 20}
 
 
-def verify_thm_main(n=None, seed=0, jobs=1) -> VerificationReport:
+def verify_thm_main(chk, n=None) -> dict:
     """For each order 9..18 (or just the given one), exhibit
     max(1, 2^floor((n-11)/2)) pairwise nonisomorphic planar class members."""
-    t0 = time.perf_counter()
-    chk = _Check()
     orders = list(range(9, 19)) if n is None else [n]
     shown = {}
     for order in orders:
@@ -476,15 +461,13 @@ def verify_thm_main(n=None, seed=0, jobs=1) -> VerificationReport:
         )
         shown[order] = {"required": required, "exhibited": exhibited}
     chk.evidence["per_order"] = shown
-    return chk.report("thm-main", {"orders": orders}, t0)
+    return {"orders": orders}
 
 
-def verify_search_30(seed=0, jobs=1) -> VerificationReport:
+def verify_search_30(chk, jobs=1) -> dict:
     """The order-9 search finds exactly 30 classes; the planar ones include
     the base graph, and exactly four planar members arise by adding one edge
     to another member (23 members arise that way overall)."""
-    t0 = time.perf_counter()
-    chk = _Check()
     cat = _family_catalog(jobs)
     chk.evidence["funnel"] = cat.meta["funnel"]
     chk.evidence["entries"] = len(cat.entries)
@@ -508,7 +491,7 @@ def verify_search_30(seed=0, jobs=1) -> VerificationReport:
         len(planar_targets) == 4,
         f"expected exactly 4 planar members obtainable by one edge addition, found {len(planar_targets)}",
     )
-    return chk.report("search-30", {"n": 9, "max_degree": 4}, t0)
+    return {"n": 9, "max_degree": 4}
 
 
 CLAIMS = {
@@ -524,17 +507,28 @@ CLAIMS = {
 }
 
 
-# the claims whose verifier takes an order n
-ORDERED_CLAIMS = frozenset({"obs1", "obs2", "lem9", "thm-many", "thm-main"})
-
-
-def run(claim, n=None, seed=0, jobs=1) -> VerificationReport:
+def run(claim, n=None, seed=None, jobs=1) -> VerificationReport:
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim id {claim!r}; known: {', '.join(sorted(CLAIMS))}")
-    if n is None:
-        return CLAIMS[claim](seed=seed, jobs=jobs)
-    if claim not in ORDERED_CLAIMS:
-        raise ValueError(f"claim {claim} takes no order n")
-    if n < 1:
+    verifier = CLAIMS[claim]
+    declared = inspect.signature(verifier).parameters
+    params = {"jobs": jobs} if "jobs" in declared else {}
+    for name, value, what in (("n", n, "order"), ("seed", seed, "seed")):
+        if value is not None:
+            if name not in declared:
+                raise ValueError(f"claim {claim} takes no {what}")
+            params[name] = value
+    if n is not None and n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
-    return CLAIMS[claim](n=n, seed=seed, jobs=jobs)
+    t0 = time.perf_counter()
+    chk = _Check()
+    scope = verifier(chk, **params)
+    if not chk.ok():
+        chk.evidence["counterexample"] = chk.failure
+    return VerificationReport(
+        claim=claim,
+        scope=scope,
+        verdict="pass" if chk.ok() else "fail",
+        evidence=chk.evidence,
+        wall_time_s=round(time.perf_counter() - t0, 3),
+    )

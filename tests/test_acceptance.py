@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` for the per-criterion lines.
 """
 
+import inspect
 import json
 import random
 
@@ -39,7 +40,7 @@ def test_criterion_1_search_reproduction(s9_catalog):
 def test_criterion_2_stability_gap_sweep(s9_catalog):
     """Exhaustive refutation: no stability gap with chi >= max_degree/2 + 1
     below order 9; every order-9 gap graph has chi=3, ivs=3, vs=2, Δ=4."""
-    report = verify.verify_lem9(jobs=JOBS)
+    report = verify.run("lem9", jobs=JOBS)
     assert report.passed, report.evidence
     assert report.evidence["classes_scanned"] == {
         1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
@@ -100,7 +101,7 @@ def test_criterion_3_named_graph_invariants():
 def test_criterion_4_chorded_family():
     """n=13..18: all chord subsets give pairwise nonisomorphic planar
     2-connected members, rigid when chorded."""
-    report = verify.verify_thm_many(jobs=JOBS)
+    report = verify.run("thm-many", jobs=JOBS)
     assert report.passed, report.evidence
     assert report.evidence["graphs_per_order"] == {
         13: 2, 14: 2, 15: 4, 16: 4, 17: 8, 18: 8,
@@ -110,7 +111,7 @@ def test_criterion_4_chorded_family():
 
 def test_criterion_5_members_for_every_order():
     """n=9..18: the required number of pairwise nonisomorphic planar members."""
-    report = verify.verify_thm_main(jobs=JOBS)
+    report = verify.run("thm-main", jobs=JOBS)
     assert report.passed, report.evidence
     for order, rec in report.evidence["per_order"].items():
         assert rec["exhibited"] >= rec["required"]
@@ -122,7 +123,7 @@ def test_criterion_5_members_for_every_order():
 def test_criterion_6_subdivision_plans(s9_catalog):
     """50 seeded random even-subdivision plans on five catalog members stay
     in the class; forbidden or odd plans are rejected."""
-    report = verify.verify_prop_subdiv(seed=0, jobs=JOBS)
+    report = verify.run("prop-subdiv", seed=0, jobs=JOBS)
     assert report.passed, report.evidence
     assert report.evidence["plans_run"] == 50
     _announce("criterion-6", "subdivision property suite")
@@ -131,7 +132,7 @@ def test_criterion_6_subdivision_plans(s9_catalog):
 def test_criterion_7_triangle_attachment():
     """Named and 20 seeded random bipartite hosts all yield members three
     vertices larger; invalid attachment pairs get the right diagnostics."""
-    report = verify.verify_prop_bip(seed=0, jobs=JOBS)
+    report = verify.run("prop-bip", seed=0, jobs=JOBS)
     assert report.passed, report.evidence
     assert report.evidence["valid_pairs_per_named_host"]["cube"] == 0
     assert report.evidence["constructions_checked"] >= 20
@@ -145,7 +146,7 @@ def test_criterion_8_oracle_equivalences(levels_through_8, s9_catalog):
         assert len(levels_through_8[n]) == generate.KNOWN_CLASS_COUNTS[n]
 
     # independent stability == minimum color-class size everywhere
-    obs1 = verify.verify_obs1(jobs=JOBS)
+    obs1 = verify.run("obs1", jobs=JOBS)
     assert obs1.passed, obs1.evidence
     assert obs1.evidence["graphs_checked"] == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 12346 + 2
 
@@ -203,8 +204,10 @@ def test_criterion_9_determinism(s9_catalog, tmp_path):
     generate.write_catalog(s9_catalog, d)
     assert c.read_bytes() == d.read_bytes()
 
-    ra = verify.verify_thm_many(n=13, jobs=1).to_dict()
-    rb = verify.verify_thm_many(n=13, jobs=2).to_dict()
+    # obs1 reads jobs: at 2 jobs its records run in a process pool
+    assert "jobs" in inspect.signature(verify.CLAIMS["obs1"]).parameters
+    ra = verify.run("obs1", n=7, jobs=1).to_dict()
+    rb = verify.run("obs1", n=7, jobs=2).to_dict()
     ra.pop("wall_time_s"), rb.pop("wall_time_s")
     assert ra == rb
     _announce("criterion-9", "determinism across worker counts")

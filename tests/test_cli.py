@@ -1,10 +1,11 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from chromastab import cli, families, graph6, iso
+from chromastab import cli, families, generate, graph6, iso, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,6 +149,25 @@ def test_verify_rejects_an_order_for_a_claim_without_one(capsys):
         assert "error:" in err and "takes no order" in err
 
 
+def test_verify_rejects_an_order_past_the_sweeps(capsys, monkeypatch):
+    def no_level(*_args, **_kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(generate, "all_levels", no_level)
+    monkeypatch.setattr(generate, "sweep", no_level)
+    for claim in ("obs1", "lem9"):
+        code, out, err = run_cli(capsys, "verify", claim, "--n", "10", "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == "error: the level sweeps stop at order 9, got 10\n"
+
+
+def test_verify_rejects_a_seed_for_a_claim_without_one(capsys):
+    for claim in ("obs1", "obs2", "lem9", "lemd4", "thm-many", "thm-main", "search-30"):
+        code, out, err = run_cli(capsys, "verify", claim, "--seed", "3", "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: claim {claim} takes no seed\n"
+
+
 def test_verify_runs_the_order_given(capsys):
     code, out, _ = run_cli(capsys, "verify", "obs2", "--n", "1", "--jobs", "1")
     assert code == 0
@@ -162,8 +182,10 @@ def test_verify_unknown_claim(capsys):
 
 
 def test_verify_report_determinism(capsys):
-    code1, out1, _ = run_cli(capsys, "verify", "obs2", "--jobs", "1")
-    code2, out2, _ = run_cli(capsys, "verify", "obs2", "--jobs", "2")
+    # lem9 reads jobs: at 2 jobs its records run in a process pool
+    assert "jobs" in inspect.signature(verify.CLAIMS["lem9"]).parameters
+    code1, out1, _ = run_cli(capsys, "verify", "lem9", "--n", "7", "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, "verify", "lem9", "--n", "7", "--jobs", "2")
     assert code1 == code2 == 0
     a = json.loads(out1)
     b = json.loads(out2)

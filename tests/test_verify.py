@@ -1,4 +1,7 @@
+import ast
+import functools
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -15,15 +18,69 @@ def test_unknown_claim():
         verify.run("nope")
 
 
-def test_check_records_first_failure_only():
-    chk = _Check()
-    assert chk.expect(True, "fine")
-    assert not chk.expect(False, "first", graph="Bw", detail=1)
-    chk.expect(False, "second")
-    assert chk.failure["assertion"] == "first"
-    assert chk.failure["graph6"] == "Bw"
-    rep = chk.report("demo", {"x": 1}, 0.0)
-    assert rep.verdict == "fail"
+# the run parameters each verifier declares (besides the _Check it records on)
+ACCEPTED = {
+    "obs1": {"n", "jobs"},
+    "obs2": {"n"},
+    "lem9": {"n", "jobs"},
+    "lemd4": {"jobs"},
+    "prop-subdiv": {"seed", "jobs"},
+    "thm-many": {"n"},
+    "prop-bip": {"seed"},
+    "thm-main": {"n"},
+    "search-30": {"jobs"},
+}
+
+
+@pytest.mark.parametrize("claim", sorted(ACCEPTED))
+def test_run_passes_exactly_the_declared_parameters(claim, monkeypatch):
+    verifier = verify.CLAIMS[claim]
+    calls = []
+
+    @functools.wraps(verifier)  # keeps the signature that run reads
+    def spy(chk, **params):
+        calls.append(params)
+        return {}
+
+    monkeypatch.setitem(verify.CLAIMS, claim, spy)
+    assert set(inspect.signature(spy).parameters) == {"chk"} | ACCEPTED[claim]
+    jobs = {"jobs": 3} if "jobs" in ACCEPTED[claim] else {}
+    for name, what in (("n", "order"), ("seed", "seed")):
+        if name in ACCEPTED[claim]:
+            rep = verify.run(claim, jobs=3, **{name: 5})
+            assert calls.pop() == {**jobs, name: 5}
+            assert rep.claim == claim
+        else:
+            with pytest.raises(ValueError, match=f"claim {claim} takes no {what}$"):
+                verify.run(claim, jobs=3, **{name: 5})
+    verify.run(claim, jobs=3)
+    assert calls == [jobs]
+
+
+def test_verifiers_read_every_parameter_they_declare():
+    """A verifier reads each parameter it declares, and leaves its claim id
+    to run."""
+    for claim, verifier in verify.CLAIMS.items():
+        tree = ast.parse(inspect.getsource(verifier)).body[0]
+        declared = {a.arg for a in tree.args.args + tree.args.kwonlyargs}
+        nodes = list(ast.walk(tree))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert declared <= read, (claim, declared - read)
+        assert claim not in {n.value for n in nodes if isinstance(n, ast.Constant)}
+
+
+def test_check_records_first_failure_only(monkeypatch):
+    def demo(chk):
+        assert chk.expect(True, "fine")
+        assert not chk.expect(False, "first", graph="Bw", detail=1)
+        chk.expect(False, "second")
+        assert chk.failure["assertion"] == "first"
+        assert chk.failure["graph6"] == "Bw"
+        return {"x": 1}
+
+    monkeypatch.setitem(verify.CLAIMS, "demo", demo)
+    rep = verify.run("demo")
+    assert (rep.claim, rep.scope, rep.verdict) == ("demo", {"x": 1}, "fail")
     assert rep.evidence["counterexample"]["assertion"] == "first"
 
 
@@ -35,13 +92,13 @@ def test_report_serialization_shape():
 
 
 def test_obs2_floor_values():
-    rep = verify.verify_obs2(jobs=1)
+    rep = verify.run("obs2", jobs=1)
     assert rep.passed
     assert rep.evidence["graphs_checked"] == 12 + 10
 
 
 def test_thm_many_single_order_scope():
-    rep = verify.verify_thm_many(n=13, jobs=1)
+    rep = verify.run("thm-many", n=13, jobs=1)
     assert rep.passed
     assert rep.scope == {"orders": [13]}
     assert rep.evidence["graphs_per_order"] == {13: 2}
@@ -49,40 +106,40 @@ def test_thm_many_single_order_scope():
     # below 11 its chord count would be negative
     for n in (9, 10, 11):
         with pytest.raises(families.FamilyError, match="n >= 13"):
-            verify.verify_thm_many(n=n, jobs=1)
+            verify.run("thm-many", n=n, jobs=1)
 
 
 def test_thm_main_single_order_scope():
-    rep = verify.verify_thm_main(n=11, jobs=1)
+    rep = verify.run("thm-main", n=11, jobs=1)
     assert rep.passed
     assert rep.evidence["per_order"][11] == {"required": 1, "exhibited": 1}
 
 
 def test_prop_bip_seeded_reproducibility():
-    a = verify.verify_prop_bip(seed=3, jobs=1).to_dict()
-    b = verify.verify_prop_bip(seed=3, jobs=1).to_dict()
+    a = verify.run("prop-bip", seed=3, jobs=1).to_dict()
+    b = verify.run("prop-bip", seed=3, jobs=1).to_dict()
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
-    c = verify.verify_prop_bip(seed=4, jobs=1)
+    c = verify.run("prop-bip", seed=4, jobs=1)
     assert c.passed
     assert c.evidence["random_hosts"] != a["evidence"]["random_hosts"]
 
 
 def test_prop_subdiv_seeded(s9_catalog):
-    rep = verify.verify_prop_subdiv(seed=1, jobs=JOBS)
+    rep = verify.run("prop-subdiv", seed=1, jobs=JOBS)
     assert rep.passed
     assert rep.scope["seed"] == 1
 
 
 def test_lem9_small_scope_only():
-    rep = verify.verify_lem9(n=6, jobs=1)
+    rep = verify.run("lem9", n=6, jobs=1)
     assert rep.passed
     assert rep.evidence["classes_scanned"] == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
     assert "order9_hits" not in rep.evidence
 
 
 def test_search_30_report(s9_catalog):
-    rep = verify.verify_search_30(jobs=JOBS)
+    rep = verify.run("search-30", jobs=JOBS)
     assert rep.passed
     assert rep.evidence["entries"] == 30
     assert rep.evidence["planar"] == 11
