@@ -25,11 +25,11 @@ leave every level's keys and representatives unchanged:
   generators generate the parent's automorphism group, so each orbit of
   subsets is labeled at most once.
 
-Sweeps stream.  `sweep` yields the classes one order above a level parent
-by parent, each with its record (such as `chromatic.profile`) computed where
-the child is generated, so a caller that only counts holds one parent's
-children at a time, plus the keys seen so far for the cross-parent duplicate
-check.  `all_levels` sorts and caches the same stream as whole levels.
+Scans read whole orders through `walk`: `all_levels` sorts and caches the
+levels below the top order, and `sweep` streams the top order parent by
+parent, each class with its record (such as `chromatic.profile`) computed
+where it is generated, holding one parent's children plus the keys seen so
+far for the cross-parent duplicate check.  `check_order` caps the order.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from chromastab import graph6, iso
 from chromastab.chromatic import CLASS_PROFILE, StabilityReport, analyze, profile
 from chromastab.graph import Graph, bits, component_masks, mask_of
 
-EXHAUSTIVE_CAP = 10
-
 KNOWN_CLASS_COUNTS = {
     1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668,
 }
@@ -54,6 +52,14 @@ KNOWN_CLASS_COUNTS = {
 
 class GenerateError(ValueError):
     pass
+
+
+def check_order(n, max_degree=None):
+    """Refuse an order whose level may outgrow order 9's 274,668 classes: order
+    10 is admitted only with max_degree <= 4 (108,376 classes; max_degree 5
+    gives at least labeled_count(10, 5)/10! = 1,001,343)."""
+    if n > 9 and not (n == 10 and max_degree is not None and max_degree <= 4):
+        raise GenerateError(f"the level sweeps stop at order 9, got {n}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +76,9 @@ class GenSpec:
     predicate: object = None
 
     def validate(self):
-        if not 1 <= self.n <= EXHAUSTIVE_CAP:
-            raise GenerateError(
-                f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_CAP}, got {self.n}"
-            )
+        if self.n < 1:
+            raise GenerateError(f"order must be at least 1, got {self.n}")
+        check_order(self.n, self.max_degree)
         if self.max_degree is not None and not 0 <= self.max_degree <= self.n - 1:
             raise GenerateError(f"max_degree {self.max_degree} outside 0..n-1")
         if self.predicate not in (None, *NAMED_PREDICATES):
@@ -239,13 +244,6 @@ def sweep(parents, max_degree=None, fn=None, jobs=1):
             yield child
 
 
-def records(level, fn, jobs=1):
-    """Yield (key, rows, fn(rows)) for every class of a level, in order."""
-    values = _pmap(fn, [rows for _key, rows in level], jobs, chunksize=64)
-    for (key, rows), value in zip(level, values):
-        yield key, rows, value
-
-
 _LEVEL_CACHE = {}
 
 
@@ -268,8 +266,21 @@ def levels_up_to(n, max_degree=None, jobs=1):
     return all_levels(n, max_degree, jobs)[n]
 
 
-def class_count(n, max_degree=None, jobs=1) -> int:
-    return len(levels_up_to(n, max_degree, jobs))
+def walk(n, max_degree=None, fn=None, jobs=1, first=1):
+    """Yield (order, key, rows, fn(rows), or None without fn) for every class
+    of orders first..n (respecting the degree bound), order by order.  An
+    order below n is a held level, in key order, with fn mapped over it in a
+    pool; order n > 1 is streamed by `sweep` from level n - 1, never held."""
+    for order in range(first, n + 1):
+        if order < n or order == 1:
+            level = levels_up_to(order, max_degree, jobs)
+            rows_of = [rows for _key, rows in level]
+            values = [None] * len(level) if fn is None else _pmap(fn, rows_of, jobs, 64)
+            classes = ((key, rows, value) for (key, rows), value in zip(level, values))
+        else:
+            classes = sweep(levels_up_to(n - 1, max_degree, jobs), max_degree, fn, jobs)
+        for key, rows, value in classes:
+            yield order, key, rows, value
 
 
 # ---------------------------------------------------------------------------
@@ -302,39 +313,34 @@ NAMED_PREDICATES = {
 }
 
 
+def _funnel_stage(connected_only, fn, rows):
+    """Stages of fn passed (0 without fn); -1 if connected_only drops rows."""
+    if connected_only and not Graph(len(rows), rows).is_connected():
+        return -1
+    return 0 if fn is None else fn(rows)[0]
+
+
 def enumerate_catalog(spec: GenSpec, jobs=1) -> Catalog:
     """Run the generation spec and return the full catalog with reports."""
     spec.validate()
     t0 = time.perf_counter()
-    level = levels_up_to(spec.n, spec.max_degree, jobs)
-    total = len(level)
-    funnel = {"classes": total}
-
+    named = NAMED_PREDICATES.get(spec.predicate, {"stages": (), "fn": None})
+    fn = partial(_funnel_stage, spec.connected_only, named["fn"])
+    counts = [0] * (len(named["stages"]) + 2)  # by stage; dropped classes last
     survivors = []
+    for _order, key, _rows, stage in walk(spec.n, spec.max_degree, fn, jobs, first=spec.n):
+        counts[stage] += 1
+        if stage == len(named["stages"]):
+            survivors.append(key)
+    funnel = {"classes": sum(counts)}
     if spec.connected_only:
-        level = [
-            (key, rows)
-            for key, rows in level
-            if Graph(len(rows), rows).is_connected()
-        ]
-        funnel["connected"] = len(level)
-
-    if spec.predicate is None:
-        survivors = level
-    else:
-        named = NAMED_PREDICATES[spec.predicate]
-        stage_names = named["stages"]
-        counts = [0] * (len(stage_names) + 1)
-        for key, rows, (stage, _values) in records(level, named["fn"], jobs):
-            counts[stage] += 1
-            if stage == len(stage_names):
-                survivors.append((key, rows))
-        for i, name in enumerate(stage_names):
-            funnel[name] = sum(counts[i + 1 :])
+        funnel["connected"] = sum(counts[:-1])
+    for i, name in enumerate(named["stages"]):
+        funnel[name] = sum(counts[i + 1 : -1])
 
     # a level key is the canonical graph6 of its class
     entries = [
-        CatalogEntry(key.decode(), analyze(graph6.decode(key))) for key, _rows in survivors
+        CatalogEntry(key.decode(), analyze(graph6.decode(key))) for key in survivors
     ]
     entries.sort(key=lambda e: e.key)
     meta = {
@@ -373,10 +379,6 @@ def edge_addition_links(cat: Catalog):
                 if child_key in keys:
                     links.append((entry.key, child_key))
     return sorted(set(links))
-
-
-def count_planar(cat: Catalog) -> int:
-    return sum(1 for e in cat.entries if e.report.planar)
 
 
 def write_catalog(cat: Catalog, path):

@@ -97,27 +97,16 @@ def _family_catalog(jobs):
     )
 
 
-def _check_sweep_order(n):
-    """Reject an order past the known class counts before any level is
-    built: order 10 alone has 12,005,168 classes."""
-    top = max(generate.KNOWN_CLASS_COUNTS)
-    if n > top:
-        raise ValueError(f"the level sweeps stop at order {top}, got {n}")
-
-
-def _scan_levels(chk, max_n, fn, violation, jobs):
-    """{order: classes} for orders 1..max_n.  fn runs on the rows of every
-    class in turn, and the scan stops at the first class for which
-    violation(*fn(rows)) gives a message."""
-    levels = generate.all_levels(max_n, None, jobs)
+def _scan_levels(chk, n, fn, visit, jobs):
+    """{order: classes seen} over `generate.walk(n, None, fn, jobs)`, stopped at
+    the first class for which visit(order, key, rows, fn(rows)) gives a message."""
     scanned = {}
-    for order in range(1, max_n + 1):
-        scanned[order] = len(levels[order])
-        for _key, rows, value in generate.records(levels[order], fn, jobs):
-            message = violation(*value)
-            if message:
-                chk.expect(False, message, Graph(len(rows), rows))
-                return scanned
+    for order, key, rows, value in generate.walk(n, None, fn, jobs):
+        scanned[order] = scanned.get(order, 0) + 1
+        message = visit(order, key, rows, value)
+        if message:
+            chk.expect(False, message, Graph(len(rows), rows))
+            break
     return scanned
 
 
@@ -126,9 +115,12 @@ def _members(chk, order, chorded):
     g_n below order 13 unless `chorded`, else h_n_e under every chord mask.
     Each must be a new class and a planar class member; with `chorded`, also
     2-connected, and rigid once a chord is present.  The walk stops at the
-    first violation."""
+    first violation; more chord masks than order-9 classes are refused."""
     if chorded or order >= 13:
-        masks, build = range(1 << families.chord_count(order)), partial(families.h_n_e, order)
+        count = families.chord_count(order)
+        if count >= generate.KNOWN_CLASS_COUNTS[9].bit_length():  # 2^count > classes
+            raise ValueError(f"2^{count} chord masks at order {order} exceed the order-9 classes")
+        masks, build = range(1 << count), partial(families.h_n_e, order)
     else:
         masks, build = (0,), lambda _mask: families.g_n(order)
     keys = set()
@@ -157,8 +149,8 @@ def _members(chk, order, chorded):
 # ---------------------------------------------------------------------------
 
 
-def _ivs_not_mcc(_stage, values):
-    ivs, mcc = values[3:]
+def _ivs_not_mcc(_order, _key, _rows, value):
+    ivs, mcc = value[1][3:]
     if ivs != mcc:
         return f"independent stability {ivs} != min color class size {mcc}"
 
@@ -167,7 +159,7 @@ def verify_obs1(chk, n=8, jobs=1) -> dict:
     """The independent stability parameter equals the minimum color-class
     size over all optimal colorings, on every graph of order <= n plus the
     two named 9/10-vertex base graphs."""
-    _check_sweep_order(n)
+    generate.check_order(n)
     record = partial(chromatic.profile, mcc=True)
     scanned = _scan_levels(chk, n, record, _ivs_not_mcc, jobs)
     for g in (families.g9(), families.g10()):
@@ -199,26 +191,24 @@ def verify_obs2(chk, n=12) -> dict:
     return {"max_order": n}
 
 
-def _small_gap(stage, values):
-    if stage == 4:
-        return "stability gap below order 9: delta={} chi={} vs={} ivs={}".format(*values)
-
-
 def verify_lem9(chk, n=9, jobs=1) -> dict:
     """No graph of order <= 8 has ivs > vs together with chi >= max_degree/2
     + 1; at order 9 every such graph has chi=3, ivs=3, vs=2 and max degree 4.
     An n below 9 stops the scan at order n."""
-    _check_sweep_order(n)
+    generate.check_order(n)
+    hits = []
+
+    def gap_at(order, key, rows, value):
+        if value[0] == 4 and order == 9:
+            hits.append((key, rows))
+        elif value[0] == 4:
+            return "stability gap below order 9: delta={} chi={} vs={} ivs={}".format(*value[1])
+
     gap = generate.NAMED_PREDICATES["stability-gap"]["fn"]
-    chk.evidence["classes_scanned"] = _scan_levels(chk, min(n, 8), gap, _small_gap, jobs)
+    scanned = _scan_levels(chk, n, gap, gap_at, jobs)
+    total = scanned.pop(9, 0)
+    chk.evidence["classes_scanned"] = scanned
     if n == 9 and chk.ok():
-        total = 0
-        hits = []
-        level8 = generate.all_levels(8, None, jobs)[8]
-        for key, rows, (stage, _values) in generate.sweep(level8, None, gap, jobs):
-            total += 1
-            if stage == 4:
-                hits.append((key, rows))
         chk.evidence["order9_classes"] = total
         want = generate.KNOWN_CLASS_COUNTS[9]
         chk.expect(

@@ -204,7 +204,7 @@ def test_criterion_9_determinism(s9_catalog, tmp_path):
     generate.write_catalog(s9_catalog, d)
     assert c.read_bytes() == d.read_bytes()
 
-    # obs1 reads jobs: at 2 jobs its records run in a process pool
+    # obs1 reads jobs: at 2 jobs its walk runs in a process pool
     assert "jobs" in inspect.signature(verify.CLAIMS["obs1"]).parameters
     ra = verify.run("obs1", n=7, jobs=1).to_dict()
     rb = verify.run("obs1", n=7, jobs=2).to_dict()

@@ -108,10 +108,18 @@ def test_search_n4(tmp_path, capsys):
     assert meta["funnel"]["classes"] == 11
 
 
-def test_search_rejects_large_n(tmp_path, capsys):
-    code, _out, err = run_cli(capsys, "search", "--n", "12", "--output", str(tmp_path / "x"))
-    assert code == 2
-    assert "exhaustive" in err
+def test_search_rejects_large_n(tmp_path, capsys, monkeypatch):
+    def no_level(*_args, **_kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(generate, "all_levels", no_level)
+    monkeypatch.setattr(generate, "sweep", no_level)
+    path = tmp_path / "x"
+    for n, bound in (("12", ()), ("10", ()), ("10", ("--max-degree", "5"))):
+        code, out, err = run_cli(capsys, "search", "--n", n, *bound, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: the level sweeps stop at order 9, got {n}\n"
+    assert not path.exists()
 
 
 def test_search_and_verify_reject_jobs_below_one(tmp_path, capsys):
@@ -161,6 +169,18 @@ def test_verify_rejects_an_order_past_the_sweeps(capsys, monkeypatch):
         assert err == "error: the level sweeps stop at order 9, got 10\n"
 
 
+def test_verify_rejects_more_chord_masks_than_order_9_classes(capsys, monkeypatch):
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(families, "g_n", no_graph)
+    monkeypatch.setattr(families, "h_n_e", no_graph)
+    for claim in ("thm-many", "thm-main"):
+        code, out, err = run_cli(capsys, "verify", claim, "--n", "49", "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == "error: 2^19 chord masks at order 49 exceed the order-9 classes\n"
+
+
 def test_verify_rejects_a_seed_for_a_claim_without_one(capsys):
     for claim in ("obs1", "obs2", "lem9", "lemd4", "thm-many", "thm-main", "search-30"):
         code, out, err = run_cli(capsys, "verify", claim, "--seed", "3", "--jobs", "1")
@@ -182,7 +202,7 @@ def test_verify_unknown_claim(capsys):
 
 
 def test_verify_report_determinism(capsys):
-    # lem9 reads jobs: at 2 jobs its records run in a process pool
+    # lem9 reads jobs: at 2 jobs its walk runs in a process pool
     assert "jobs" in inspect.signature(verify.CLAIMS["lem9"]).parameters
     code1, out1, _ = run_cli(capsys, "verify", "lem9", "--n", "7", "--jobs", "1")
     code2, out2, _ = run_cli(capsys, "verify", "lem9", "--n", "7", "--jobs", "2")

@@ -11,7 +11,7 @@ from chromastab.graph import Graph, bits, component_masks
 
 def test_known_counts_small():
     for n in range(1, 8):
-        assert generate.class_count(n) == generate.KNOWN_CLASS_COUNTS[n]
+        assert len(generate.levels_up_to(n)) == generate.KNOWN_CLASS_COUNTS[n]
 
 
 # Parents whose every candidate child is canonically labeled below:
@@ -85,11 +85,14 @@ def test_level_keys_are_canonical_forms(max_degree):
             assert key == iso.canonical_form(Graph(n, rows))
 
 
-def test_spec_validation():
+def test_spec_validation(monkeypatch):
     with pytest.raises(GenerateError):
         GenSpec(0).validate()
     with pytest.raises(GenerateError):
         GenSpec(11).validate()
+    with pytest.raises(GenerateError):
+        GenSpec(11, max_degree=4).validate()
+    GenSpec(10, max_degree=4).validate()  # 108,376 classes
     with pytest.raises(GenerateError):
         GenSpec(5, max_degree=9).validate()
     with pytest.raises(GenerateError):
@@ -98,6 +101,15 @@ def test_spec_validation():
         GenSpec(5, predicate=lambda g: True).validate()
     with pytest.raises(GenerateError):
         generate.enumerate_catalog(GenSpec(12))
+
+    def no_level(*_args, **_kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(generate, "all_levels", no_level)
+    monkeypatch.setattr(generate, "sweep", no_level)
+    for max_degree in (None, 5):
+        with pytest.raises(GenerateError, match="^the level sweeps stop at order 9, got 10$"):
+            generate.enumerate_catalog(GenSpec(10, max_degree=max_degree))
 
 
 def test_matches_bruteforce_dedup_n5():
@@ -178,8 +190,7 @@ def test_edge_addition_links_edge_cases():
 
 def test_count_planar():
     cat = generate.enumerate_catalog(GenSpec(4))
-    assert generate.count_planar(cat) == 11
-    assert generate.count_planar(Catalog((), {})) == 0
+    assert sum(e.report.planar for e in cat.entries) == 11
 
 
 def test_catalog_roundtrip(tmp_path):
@@ -255,12 +266,12 @@ def test_sweep_rejects_a_class_from_two_parents(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_streamed_sweep_matches_records_over_the_next_level(jobs):
-    parents = generate.levels_up_to(6)
     level = generate.levels_up_to(7)
     for name in ("family-members", "stability-gap"):
         fn = generate.NAMED_PREDICATES[name]["fn"]
-        streamed = list(generate.sweep(parents, None, fn, jobs))
+        streamed = [(key, rows, value) for _order, key, rows, value
+                    in generate.walk(7, None, fn, jobs, first=7)]
         # every record equal, hence every stage count and every hit
-        assert sorted(streamed) == list(generate.records(level, fn))
+        assert sorted(streamed) == [(key, rows, fn(rows)) for key, rows in level]
         stages = {stage for _key, _rows, (stage, _values) in streamed}
         assert len(streamed) == generate.KNOWN_CLASS_COUNTS[7] and len(stages) >= 2

@@ -13,13 +13,14 @@ MAX_ORDER = 8
 
 
 @pytest.fixture(scope="module")
-def class_values(levels_through_8):
+def class_values():
     """{order: [(delta, chi, vs, ivs), ...]} over every class of order <= 8."""
-    return {
-        order: [values for _key, _rows, (_stage, values)
-                in generate.records(levels_through_8[order], chromatic.profile, JOBS)]
-        for order in range(1, MAX_ORDER + 1)
-    }
+    values = {order: [] for order in range(1, MAX_ORDER + 1)}
+    for order, _key, _rows, (_stage, vals) in generate.walk(
+        MAX_ORDER, None, chromatic.profile, JOBS
+    ):
+        values[order].append(vals)
+    return values
 
 
 def test_stability_inequalities_everywhere(class_values):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from chromastab import families, graph6, verify
+from chromastab import families, generate, graph6, verify
 from chromastab.graph import cycle_graph
 from chromastab.verify import VerificationReport, _Check
 
@@ -136,6 +136,22 @@ def test_lem9_small_scope_only():
     assert rep.passed
     assert rep.evidence["classes_scanned"] == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
     assert "order9_hits" not in rep.evidence
+
+
+@pytest.mark.parametrize("claim", ["lem9", "obs1"])
+def test_scan_expands_each_parent_once_and_never_holds_the_top_order(claim, monkeypatch):
+    monkeypatch.setattr(generate, "_LEVEL_CACHE", {})
+    expand = generate._children_of
+    calls = []
+
+    def counted(task):
+        calls.append(task[0])
+        return expand(task)
+
+    monkeypatch.setattr(generate, "_children_of", counted)
+    assert verify.run(claim, n=7, jobs=1).passed
+    assert len(calls) == sum(generate.KNOWN_CLASS_COUNTS[k] for k in range(1, 7)) == 208
+    assert 7 not in generate._LEVEL_CACHE[None]
 
 
 def test_search_30_report(s9_catalog):
