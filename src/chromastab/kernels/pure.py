@@ -357,27 +357,51 @@ def stability_witnesses(n, rows, chi, independent_only):
 # ---------------------------------------------------------------------------
 
 
-def _refine(n, rows, colors):
-    """Equitable refinement of a coloring; deterministic cell order."""
-    ncolors = len(set(colors))
+def _refine(nbrs, colors):
+    """Equitable refinement of a coloring, as dense colors 0..k-1.
+
+    Each round ranks the vertices one cell at a time, in ascending order of
+    the old color: a singleton cell takes the next rank, and a larger cell
+    sorts its members by (sorted neighbor colors, vertex) and takes one rank
+    per distinct neighbor-color list.  That is the dense ranking of
+    (color, sorted neighbor colors) over all vertices, because the old color
+    decides first; the colors need not be dense on entry (a child coloring
+    uses 2c and 2c + 1).  Rounds repeat until the number of cells stops
+    rising.  nbrs[v] lists v's neighbors.
+    """
+    n = len(nbrs)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    cells = [by_color[c] for c in sorted(by_color)]
     while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in bits(rows[v]))
-            sigs.append((colors[v], neigh))
-        order = sorted(range(n), key=lambda v: sigs[v])
+        color_of = colors.__getitem__
         new = [0] * n
-        c = -1
-        prev = None
-        for v in order:
-            if sigs[v] != prev:
-                c += 1
-                prev = sigs[v]
-            new[v] = c
+        refined = []
+        rank = 0
+        for cell in cells:
+            if len(cell) == 1:
+                new[cell[0]] = rank
+                rank += 1
+                refined.append(cell)
+                continue
+            keyed = sorted([(sorted(map(color_of, nbrs[v])), v) for v in cell])
+            prev = keyed[0][0]
+            part = []
+            for sig, v in keyed:
+                if sig != prev:
+                    refined.append(part)
+                    part = []
+                    rank += 1
+                    prev = sig
+                new[v] = rank
+                part.append(v)
+            refined.append(part)
+            rank += 1
+        if rank == len(cells) or rank == n:
+            return new
         colors = new
-        if c + 1 == ncolors or c + 1 == n:
-            return colors
-        ncolors = c + 1
+        cells = refined
 
 
 def canon_raw(n, rows):
@@ -395,6 +419,12 @@ def canon_raw(n, rows):
     leaf with equal rows before it, so the first leaf that reaches the
     minimum is always visited.
 
+    The neighbor lists are built once per call; every refinement and every
+    leaf reads them.  _refine ranks one cell at a time, which gives the same
+    dense colors as ranking (color, sorted neighbor colors) over all
+    vertices at once, so the tree, its leaves and the result are those of
+    the compiled core.
+
     Returns (perm, aut_order, gens, orbits):
       perm      -- vertex -> canonical position: the first leaf of the
                    refinement tree minimizing the relabeled row-bitmask tuple
@@ -409,6 +439,7 @@ def canon_raw(n, rows):
     _check_order(n, rows)
     if n == 0:
         return (), 1, (), ()
+    nbrs = [list(bits(r)) for r in rows]
     uf = UnionFind(n)
     gens = []
     path = []  # the vertices individualized on the way to the current node
@@ -428,7 +459,7 @@ def canon_raw(n, rows):
         crows = [0] * n
         for v in range(n):
             pv = colors[v]
-            for u in bits(rows[v]):
+            for u in nbrs[v]:
                 crows[pv] |= 1 << colors[u]
         if first is None:
             first = best = kept(colors, crows)
@@ -474,14 +505,14 @@ def canon_raw(n, rows):
                 if u != w:
                     child[u] += 1
             path.append(w)
-            resume = search(_refine(n, rows, child))
+            resume = search(_refine(nbrs, child))
             path.pop()
             if resume < depth:
                 return resume
             explored.append(w)
         return depth - 1
 
-    search(_refine(n, rows, [0] * n))
+    search(_refine(nbrs, [0] * n))
     first_path = first[0]
     aut_order = 1
     for i, v in enumerate(first_path):

@@ -55,7 +55,9 @@ def test_pretest_never_rejects_an_accepted_child(max_degree, top):
         comp_of = [next(c for c in comps if c >> v & 1) for v in range(n)]
         for x, _child, perm in candidates:
             if perm is not None:
-                assert generate._may_be_last(x, rows, degree, comps, comp_of), (rows, x)
+                assert generate._may_be_last(
+                    x, list(bits(x)), [list(bits(r)) for r in rows], degree, comps, comp_of
+                ), (rows, x)
 
 
 @pytest.mark.parametrize("max_degree,top", UNREDUCED_SWEEPS)

@@ -16,6 +16,7 @@ from chromastab import families, generate, graph6, kernels, oracles
 from chromastab.graph import (
     Graph,
     UnionFind,
+    apply_perm,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -161,7 +162,7 @@ def test_compiled_core_compiles_without_warnings():
     assert check.returncode == 0, check.stdout + check.stderr
 
 
-def test_compiled_core_builds_and_matches_pure(built_ckern):
+def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
     """Hold the out-of-tree build of _ckern.c to the pure outputs."""
     ck = built_ckern
     assert ck.BACKEND == "compiled"
@@ -183,6 +184,14 @@ def test_compiled_core_builds_and_matches_pure(built_ckern):
         assert ck.canon_raw(n, rows) == pure.canon_raw(n, rows)
     for _name, g, _order in SYMMETRIC:
         assert ck.canon_raw(g.n, g.rows) == pure.canon_raw(g.n, g.rows)
+    # every order-8 class with max degree <= 4, the search8 classes, and one
+    # shuffled relabeling of each
+    rng = random.Random(8)
+    for _key, rows in levels_through_8[8]:
+        if max(r.bit_count() for r in rows) <= 4:
+            shuffled = apply_perm(8, rows, rng.sample(range(8), 8))
+            for r in (rows, shuffled):
+                assert ck.canon_raw(8, r) == pure.canon_raw(8, r), r
 
     # both backends share the 0..64 vertex limit and the 62-vertex scan limit
     for kern in (pure, ck):
@@ -349,6 +358,61 @@ def test_symmetric_graphs_refine_at_most_n_squared_times(monkeypatch, g):
     monkeypatch.setattr(pure, "_refine", counting)
     pure.canon_raw(g.n, g.rows)
     assert calls <= g.n ** 2
+
+
+def round_by_round_refine(n, rows, colors):
+    """The reference for pure._refine, as the compiled core computes it:
+    every round gives each vertex the dense rank of (color, sorted neighbor
+    colors) over all vertices, until the number of colors stops rising."""
+    ncolors = len(set(colors))
+    while True:
+        sigs = [(colors[v], sorted(colors[u] for u in range(n) if rows[v] >> u & 1))
+                for v in range(n)]
+        ranks = sorted({(c, tuple(neigh)) for c, neigh in sigs})
+        colors = [ranks.index((c, tuple(neigh))) for c, neigh in sigs]
+        if len(ranks) in (ncolors, n):
+            return colors
+        ncolors = len(ranks)
+
+
+@st.composite
+def colored_graphs(draw):
+    """(n, rows, colors): a G(n, p) graph with n <= 16 or a SYMMETRIC graph,
+    with a random coloring (sparse colors included) or the coloring of a
+    child node: the refined coloring with one vertex of a cell at 2c and the
+    rest of the cell at 2c + 1, every other vertex at 2c."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from([g for _name, g, _order in SYMMETRIC]))
+        n, rows = g.n, g.rows
+    else:
+        n = draw(st.integers(0, 16))
+        p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9]))
+        rows = random_rows(random.Random(draw(st.integers(0, 2**32))), n, p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "sparse", "child"]))
+    if kind == "random" or n == 0:
+        k = rng.randint(1, max(n, 1))
+        colors = [rng.randrange(k) for _ in range(n)]
+    elif kind == "sparse":
+        colors = [rng.choice([0, 3, 7, 40]) * rng.randrange(1, 4) for _ in range(n)]
+    else:
+        parent = round_by_round_refine(n, rows, [0] * n)
+        target = parent[rng.randrange(n)]
+        members = [v for v in range(n) if parent[v] == target]
+        w = rng.choice(members)
+        colors = [2 * c + (c == target and v != w) for v, c in enumerate(parent)]
+    return n, rows, colors
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=colored_graphs())
+@example(case=(0, (), []))
+@example(case=(8, complete_graph(8).rows, [0] * 8))
+@example(case=(6, cycle_graph(6).rows, [4, 2, 2, 2, 2, 2]))
+def test_refine_matches_the_round_by_round_ranking(case):
+    n, rows, colors = case
+    nbrs = [tuple(u for u in range(n) if rows[v] >> u & 1) for v in range(n)]
+    assert pure._refine(nbrs, list(colors)) == round_by_round_refine(n, rows, colors)
 
 
 @pytest.mark.parametrize("max_degree", [3, 4, None])
