@@ -40,12 +40,31 @@ Two more facts keep the scans short without changing any output:
   are sets, an independent vs-witness gives ivs <= vs, and every set of size
   vs that works is a vs-witness.  So `analyze` scans each top component
   once, and scans independent sets only where no vs-witness is independent.
+
+Bipartizing pairs, the pairs {x, y} with chi(G - {x, y}) = 2, come from the
+vs scan where it settles them:
+
+* Bipartizing lemma: if chi = 3, the bipartizing pairs are exactly the
+  vs-witnesses of size 2.  So the mask is 0 when vs >= 3 and the union of
+  the whole-graph vs-witnesses when vs = 2.  Proof: a bipartizing pair
+  lowers chi by exactly one, so vs <= 2, and at vs = 2 it is a vs-witness.
+  Conversely, a vs-witness S = {x, y} leaves G - S 2-colorable, and it
+  leaves an edge: were G - S edgeless, G - x would be a star at y plus
+  isolated vertices, which is bipartite, and vs would be 1.  For chi >= 5
+  the mask is 0, since two deletions lower chi by at most two.  Every other
+  graph (chi <= 2, chi = 4, or chi = 3 with vs = 1) takes one
+  `bipartizing_pairs` kernel call.
+* Triangle filter: clique hitting at two colors.  A pair that misses a
+  triangle leaves it in G - {x, y}, so the kernel skips, without a coloring
+  test, every pair that misses one of the first n triangles.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import or_
 
 from chromastab import iso, kernels
 from chromastab.graph import Graph, bits, component_masks, induced, is_independent, mask_of
@@ -276,26 +295,24 @@ def bipartizing_pair_vertices(g: Graph) -> int:
     """Mask of vertices x for which some y exists with chi(G - {x,y}) == 2.
 
     The constant 2 is literal (an edge must survive), so this is most
-    meaningful for 3-chromatic graphs.  The test is symmetric in x and y,
-    so each unordered pair is tested once, unless both ends are already in
-    the mask.  A pair costs one kernel call, for 2-colorability; the
-    m - deg x - deg y + [xy is an edge] edges left outside it say whether
-    chi(G - {x,y}) is 2 rather than less.
+    meaningful for 3-chromatic graphs.  One kernel call tests every pair on
+    rows checked once: a pair that misses one of the first n triangles is
+    skipped without a coloring test (the triangle filter above), and each
+    other pair takes the count of the edges it leaves and one
+    2-colorability test.  `analyze` calls this only where the bipartizing
+    lemma above leaves the mask open.
     """
-    kern = kernels.active()
-    m = g.m
-    deg = g.degrees()
-    out = 0
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            mask = 1 << x | 1 << y
-            if out & mask == mask:
-                continue
-            if kern.deletion_colorable(g.n, g.rows, mask, 2) and (
-                m - deg[x] - deg[y] + (g.rows[x] >> y & 1)
-            ):
-                out |= mask
-    return out
+    return kernels.active().bipartizing_pairs(g.n, g.rows)
+
+
+def _bipartizing_mask(g, chi, vs, vs_wit) -> int:
+    """bipartizing_pair_vertices(g), read off the vs scan where the
+    bipartizing lemma settles it."""
+    if chi >= 5:  # two deletions lower chi by at most two
+        return 0
+    if chi == 3 and vs >= 2:
+        return reduce(or_, vs_wit, 0) if vs == 2 else 0
+    return bipartizing_pair_vertices(g)
 
 
 def analyze(g: Graph) -> StabilityReport:
@@ -321,8 +338,7 @@ def analyze(g: Graph) -> StabilityReport:
         independent_vertex_stability=ivs,
         vertex_stability_witnesses=tuple(tuple(bits(w)) for w in vs_wit),
         independent_stability_witnesses=tuple(tuple(bits(w)) for w in ivs_wit),
-        # two deletions lower chi by at most two
-        bipartizing_pair_vertices=tuple(bits(bipartizing_pair_vertices(g) if chi < 5 else 0)),
+        bipartizing_pair_vertices=tuple(bits(_bipartizing_mask(g, chi, vs, vs_wit))),
         planar=iso.is_planar(g),
         connected=conn.connected,
         two_connected=conn.two_connected,

@@ -80,36 +80,42 @@ static int two_colorable(int n, const u64 *adj, u64 active)
 }
 
 /* First proper coloring of order[idx..] with at most k colors; the first
-   occurrences of colors appear in increasing order. */
-static int color_rec(int idx, int norder, const int *order, int n, const u64 *adj,
-                     u64 active, int k, int *colors, int used)
+   occurrences of colors appear in increasing order.  classes[c] is the
+   vertex mask of color c, so c is free for v when adj[v] misses it. */
+static int color_rec(int idx, int norder, const int *order, const u64 *adj, int k,
+                     u64 *classes, int used)
 {
     if (idx == norder)
         return 1;
     int v = order[idx];
-    u64 forb = 0;
-    u64 neigh = adj[v] & active;
-    for (int u = 0; u < n; u++)
-        if (neigh >> u & 1 && colors[u] >= 0)
-            forb |= BIT(colors[u]);
     int limit = used + 1 < k ? used + 1 : k;
     for (int c = 0; c < limit; c++) {
-        if (forb >> c & 1)
+        if (adj[v] & classes[c])
             continue;
-        colors[v] = c;
-        if (color_rec(idx + 1, norder, order, n, adj, active, k, colors,
-                      c == used ? used + 1 : used))
+        classes[c] |= BIT(v);
+        if (color_rec(idx + 1, norder, order, adj, k, classes, c == used ? used + 1 : used))
             return 1;
+        classes[c] &= ~BIT(v);
     }
-    colors[v] = -1;
     return 0;
+}
+
+/* First proper coloring of the active vertices with at most k colors, as
+   class masks in classes[0..min(k, n)-1]; true if there is one.  A vertex
+   never opens more than one new color, so at most min(k, n) are open. */
+static int color_classes(int n, const u64 *adj, u64 active, int k, u64 *classes)
+{
+    int order[MAXN];
+    int norder = active_order(n, adj, active, order);
+    for (int c = 0; c < k && c < n; c++)
+        classes[c] = 0;
+    return color_rec(0, norder, order, adj, k, classes, 0);
 }
 
 /* True if the graph minus the `excluded` vertex mask is k-colorable. */
 static int colorable_excluding(int n, const u64 *adj, u64 excluded, int k)
 {
-    int order[MAXN];
-    int colors[MAXN];
+    u64 classes[MAXN];
     u64 active = all_mask(n) & ~excluded;
     if (active == 0)
         return 1;
@@ -123,10 +129,7 @@ static int colorable_excluding(int n, const u64 *adj, u64 excluded, int k)
     }
     if (k == 2)
         return two_colorable(n, adj, active);
-    int norder = active_order(n, adj, active, order);
-    for (int v = 0; v < n; v++)
-        colors[v] = -1;
-    return color_rec(0, norder, order, n, adj, active, k, colors, 0);
+    return color_classes(n, adj, active, k, classes);
 }
 
 /* A clique: each vertex in descending-degree order, ties by index, joins
@@ -204,52 +207,42 @@ typedef struct {
     int k;
     int best;
     int order[MAXN];
-    int sizes[MAXN];
-    int colors[MAXN];
-    u64 colored;
+    u64 classes[MAXN];
 } MccState;
 
 /* Colorings of order[idx..] extending the partial one, each new color the
-   smallest unused one; class sizes only grow, so once every color is open
-   the smallest current size bounds the final minimum from below.  Stops
-   once the minimum is 1, which every class of a coloring using all k
-   colors reaches. */
+   smallest unused one; classes[c] is the vertex mask of color c, and c is
+   free for v when adj[v] misses it.  Class sizes only grow, so once every
+   color is open the smallest current size bounds the final minimum from
+   below.  Stops once the minimum is 1, which every class of a coloring
+   using all k colors reaches. */
 static void mcc_rec(MccState *st, const u64 *adj, int idx, int used)
 {
     if (used == st->k) {
-        int smallest = st->sizes[0];
+        int smallest = POPCNT64(st->classes[0]);
         for (int c = 1; c < st->k; c++)
-            if (st->sizes[c] < smallest)
-                smallest = st->sizes[c];
+            if (POPCNT64(st->classes[c]) < smallest)
+                smallest = POPCNT64(st->classes[c]);
         if (smallest >= st->best)
             return;
         if (idx == st->n) {
             st->best = smallest;
             return;
         }
-    } else if (idx == st->n) {
+    } else if (idx == st->n || st->k - used > st->n - idx) {
         return;
     }
-    if (st->k - used > st->n - idx)
-        return;
     int v = st->order[idx];
-    u64 forb = 0;
-    for (u64 m = adj[v] & st->colored; m; m &= m - 1)
-        forb |= BIT(st->colors[__builtin_ctzll(m)]);
     int limit = used + 1 < st->k ? used + 1 : st->k;
-    st->colored |= BIT(v);
     for (int c = 0; c < limit; c++) {
-        if (forb >> c & 1)
+        if (adj[v] & st->classes[c])
             continue;
-        st->colors[v] = c;
-        st->sizes[c]++;
+        st->classes[c] |= BIT(v);
         mcc_rec(st, adj, idx + 1, c == used ? used + 1 : used);
-        st->sizes[c]--;
+        st->classes[c] &= ~BIT(v);
         if (st->best == 1)
             break;
     }
-    st->colored &= ~BIT(v);
-    st->colors[v] = -1;
 }
 
 /* ------------------------------------------------------------------------
@@ -318,6 +311,36 @@ static int meets_all(u64 mask, const Cliques *cl)
         if (!(mask & cl->masks[i]))
             return 0;
     return 1;
+}
+
+/* Mask of the vertices x for which some y != x leaves G - {x, y}
+   2-chromatic, as the pure bipartizing_pairs finds them: each unordered pair
+   once, unless both ends are in the mask already; a pair that misses one of
+   the first n triangles is skipped without a coloring test, and so is one
+   that leaves no edge. */
+static u64 bipartizing_pairs(int n, const u64 *adj)
+{
+    Cliques triangles;
+    int deg[MAXN];
+    int m = 0;
+    u64 out = 0;
+    collect_cliques(n, adj, 3, &triangles);
+    for (int v = 0; v < n; v++) {
+        deg[v] = POPCNT64(adj[v]);
+        m += deg[v];
+    }
+    m /= 2;
+    for (int x = 0; x < n; x++) {
+        for (int y = x + 1; y < n; y++) {
+            u64 pair = BIT(x) | BIT(y);
+            if ((out & pair) == pair || !meets_all(pair, &triangles) ||
+                !(m - deg[x] - deg[y] + (int)(adj[x] >> y & 1)))
+                continue;
+            if (two_colorable(n, adj, all_mask(n) & ~pair))
+                out |= pair;
+        }
+    }
+    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -949,21 +972,17 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
 static PyObject *py_color_graph(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 adj[MAXN];
-    int order[MAXN];
+    u64 classes[MAXN];
     int colors[MAXN];
     int n, k;
     if (!nargs_ok("color_graph", nargs, 3) || load(args[0], args[1], adj, &n) < 0 ||
         as_int(args[2], &k) < 0)
         return NULL;
-    if (n == 0)
-        return PyTuple_New(0);
-    if (k <= 0)
+    if (!color_classes(n, adj, all_mask(n), k, classes))
         Py_RETURN_NONE;
-    int norder = active_order(n, adj, all_mask(n), order);
-    for (int v = 0; v < n; v++)
-        colors[v] = -1;
-    if (!color_rec(0, norder, order, n, adj, all_mask(n), k, colors, 0))
-        Py_RETURN_NONE;
+    for (int c = 0; c < k && c < n; c++)
+        for (u64 m = classes[c]; m; m &= m - 1)
+            colors[__builtin_ctzll(m)] = c;
     return int_tuple(colors, n);
 }
 
@@ -999,23 +1018,15 @@ static PyObject *py_min_color_class_size(PyObject *self, PyObject *const *args,
         Py_RETURN_NONE;
     if (as_int(args[2], &st.k) < 0)
         return NULL;
-    if (st.k <= 0)
+    if (st.k <= 0 || st.k > st.n)
         Py_RETURN_NONE;
     /* the clique's vertices get pairwise different colors, so a clique
        larger than k rules out every k-coloring */
     int q = mcc_order(st.n, adj, st.order);
     if (q > st.k)
         Py_RETURN_NONE;
-    for (int v = 0; v < st.n; v++) {
-        st.sizes[v] = 0;
-        st.colors[v] = -1;
-    }
-    st.colored = 0;
-    for (int c = 0; c < q; c++) {
-        st.colors[st.order[c]] = c;
-        st.sizes[c] = 1;
-        st.colored |= BIT(st.order[c]);
-    }
+    for (int c = 0; c < st.k; c++)
+        st.classes[c] = c < q ? BIT(st.order[c]) : 0;
     st.best = st.n + 1;
     mcc_rec(&st, adj, q, q);
     if (st.best == st.n + 1)
@@ -1109,6 +1120,16 @@ fail:
     return NULL;
 }
 
+static PyObject *py_bipartizing_pairs(PyObject *self, PyObject *const *args,
+                                      Py_ssize_t nargs)
+{
+    u64 adj[MAXN];
+    int n;
+    if (!nargs_ok("bipartizing_pairs", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(bipartizing_pairs(n, adj));
+}
+
 static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Canon cs;
@@ -1181,6 +1202,10 @@ static PyMethodDef methods[] = {
     FASTCALL(stability_witnesses, "n, rows, chi, independent_only",
              "(value, masks) exactly as the pure kernel computes them, with the "
              "same skip of sets that miss one of the first n K_chi's."),
+    FASTCALL(bipartizing_pairs, "n, rows",
+             "Mask of the vertices x for which some y != x leaves G - {x, y} "
+             "2-chromatic, exactly as the pure kernel finds them; a pair that misses "
+             "one of the first n triangles is skipped without a coloring test."),
     FASTCALL(canon_raw, "n, rows",
              "(perm, aut_order, gens, orbits) from a refinement tree pruned by the "
              "automorphisms it finds; aut_order is exact, gens generate the "

@@ -62,30 +62,35 @@ def _color_walk(n, rows, active, k):
 
     Vertices are tried in descending-degree order and color symmetry is
     broken by requiring first occurrences of colors in increasing order, so
-    the first vertex (a maximum-degree one) always receives color 0.
+    the first vertex (a maximum-degree one) always receives color 0.  Each
+    color class is one vertex mask, so a color is free for v when rows[v]
+    misses its class.  A vertex never opens more than one new color, so at
+    most min(k, n) classes are ever open.
     """
     order = sorted(bits(active), key=lambda v: (-(rows[v] & active).bit_count(), v))
-    colors = [-1] * n
+    classes = [0] * min(k, n)
 
     def walk(idx, used):
         if idx == len(order):
             return True
         v = order[idx]
-        forb = 0
-        for u in bits(rows[v] & active):
-            if colors[u] >= 0:
-                forb |= 1 << colors[u]
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if forb >> c & 1:
+        row = rows[v]
+        for c in range(min(used + 1, k)):
+            if row & classes[c]:
                 continue
-            colors[v] = c
+            classes[c] |= 1 << v
             if walk(idx + 1, used + 1 if c == used else used):
                 return True
-        colors[v] = -1
+            classes[c] ^= 1 << v
         return False
 
-    return colors if walk(0, 0) else None
+    if not walk(0, 0):
+        return None
+    colors = [-1] * n
+    for c, members in enumerate(classes):
+        for v in bits(members):
+            colors[v] = c
+    return colors
 
 
 def _colorable_excluding(n, rows, excluded, k):
@@ -178,38 +183,36 @@ def _mcc_order(n, rows):
     return clique, rest
 
 
-def _mcc_walk(rows, order, idx, used, k, colors, sizes, best):
+def _mcc_walk(rows, order, idx, used, k, classes, best):
     """Least minimum class size below `best` over the completions of the
     partial coloring, in which order[:idx] is colored with `used` colors;
-    `best` if there is none.
+    `best` if there is none.  classes[c] is the vertex mask of color c.
 
-    Each new color must be the smallest unused one.  Class sizes only grow,
-    so once every color is open the smallest current size bounds the final
-    minimum from below.
+    Each new color must be the smallest unused one, and a color is free for
+    v when rows[v] misses its class.  Class sizes only grow, so once every
+    color is open the smallest current size bounds the final minimum from
+    below.
     """
-    if used == k and min(sizes) >= best:
-        return best
-    if idx == len(order):
-        return min(sizes) if used == k else best
-    if k - used > len(order) - idx:
+    if used == k:
+        smallest = min(map(int.bit_count, classes))
+        if smallest >= best:
+            return best
+        if idx == len(order):
+            return smallest
+    elif idx == len(order) or k - used > len(order) - idx:
         return best
     v = order[idx]
-    forb = 0
-    for u in bits(rows[v]):
-        if colors[u] >= 0:
-            forb |= 1 << colors[u]
+    row = rows[v]
     for c in range(min(used + 1, k)):
-        if forb >> c & 1:
+        if row & classes[c]:
             continue
-        colors[v] = c
-        sizes[c] += 1
+        classes[c] |= 1 << v
         best = _mcc_walk(rows, order, idx + 1, used + 1 if c == used else used,
-                         k, colors, sizes, best)
-        sizes[c] -= 1
+                         k, classes, best)
+        classes[c] ^= 1 << v
         # every class of a coloring that uses all k colors has a vertex
         if best == 1:
             break
-    colors[v] = -1
     return best
 
 
@@ -228,20 +231,19 @@ def min_color_class_size(n, rows, k):
     remaining colors first appear in increasing order, and that one is
     enumerated.  With |Q| = k every class is open from the root, so the
     bound on the smallest current class prunes from the start; the search
-    stops once the minimum is 1.
+    stops once the minimum is 1.  k > n returns None before the k class
+    masks are allocated.
     """
     _check_order(n, rows)
-    if n == 0 or (k := _c_int(k)) <= 0:
+    if n == 0 or not 0 < (k := _c_int(k)) <= n:
         return None
     clique, rest = _mcc_order(n, rows)
     if len(clique) > k:
         return None
-    colors = [-1] * n
-    sizes = [0] * k
+    classes = [0] * k
     for c, v in enumerate(clique):
-        colors[v] = c
-        sizes[c] = 1
-    best = _mcc_walk(rows, clique + rest, len(clique), len(clique), k, colors, sizes, n + 1)
+        classes[c] = 1 << v
+    best = _mcc_walk(rows, clique + rest, len(clique), len(clique), k, classes, n + 1)
     return None if best == n + 1 else best
 
 
@@ -350,6 +352,33 @@ def stability_witnesses(n, rows, chi, independent_only):
                     )
             return s, tuple(hits)
     raise AssertionError("no deletion set found; chi inconsistent")
+
+
+def bipartizing_pairs(n, rows):
+    """Mask of the vertices x for which some y != x leaves G - {x, y}
+    2-chromatic: 2-colorable, with an edge left.
+
+    The test is symmetric in x and y, so each unordered pair is tested once,
+    unless both ends are already in the mask.  A pair that misses one of
+    the first n triangles (see _cliques) leaves that triangle, so it is
+    skipped without a coloring test.  The m - deg x - deg y + [xy is an
+    edge] edges outside the pair say whether an edge is left.
+    """
+    _check_order(n, rows)
+    triangles = _cliques(n, rows, 3, n)
+    deg = [r.bit_count() for r in rows]
+    m = sum(deg) // 2
+    full = (1 << n) - 1
+    out = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            pair = 1 << x | 1 << y
+            if (out & pair == pair or not _meets_all(pair, triangles)
+                    or not m - deg[x] - deg[y] + (rows[x] >> y & 1)):
+                continue
+            if _two_colorable(rows, full & ~pair):
+                out |= pair
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,17 @@ class _Check:
         )
 
 
+_FAMILY_CATALOG = []
+
+
 def _family_catalog(jobs):
-    """The 30-entry order-9 catalog."""
-    return generate.enumerate_catalog(
-        generate.GenSpec(9, max_degree=4, predicate="family-members"), jobs
-    )
+    """The 30-entry order-9 catalog, enumerated once per process and shared
+    by every claim that reads it; its entries do not depend on jobs."""
+    if not _FAMILY_CATALOG:
+        _FAMILY_CATALOG.append(generate.enumerate_catalog(
+            generate.GenSpec(9, max_degree=4, predicate="family-members"), jobs
+        ))
+    return _FAMILY_CATALOG[0]
 
 
 def _scan_levels(chk, n, fn, visit, jobs):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chromastab import generate, kernels
+from chromastab import generate, kernels, verify
 from chromastab.kernels import pure
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -21,9 +21,9 @@ def jobs():
 
 @pytest.fixture(scope="session")
 def s9_catalog():
-    """The 30-entry order-9 catalog; shared across the whole suite."""
-    spec = generate.GenSpec(9, max_degree=4, predicate="family-members")
-    return generate.enumerate_catalog(spec, jobs=JOBS)
+    """The 30-entry order-9 catalog; shared across the whole suite, and with
+    the verifiers that read it."""
+    return verify._family_catalog(JOBS)
 
 
 @pytest.fixture(scope="session")

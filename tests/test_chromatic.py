@@ -1,4 +1,6 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -130,14 +132,50 @@ def counting_calls(monkeypatch, owner, name):
 
 def test_bipartizing_pairs_call_the_kernel_at_most_once_per_pair(pure_backend, monkeypatch):
     calls = counting_calls(monkeypatch, kernels.pure, "deletion_colorable")
+    pair_calls = counting_calls(monkeypatch, kernels.pure, "bipartizing_pairs")
     for g in (families.g9(), complete_graph(5), complete_graph(6)):
         assert chromatic.bipartizing_pair_vertices(g) == _bipartizing_over_ordered_pairs(g)
         assert len(calls) <= g.n * (g.n - 1) // 2
+        # one kernel call tests every pair
+        assert pair_calls == [(g.n, g.rows)]
         calls.clear()
+        pair_calls.clear()
     # analyze knows chi, and skips the pairs when chi >= 5
     for g in (complete_graph(5), complete_graph(6)):
         assert chromatic.analyze(g).bipartizing_pair_vertices == ()
     assert calls == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_analyze_bipartizing_pairs_match_the_ordered_pair_definition(monkeypatch):
+    """The bipartizing lemma: analyze's mask, read off the vs scan where
+    chi = 3 and vs >= 2, is the ordered-pair definition everywhere."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    levels = generate.all_levels(7)
+    graphs = [Graph(n, rows) for n in levels for _key, rows in levels[n]]
+    graphs += [families.g9(), families.g10(), wheel(5)]
+    graphs += workloads.corpus(3, 300)
+    lemma = 0
+    for g in graphs:
+        rep = chromatic.analyze(g)
+        want = _bipartizing_over_ordered_pairs(g)
+        assert rep.bipartizing_pair_vertices == tuple(bits(want)), g.rows
+        lemma += rep.chromatic_number == 3 and rep.vertex_stability >= 2
+    # 285 of the 1,555 graphs take the lemma's path
+    assert lemma == 285
+
+
+def test_analyze_calls_the_pair_kernel_only_where_the_lemma_leaves_it_open(
+    pure_backend, monkeypatch
+):
+    calls = counting_calls(monkeypatch, kernels.pure, "bipartizing_pairs")
+    for g, count in [(families.g9(), 0), (complete_graph(5), 0), (wheel(5), 1)]:
+        chromatic.analyze(g)
+        assert len(calls) == count, g.rows
+        calls.clear()
 
 
 def test_analyze_derives_ivs_from_the_vs_scan(pure_backend, monkeypatch):

@@ -125,6 +125,7 @@ def kernel_calls(kern, n, rows):
         lambda: kern.min_color_class_size(n, rows, 1),
         lambda: kern.stability_values(n, rows, 1),
         lambda: kern.stability_witnesses(n, rows, 1, False),
+        lambda: kern.bipartizing_pairs(n, rows),
         lambda: kern.canon_raw(n, rows),
         lambda: kern.planar(n, rows),
     ]
@@ -139,6 +140,28 @@ def color_count_calls(kern, k):
         lambda: kern.stability_values(2, (2, 1), k),
         lambda: kern.stability_witnesses(2, (2, 1), k, False),
     ]
+
+
+def kernel_outcome(call):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_pure_min_color_class_size_refuses_more_colors_than_vertices():
+    # returns before allocating the k class masks
+    assert pure.min_color_class_size(3, (6, 5, 3), 2**31 - 1) is None
+
+
+def test_color_counts_up_to_the_c_int_limit_agree(built_ckern):
+    """Every kernel that takes a color count, on K2 with k = 2**31 - 1, ends
+    without allocating per color, and both backends give the same outcome."""
+    k = 2**31 - 1
+    outcomes = [kernel_outcome(call) for call in color_count_calls(pure, k)]
+    assert outcomes == [kernel_outcome(call) for call in color_count_calls(built_ckern, k)]
+    assert outcomes[:4] == [True, (0, 1), None, (1, 1)]
 
 
 @pytest.mark.parametrize("n", [-1, 65])
@@ -182,8 +205,16 @@ def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
                 n, rows, chi
             )
         assert ck.canon_raw(n, rows) == pure.canon_raw(n, rows)
+        assert ck.bipartizing_pairs(n, rows) == pure.bipartizing_pairs(n, rows)
     for _name, g, _order in SYMMETRIC:
         assert ck.canon_raw(g.n, g.rows) == pure.canon_raw(g.n, g.rows)
+        assert ck.bipartizing_pairs(g.n, g.rows) == pure.bipartizing_pairs(g.n, g.rows)
+    for n in range(1, 8):
+        for _key, rows in levels_through_8[n]:
+            assert ck.bipartizing_pairs(n, rows) == pure.bipartizing_pairs(n, rows), rows
+    # the pair kernel takes every vertex count up to 64, past the scans' 62
+    for g in (cycle_graph(63), cycle_graph(64), path_graph(64), complete_graph(64)):
+        assert ck.bipartizing_pairs(g.n, g.rows) == pure.bipartizing_pairs(g.n, g.rows)
     # every order-8 class with max degree <= 4, the search8 classes, and one
     # shuffled relabeling of each
     rng = random.Random(8)
@@ -259,6 +290,7 @@ def test_backends_agree_everywhere(built_ckern):
             )
         assert pure.canon_raw(n, rows) == ck.canon_raw(n, rows)
         assert pure.planar(n, rows) == ck.planar(n, rows)
+        assert pure.bipartizing_pairs(n, rows) == ck.bipartizing_pairs(n, rows)
 
 
 def test_backend_switch(built_ckern, monkeypatch):
