@@ -305,21 +305,18 @@ class Graph:
 
     def distance(self, a, b) -> int:
         """Hop distance between two vertices; -1 when disconnected."""
-        if a == b:
-            return 0
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise GraphError(f"vertex pair ({a}, {b}) outside 0..{self.n - 1}")
         dist = 0
-        reached = 1 << a
-        frontier = 1 << a
-        while frontier:
+        reached = frontier = 1 << a
+        while frontier and not reached >> b & 1:
             dist += 1
             nxt = 0
             for v in bits(frontier):
                 nxt |= self.rows[v]
             frontier = nxt & ~reached
-            if frontier >> b & 1:
-                return dist
             reached |= frontier
-        return -1
+        return dist if reached >> b & 1 else -1
 
     def __str__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -3,10 +3,11 @@
 The canonical form of a connected graph is the relabeling that minimizes the
 row-bitmask tuple over a partition-refinement backtrack tree (target cell =
 first largest).  The search prunes the tree with the automorphisms it
-discovers, which generate the automorphism group.
-Disconnected graphs are canonicalized per component and the components are
-concatenated in sorted key order; the automorphism order multiplies the
-per-component orders with a factorial for every repeated component.
+discovers, which generate the automorphism group; canon_raw returns the
+canonical rows, and the key is graph6 of them.  Disconnected graphs are
+canonicalized per component, whose rows are concatenated in sorted key
+order; the automorphism order multiplies the per-component orders with a
+factorial for every repeated component.
 Planarity is decided per component: counting settles most components, and
 the planar kernel runs the left-right criterion on the rest.
 """
@@ -19,7 +20,6 @@ from chromastab import graph6, kernels
 from chromastab.graph import (
     Graph,
     UnionFind,
-    apply_perm,
     bits,
     component_masks,
     induced,
@@ -51,70 +51,65 @@ class CanonData:
 
 
 def canon_data(n, rows) -> CanonData:
-    """Canonical data for raw adjacency rows (component-composed)."""
-    if n == 0:
-        return CanonData(graph6.encode_rows(0, ()).encode(), (), 1, (), (), 0)
+    """Canonical data for raw adjacency rows (component-composed); the key is
+    graph6 of the canonical rows that canon_raw returns."""
     kern = kernels.active()
     comps = component_masks(n, rows)
-    if len(comps) == 1:
-        perm, order, gens, orbits = kern.canon_raw(n, rows)
-        key = graph6.encode_rows(n, apply_perm(n, rows, perm)).encode()
-        last = _orbit_mask(orbits, perm.index(n - 1))
+    if len(comps) <= 1:
+        perm, order, gens, orbits, crows = kern.canon_raw(n, rows)
+        key = graph6.encode_rows(n, crows).encode()
+        last = _orbit_mask(orbits, perm.index(n - 1)) if n else 0
         return CanonData(key, perm, order, gens, orbits, last)
 
     # Components go in (n_C, pack_key) order, pack_key being the canonical
     # rows as 8 little-endian bytes each; this order defines the canonical
-    # form of a disconnected graph.
+    # form of a disconnected graph: the pieces' rows, shifted to their offsets.
     pieces = []
     for comp in comps:
         verts, sub = induced(rows, comp)
-        nc = len(verts)
-        perm, porder, gens, _orbits = kern.canon_raw(nc, sub)
-        pack_key = b"".join(r.to_bytes(8, "little") for r in apply_perm(nc, sub, perm))
-        pieces.append(((nc, pack_key), verts, perm, porder, gens))
+        perm, porder, gens, _orbits, crows = kern.canon_raw(len(verts), sub)
+        pack_key = b"".join([r.to_bytes(8, "little") for r in crows])
+        pieces.append(((len(verts), pack_key), verts, perm, porder, gens, crows))
     pieces.sort(key=lambda p: p[0])
 
     gperm = [0] * n
+    grows = []
     ggens = []
-    offsets = []
-    off = 0
-    order = 1
-    for _cls, verts, perm, porder, gens in pieces:
-        offsets.append(off)
+    swaps = []
+    order = run = 1
+    prev_cls, prev_at = None, ()
+    for cls, verts, perm, porder, gens, crows in pieces:
+        off = len(grows)
+        at = [0] * len(verts)  # the piece's vertices in canonical order
         for local, v in enumerate(verts):
             gperm[v] = off + perm[local]
+            at[perm[local]] = v
+        grows += [r << off for r in crows]
         for gen in gens:
             lifted = list(range(n))
             for local, v in enumerate(verts):
                 lifted[v] = verts[gen[local]]
             ggens.append(tuple(lifted))
         order *= porder
-        off += len(verts)
-    inv = [0] * n
-    for v, pos in enumerate(gperm):
-        inv[pos] = v
-    # consecutive identical pieces i-1, i: swapping them maps canonical
-    # position off_{i-1} + j to off_i + j; a run of r such pieces adds r!
-    run = 1
-    for i in range(1, len(pieces)):
-        if pieces[i][0] != pieces[i - 1][0]:
-            run = 1
-            continue
-        run += 1
-        order *= run
-        swap = list(range(n))
-        for j in range(len(pieces[i][1])):
-            a, b = inv[offsets[i - 1] + j], inv[offsets[i] + j]
-            swap[a], swap[b] = b, a
-        ggens.append(tuple(swap))
+        # a piece identical to the one before: swapping the two maps each
+        # canonical position of one onto the other's; a run of r adds r!
+        run = run + 1 if cls == prev_cls else 1
+        if run > 1:
+            order *= run
+            swap = list(range(n))
+            for a, b in zip(prev_at, at):
+                swap[a], swap[b] = b, a
+            swaps.append(tuple(swap))
+        prev_cls, prev_at = cls, at
+    ggens += swaps
 
     orb = UnionFind(n)
     for gen in ggens:
         for v in range(n):
             orb.union(v, gen[v])
     orbits = tuple(orb.find(v) for v in range(n))
-    key = graph6.encode_rows(n, apply_perm(n, rows, gperm)).encode()
-    last = _orbit_mask(orbits, inv[n - 1])
+    key = graph6.encode_rows(n, grows).encode()
+    last = _orbit_mask(orbits, at[-1])
     return CanonData(key, tuple(gperm), order, tuple(ggens), orbits, last)
 
 

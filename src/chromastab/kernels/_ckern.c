@@ -1135,8 +1135,6 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
     Canon cs;
     if (!nargs_ok("canon_raw", nargs, 2) || load(args[0], args[1], cs.adj, &cs.n) < 0)
         return NULL;
-    if (cs.n == 0)
-        return Py_BuildValue("(()i()())", 1);
     int orbit_size[MAXN];
     canon_run(&cs, orbit_size);
     int orbits[MAXN];
@@ -1162,13 +1160,23 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
         else
             PyTuple_SET_ITEM(gens, i, g);
     }
+    /* the least leaf's rows: the graph relabeled by perm */
+    PyObject *rows = PyTuple_New(cs.n);
+    for (int v = 0; rows != NULL && v < cs.n; v++) {
+        PyObject *r = PyLong_FromUnsignedLongLong(cs.best.rows[v]);
+        if (r == NULL)
+            Py_CLEAR(rows);
+        else
+            PyTuple_SET_ITEM(rows, v, r);
+    }
     PyObject *result = NULL;
-    if (perm != NULL && order != NULL && gens != NULL && orbs != NULL)
-        result = PyTuple_Pack(4, perm, order, gens, orbs);
+    if (perm != NULL && order != NULL && gens != NULL && orbs != NULL && rows != NULL)
+        result = PyTuple_Pack(5, perm, order, gens, orbs, rows);
     Py_XDECREF(perm);
     Py_XDECREF(order);
     Py_XDECREF(gens);
     Py_XDECREF(orbs);
+    Py_XDECREF(rows);
     return result;
 }
 
@@ -1207,9 +1215,10 @@ static PyMethodDef methods[] = {
              "2-chromatic, exactly as the pure kernel finds them; a pair that misses "
              "one of the first n triangles is skipped without a coloring test."),
     FASTCALL(canon_raw, "n, rows",
-             "(perm, aut_order, gens, orbits) from a refinement tree pruned by the "
-             "automorphisms it finds; aut_order is exact, gens generate the "
-             "automorphism group. See the pure twin for the full contract."),
+             "(perm, aut_order, gens, orbits, rows) from a refinement tree pruned by "
+             "the automorphisms it finds; aut_order is exact, gens generate the "
+             "automorphism group, rows are the graph relabeled by perm. See the pure "
+             "twin for the full contract."),
     FASTCALL(planar, "n, rows",
              "True if the graph is planar: the testing phase of the left-right "
              "criterion, as the pure twin runs it."),

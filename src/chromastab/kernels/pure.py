@@ -454,7 +454,7 @@ def canon_raw(n, rows):
     vertices at once, so the tree, its leaves and the result are those of
     the compiled core.
 
-    Returns (perm, aut_order, gens, orbits):
+    Returns (perm, aut_order, gens, orbits, rows):
       perm      -- vertex -> canonical position: the first leaf of the
                    refinement tree minimizing the relabeled row-bitmask tuple
       aut_order -- exact automorphism group order: the product, over the
@@ -464,10 +464,10 @@ def canon_raw(n, rows):
                    merges two vertex orbits (so at most n - 1); they generate
                    the automorphism group
       orbits    -- vertex -> smallest vertex of its automorphism orbit
+      rows      -- the canonical rows, held by that least leaf: the graph
+                   relabeled by perm (the empty graph's one leaf is the root)
     """
     _check_order(n, rows)
-    if n == 0:
-        return (), 1, (), ()
     nbrs = [list(bits(r)) for r in rows]
     uf = UnionFind(n)
     gens = []
@@ -547,7 +547,7 @@ def canon_raw(n, rows):
     for i, v in enumerate(first_path):
         aut_order *= len(_orbit([v], _fixing(gens, first_path[:i])))
     orbits = tuple(uf.find(v) for v in range(n))
-    return tuple(best[3]), aut_order, tuple(gens), orbits
+    return tuple(best[3]), aut_order, tuple(gens), orbits, tuple(best[1])
 
 
 def _fixing(gens, fixed):

@@ -116,6 +116,12 @@ def _scan_levels(chk, n, fn, visit, jobs):
     return scanned
 
 
+def _check_masks(count, what, order):
+    """Refuse a walk over more masks, 2^count, than order 9 has classes."""
+    if count >= generate.KNOWN_CLASS_COUNTS[9].bit_length():  # 2^count > classes
+        raise ValueError(f"2^{count} {what} at order {order} exceed the order-9 classes")
+
+
 def _members(chk, order, chorded):
     """Number of distinct graphs the family walk exhibits at this order:
     g_n below order 13 unless `chorded`, else h_n_e under every chord mask.
@@ -124,8 +130,7 @@ def _members(chk, order, chorded):
     first violation; more chord masks than order-9 classes are refused."""
     if chorded or order >= 13:
         count = families.chord_count(order)
-        if count >= generate.KNOWN_CLASS_COUNTS[9].bit_length():  # 2^count > classes
-            raise ValueError(f"2^{count} chord masks at order {order} exceed the order-9 classes")
+        _check_masks(count, "chord masks", order)
         masks, build = range(1 << count), partial(families.h_n_e, order)
     else:
         masks, build = (0,), lambda _mask: families.g_n(order)
@@ -178,7 +183,9 @@ def verify_obs1(chk, n=8, jobs=1) -> dict:
 
 def verify_obs2(chk, n=12) -> dict:
     """Graphs with maximum degree <= 2 have equal stability parameters;
-    checked on all paths and cycles up to order n."""
+    checked on all paths and cycles up to order n <= 19, since P_n makes the
+    stability scan try about 2^(n-1) masks."""
+    _check_masks(n - 1, "scan masks", n)
     checked = 0
     for g, is_path in [(path_graph(k), True) for k in range(1, n + 1)] + [
         (cycle_graph(k), False) for k in range(3, n + 1)

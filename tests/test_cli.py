@@ -181,6 +181,18 @@ def test_verify_rejects_more_chord_masks_than_order_9_classes(capsys, monkeypatc
         assert err == "error: 2^19 chord masks at order 49 exceed the order-9 classes\n"
 
 
+def test_verify_rejects_more_scan_masks_than_order_9_classes(capsys, monkeypatch):
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(verify, "path_graph", no_graph)
+    monkeypatch.setattr(verify, "cycle_graph", no_graph)
+    for n in (20, 62):
+        code, out, err = run_cli(capsys, "verify", "obs2", "--n", str(n), "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: 2^{n - 1} scan masks at order {n} exceed the order-9 classes\n"
+
+
 def test_verify_rejects_a_seed_for_a_claim_without_one(capsys):
     for claim in ("obs1", "obs2", "lem9", "lemd4", "thm-many", "thm-main", "search-30"):
         code, out, err = run_cli(capsys, "verify", claim, "--seed", "3", "--jobs", "1")

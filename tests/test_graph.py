@@ -148,6 +148,11 @@ def test_distance():
     c6 = cycle_graph(6)
     assert c6.distance(0, 3) == 3
     assert Graph.build(2, []).distance(0, 1) == -1
+    p3 = path_graph(3)
+    assert p3.distance(2, 0) == 2
+    for a, b in [(0, -1), (0, 7), (-1, 0), (3, 3), (0, 3)]:
+        with pytest.raises(GraphError, match=r"outside 0\.\.2$"):
+            p3.distance(a, b)
 
 
 def test_two_disjoint_paths():

@@ -83,16 +83,14 @@ def shuffled_union(rng, parts):
     return Graph.build(n, edges)
 
 
-def test_composition_matches_brute_automorphisms():
-    """Unions of 2-4 classes of order <= 4, one piece repeated: canon_data's
-    group order and orbits are the brute-force ones, its generators are
-    automorphisms whose orbits are those orbits, and a reshuffle keeps the
-    key.  Unions with more degree-preserving bijections than 8! are skipped,
-    since the oracle lists every automorphism."""
+def repeated_piece_unions(rng, count):
+    """`count` shuffled unions of 2-4 classes of order <= 4, one piece
+    repeated, each as (parts, graph).  Unions with more than 12 vertices or
+    more degree-preserving bijections than 8! are skipped, since the brute
+    oracle lists every automorphism."""
     pieces = [rows for n in range(1, 5) for _key, rows in generate.levels_up_to(n)]
-    rng = random.Random(11)
     checked = 0
-    while checked < 150:
+    while checked < count:
         parts = [rng.choice(pieces) for _ in range(rng.randint(1, 3))]
         parts.append(rng.choice(parts))
         g = shuffled_union(rng, parts)
@@ -100,6 +98,15 @@ def test_composition_matches_brute_automorphisms():
         if g.n > 12 or bijections > math.factorial(8):
             continue
         checked += 1
+        yield parts, g
+
+
+def test_composition_matches_brute_automorphisms():
+    """On the repeated-piece unions, canon_data's group order and orbits are
+    the brute-force ones, its generators are automorphisms whose orbits are
+    those orbits, and a reshuffle keeps the key."""
+    rng = random.Random(11)
+    for parts, g in repeated_piece_unions(rng, 150):
         data = iso.canon_data(g.n, g.rows)
         assert (data.aut_order, data.orbits) == oracles.brute_automorphisms(g)
         orbits = UnionFind(g.n)
@@ -130,13 +137,21 @@ def test_random_relabelings_of_family_graphs():
 
 
 def test_canonical_key_is_graph6_of_canonical_graph():
+    """The key is read off the kernel's canonical rows, composed piece by
+    piece for a disconnected graph; Graph.relabel by the canonical labeling
+    must build the same graph.  On g9, the empty graph, every class of order
+    <= 6, and the repeated-piece unions with their reshuffles."""
     from chromastab import graph6
 
-    g = families.g9()
-    key = iso.canonical_form(g)
-    cg = iso.canonical_graph(g)
-    assert graph6.encode(cg).encode() == key
-    assert graph6.decode(key.decode()).n == 9
+    graphs = [families.g9(), Graph(0, ())]
+    graphs += [Graph(n, rows) for n in range(1, 7) for _key, rows in generate.levels_up_to(n)]
+    rng = random.Random(11)
+    for parts, g in repeated_piece_unions(rng, 150):
+        graphs += [g, shuffled_union(rng, parts)]
+    assert sum(not g.is_connected() for g in graphs) > 150
+    for g in graphs:
+        assert graph6.encode(iso.canonical_graph(g)).encode() == iso.canonical_form(g), g.rows
+    assert graph6.decode(iso.canonical_form(families.g9()).decode()).n == 9
 
 
 @pytest.mark.parametrize("n", [63, 64])

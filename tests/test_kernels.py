@@ -5,6 +5,7 @@ import random
 import subprocess
 import sysconfig
 import time
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -83,7 +84,7 @@ SYMMETRIC = [
 
 # pure_outputs() of the reference kernels.  The compiled backend must
 # reproduce these outputs bit for bit, so a refactor of pure.py keeps them.
-PURE_OUTPUTS_DIGEST = "c72291d19d020a393fbd39184400f27fc9a9bac62b5846ab11d04068c984fc11"
+PURE_OUTPUTS_DIGEST = "bf1b536dae6d36aacb74c3a722e550b7901a4bc604fbd9890c8c30aeb7817872"
 
 
 def pure_outputs(kern=pure):
@@ -293,6 +294,31 @@ def test_backends_agree_everywhere(built_ckern):
         assert pure.bipartizing_pairs(n, rows) == ck.bipartizing_pairs(n, rows)
 
 
+def test_compiled_kernels_do_not_leak(built_ckern):
+    """2,000 calls of each kernel that hands back new Python objects leave
+    less than 64 KiB of traced growth; a reference leaked per call would
+    keep each call's result alive."""
+    ck = built_ckern
+    c40, g9 = cycle_graph(40), families.g9()
+    calls = {
+        "canon_raw": lambda: ck.canon_raw(c40.n, c40.rows),
+        "stability_witnesses": lambda: ck.stability_witnesses(g9.n, g9.rows, 3, False),
+        "color_graph": lambda: ck.color_graph(g9.n, g9.rows, 3),
+        "bipartizing_pairs": lambda: ck.bipartizing_pairs(c40.n, c40.rows),
+    }
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2000):
+                call()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 64 * 1024, (name, growth)
+
+
 def test_backend_switch(built_ckern, monkeypatch):
     """set_backend on a tree where the compiled extension is the built module."""
     monkeypatch.setattr(kernels, "_compiled", built_ckern)
@@ -343,8 +369,10 @@ def test_canon_raw_generators_are_automorphisms(backend):
     graphs = [(n, rows) for n, rows in corpus()]
     graphs += [(g.n, g.rows) for _name, g, _order in SYMMETRIC]
     for n, rows in graphs:
-        perm, _order, gens, orbits = backend.canon_raw(n, rows)
+        perm, _order, gens, orbits, crows = backend.canon_raw(n, rows)
         assert sorted(perm) == list(range(n))
+        # the canonical rows are the graph relabeled by perm
+        assert crows == apply_perm(n, rows, perm)
         assert len(gens) <= max(n - 1, 0)
         for gen in gens:
             assert sorted(gen) == list(range(n))
@@ -356,7 +384,7 @@ def test_canon_raw_generators_are_automorphisms(backend):
 def test_canon_raw_group_matches_brute_force_through_order_7(backend, levels_through_8):
     for order in range(1, 8):
         for _key, rows in levels_through_8[order]:
-            _perm, aut_order, gens, orbits = backend.canon_raw(order, rows)
+            _perm, aut_order, gens, orbits, _rows = backend.canon_raw(order, rows)
             brute_order, brute_orbits = oracles.brute_automorphisms(Graph(order, rows))
             assert (aut_order, orbits) == (brute_order, brute_orbits), rows
             assert generated_orbits(order, gens) == brute_orbits, rows
@@ -364,7 +392,7 @@ def test_canon_raw_group_matches_brute_force_through_order_7(backend, levels_thr
 
 @pytest.mark.parametrize("name,g,order", SYMMETRIC, ids=[name for name, _g, _o in SYMMETRIC])
 def test_canon_raw_known_group_orders(backend, name, g, order):
-    _perm, aut_order, _gens, orbits = backend.canon_raw(g.n, g.rows)
+    _perm, aut_order, _gens, orbits, _rows = backend.canon_raw(g.n, g.rows)
     assert aut_order == order
     assert type(aut_order) is int
     # every graph here is vertex-transitive
