@@ -9,8 +9,11 @@ output is independent of scheduling.  A class's key is `iso.canon_data`'s
 graph6 key, the canonical graph6 bytes that catalogs and
 `iso.canonical_form` use too.
 
-Two reductions skip canonical labeling whose answer is already known; both
-leave every level's keys and representatives unchanged:
+A parent is expanded by one kernel call, `children` on the active backend
+(see `kernels.pure.children`), after one `iso.canon_data` call on the parent
+for its automorphism generators.  Two reductions skip canonical labeling
+whose answer is already known; both leave every level's keys and
+representatives unchanged:
 
 - pre-test: a child is labeled only if its new vertex lies in a largest
   component, has the maximum degree there and the largest sorted neighbor
@@ -25,10 +28,12 @@ leave every level's keys and representatives unchanged:
   generators generate the parent's automorphism group, so each orbit of
   subsets is labeled at most once.
 
-Each parent's neighbor lists and degrees are built once, and each
-candidate's vertex list once; the pre-test, the orbit reduction and the
-child build read them.  Each child that passes the pre-test is labeled by
-one `iso.canon_data` call.
+A connected child that passes the pre-test is labeled whole, by one
+`canon_raw` call.  A disconnected child keeps the parent components that
+the new vertex misses, so only the new vertex's piece is labeled; each
+untouched component is labeled once per parent and its canonical rows are
+reused.  The graph6 key is built only for an accepted child, from the
+kernel's canonical rows, as `iso.canon_data` builds it.
 
 Scans read whole orders through `walk`: `all_levels` sorts and caches the
 levels below the top order, and `sweep` streams the top order parent by
@@ -46,9 +51,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from chromastab import graph6, iso
+from chromastab import graph6, iso, kernels
 from chromastab.chromatic import CLASS_PROFILE, StabilityReport, analyze, profile
-from chromastab.graph import Graph, bits, component_masks, mask_of
+from chromastab.graph import Graph
 
 KNOWN_CLASS_COUNTS = {
     1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668,
@@ -115,100 +120,12 @@ class Catalog:
 
 def _children_of(task):
     """Accepted one-vertex extensions of a parent: sorted list of (key, rows),
-    key being the child's canonical graph6 bytes.
-
-    Neighbor subsets are visited in ascending order.  A subset that an
-    earlier one reaches under the parent's automorphism generators is
-    skipped, and a child is canonically labeled only when its new vertex
-    passes `_may_be_last`.
-    """
+    key being the child's canonical graph6 bytes.  One `iso.canon_data` call
+    gives the parent's automorphism generators, and the kernel's `children`
+    does the rest."""
     n, rows, max_degree = task
-    cap = n if max_degree is None else max_degree
-    nbrs = [list(bits(r)) for r in rows]
-    degree = [len(vs) for vs in nbrs]
-    eligible = mask_of(u for u in range(n) if degree[u] < cap)
-    comps = component_masks(n, rows)
-    comp_of = [0] * n
-    for comp in comps:
-        for v in bits(comp):
-            comp_of[v] = comp
     gens = iso.canon_data(n, rows).generators
-    newbit = 1 << n
-    seen = set()
-    accepted = {}
-    x = 0
-    while True:
-        if x.bit_count() <= cap and x not in seen:
-            # a list: tuples grown from the bits generator, one per
-            # candidate, left about 0.5 MB more peak RSS behind
-            xs = list(bits(x))
-            if _may_be_last(x, xs, nbrs, degree, comps, comp_of):
-                seen.update(_orbit(x, xs, gens))
-                child = list(rows)
-                for u in xs:
-                    child[u] |= newbit
-                child.append(x)
-                crows = tuple(child)
-                data = iso.canon_data(n + 1, crows)
-                if data.last_orbit >> n & 1:
-                    accepted.setdefault(data.key, crows)
-        if x == eligible:
-            break
-        x = (x - eligible) & eligible  # next subset of `eligible`, ascending
-    return sorted(accepted.items())
-
-
-def _may_be_last(x, xs, nbrs, degree, comps, comp_of):
-    """Whether a new vertex joined to the vertices xs (mask x) can be
-    canonically last; nbrs and degree are the parent's neighbor lists and
-    degrees.
-
-    canon_data puts a largest component last.  Within a component,
-    canon_raw's first refinement round orders vertices by degree, the second
-    by the sorted degrees of their neighbors, and later splits keep that
-    order.  So the canonically last vertex (and its whole orbit) lies in a
-    largest component, has the maximum degree d there, and has the largest
-    sorted neighbor degrees among the vertices of degree d.
-    """
-    d = len(xs)
-    merged = 0
-    for u in xs:
-        merged |= comp_of[u]
-    size = merged.bit_count() + 1
-    if any(comp.bit_count() > size for comp in comps if not comp & merged):
-        return False
-    mine = None
-    for v in range(len(degree)):
-        if not merged >> v & 1:
-            continue
-        joined = x >> v & 1
-        if degree[v] + joined > d:
-            return False
-        if degree[v] + joined == d:
-            if mine is None:
-                mine = sorted([degree[u] + 1 for u in xs])
-            theirs = [degree[u] + (x >> u & 1) for u in nbrs[v]]
-            if joined:
-                theirs.append(d)
-            if sorted(theirs) > mine:
-                return False
-    return True
-
-
-def _orbit(x, xs, gens):
-    """The orbit of vertex mask x (vertices xs) under the group generated by
-    gens."""
-    orbit = {x}
-    stack = [xs]
-    while stack:
-        ys = stack.pop()
-        for gen in gens:
-            zs = [gen[u] for u in ys]
-            z = mask_of(zs)
-            if z not in orbit:
-                orbit.add(z)
-                stack.append(zs)
-    return orbit
+    return kernels.active().children(n, rows, max_degree, gens)
 
 
 def _pmap(fn, tasks, jobs, chunksize=16):

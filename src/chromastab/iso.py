@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from chromastab import graph6, kernels
+from chromastab.kernels import pure
 from chromastab.graph import (
     Graph,
     UnionFind,
@@ -61,15 +62,15 @@ def canon_data(n, rows) -> CanonData:
         last = _orbit_mask(orbits, perm.index(n - 1)) if n else 0
         return CanonData(key, perm, order, gens, orbits, last)
 
-    # Components go in (n_C, pack_key) order, pack_key being the canonical
-    # rows as 8 little-endian bytes each; this order defines the canonical
-    # form of a disconnected graph: the pieces' rows, shifted to their offsets.
+    # Components go in (n_C, pack_key) order (pure._piece_class), pack_key
+    # being the canonical rows as 8 little-endian bytes each; this order
+    # defines the canonical form of a disconnected graph: the pieces' rows,
+    # shifted to their offsets.  The `children` kernels compose it too.
     pieces = []
     for comp in comps:
         verts, sub = induced(rows, comp)
         perm, porder, gens, _orbits, crows = kern.canon_raw(len(verts), sub)
-        pack_key = b"".join([r.to_bytes(8, "little") for r in crows])
-        pieces.append(((len(verts), pack_key), verts, perm, porder, gens, crows))
+        pieces.append((pure._piece_class(crows), verts, perm, porder, gens, crows))
     pieces.sort(key=lambda p: p[0])
 
     gperm = [0] * n

@@ -613,13 +613,13 @@ static int search(Canon *cs, const int *colors)
     return depth - 1;
 }
 
-/* Fills first, best, gens and uf for the graph in cs->adj, and the orbit
-   size of each first-path vertex under the generators fixing the ones
-   before it. */
-static void canon_run(Canon *cs, int *orbit_size)
+/* Fills first, best, gens and uf for the graph adj on n vertices. */
+static void canon_run(Canon *cs, int n, const u64 *adj)
 {
     int colors[MAXN];
-    for (int v = 0; v < cs->n; v++) {
+    cs->n = n;
+    memcpy(cs->adj, adj, n * sizeof(u64));
+    for (int v = 0; v < n; v++) {
         cs->uf[v] = v;
         colors[v] = 0;
     }
@@ -628,10 +628,322 @@ static void canon_run(Canon *cs, int *orbit_size)
     cs->ngens = 0;
     refine(cs, colors);
     search(cs, colors);
-    for (int i = 0; i < cs->first.depth; i++) {
-        int v = cs->first.path[i];
-        orbit_size[i] = POPCNT64(orbit_mask(cs, BIT(v), cs->first.path, i));
+}
+
+/* ------------------------------------------------------------------------
+   canonical augmentation
+   ------------------------------------------------------------------------ */
+
+/* A set of vertex masks below 2^63, by open addressing on mask + 1, so that
+   0 marks an empty slot; cap is a power of two, at least twice the count. */
+typedef struct {
+    u64 *slots;
+    size_t cap;
+    size_t count;
+} MaskSet;
+
+static size_t mask_slot(const MaskSet *s, u64 x)
+{
+    u64 h = (x + 1) * 0x9e3779b97f4a7c15ULL;
+    size_t i = (size_t)(h >> 32) & (s->cap - 1);
+    while (s->slots[i] && s->slots[i] != x + 1)
+        i = (i + 1) & (s->cap - 1);
+    return i;
+}
+
+static int maskset_has(const MaskSet *s, u64 x)
+{
+    return s->slots[mask_slot(s, x)] != 0;
+}
+
+/* Adds x: 1 if it was new, 0 if it was in, -1 with MemoryError. */
+static int maskset_add(MaskSet *s, u64 x)
+{
+    size_t i = mask_slot(s, x);
+    if (s->slots[i])
+        return 0;
+    s->slots[i] = x + 1;
+    if (2 * ++s->count < s->cap)
+        return 1;
+    u64 *old = s->slots;
+    size_t old_cap = s->cap;
+    s->slots = PyMem_Calloc(2 * old_cap, sizeof(u64));
+    if (s->slots == NULL) {
+        s->slots = old;
+        PyErr_NoMemory();
+        return -1;
     }
+    s->cap = 2 * old_cap;
+    for (size_t j = 0; j < old_cap; j++)
+        if (old[j])
+            s->slots[mask_slot(s, old[j] - 1)] = old[j];
+    PyMem_Free(old);
+    return 1;
+}
+
+/* One parent's expansion: the parent, its degrees and components, the
+   canonical rows of each component once labeled, the automorphism
+   generators, the neighbor masks seen so far and the labeling workspace. */
+typedef struct {
+    int n;
+    u64 rows[MAXN];
+    int degree[MAXN];
+    int ncomps;
+    u64 comps[MAXN];
+    u64 comp_of[MAXN];
+    int labeled[MAXN];
+    u64 crows[MAXN][MAXN];
+    int ngens;
+    int *gens; /* ngens permutations of 0..n-1, one after the other */
+    MaskSet seen;
+    u64 *stack;
+    size_t stack_cap;
+    Canon cs;
+} Expansion;
+
+static void sort_ints(int *a, int k)
+{
+    for (int i = 1; i < k; i++) {
+        int x = a[i], j = i;
+        while (j > 0 && a[j - 1] > x) {
+            a[j] = a[j - 1];
+            j--;
+        }
+        a[j] = x;
+    }
+}
+
+/* Whether a new vertex joined to the vertex mask x can be canonically last,
+   as the pure _may_be_last decides: its piece is a largest component, and
+   in it the new vertex has the maximum degree d and the largest sorted
+   neighbor degrees among the vertices of degree d. */
+static int may_be_last(const Expansion *ex, u64 x)
+{
+    int d = POPCNT64(x);
+    u64 merged = 0;
+    for (u64 m = x; m; m &= m - 1)
+        merged |= ex->comp_of[__builtin_ctzll(m)];
+    int size = POPCNT64(merged) + 1;
+    for (int i = 0; i < ex->ncomps; i++)
+        if (!(ex->comps[i] & merged) && POPCNT64(ex->comps[i]) > size)
+            return 0;
+    int mine[MAXN], theirs[MAXN + 1];
+    int have_mine = 0;
+    for (u64 m = merged; m; m &= m - 1) {
+        int v = __builtin_ctzll(m);
+        int joined = x >> v & 1;
+        if (ex->degree[v] + joined > d)
+            return 0;
+        if (ex->degree[v] + joined < d)
+            continue;
+        if (!have_mine) {
+            int k = 0;
+            for (u64 xs = x; xs; xs &= xs - 1)
+                mine[k++] = ex->degree[__builtin_ctzll(xs)] + 1;
+            sort_ints(mine, k);
+            have_mine = 1;
+        }
+        int k = 0;
+        for (u64 nb = ex->rows[v]; nb; nb &= nb - 1) {
+            int u = __builtin_ctzll(nb);
+            theirs[k++] = ex->degree[u] + (int)(x >> u & 1);
+        }
+        if (joined)
+            theirs[k++] = d;
+        sort_ints(theirs, k);
+        for (int i = 0; i < d; i++) {
+            if (theirs[i] != mine[i]) {
+                if (theirs[i] > mine[i])
+                    return 0;
+                break;
+            }
+        }
+    }
+    return 1;
+}
+
+/* Adds the orbit of x under the group generated by the generators to the
+   seen masks; -1 with MemoryError.  Orbits are disjoint, and x is not seen
+   yet, so a mask already seen was reached in this orbit. */
+static int add_orbit(Expansion *ex, u64 x)
+{
+    size_t top = 0;
+    if (maskset_add(&ex->seen, x) < 0)
+        return -1;
+    ex->stack[top++] = x;
+    while (top) {
+        u64 y = ex->stack[--top];
+        for (int g = 0; g < ex->ngens; g++) {
+            const int *gen = ex->gens + (size_t)g * ex->n;
+            u64 z = 0;
+            for (u64 m = y; m; m &= m - 1)
+                z |= BIT(gen[__builtin_ctzll(m)]);
+            int added = maskset_add(&ex->seen, z);
+            if (added < 0)
+                return -1;
+            if (!added)
+                continue;
+            if (top == ex->stack_cap) {
+                u64 *grown = PyMem_Realloc(ex->stack, 2 * top * sizeof(u64));
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    return -1;
+                }
+                ex->stack = grown;
+                ex->stack_cap = 2 * top;
+            }
+            ex->stack[top++] = z;
+        }
+    }
+    return 0;
+}
+
+/* The subgraph of adj induced on mask, its vertices relabeled 0..k-1 in
+   ascending order, into sub; returns k. */
+static int induced_rows(const u64 *adj, u64 mask, u64 *sub)
+{
+    int local[MAXN];
+    int k = 0;
+    for (u64 m = mask; m; m &= m - 1)
+        local[__builtin_ctzll(m)] = k++;
+    int i = 0;
+    for (u64 m = mask; m; m &= m - 1) {
+        u64 r = 0;
+        for (u64 nb = adj[__builtin_ctzll(m)] & mask; nb; nb &= nb - 1)
+            r |= BIT(local[__builtin_ctzll(nb)]);
+        sub[i++] = r;
+    }
+    return k;
+}
+
+/* The order of pieces in a disconnected graph's canonical form: vertex
+   count, then the canonical rows as 8 little-endian bytes each, which are
+   compared byte by byte whatever the host's byte order. */
+static int cmp_piece(int na, const u64 *a, int nb, const u64 *b)
+{
+    if (na != nb)
+        return na < nb ? -1 : 1;
+    for (int i = 0; i < na; i++) {
+        for (int shift = 0; shift < 64; shift += 8) {
+            unsigned x = a[i] >> shift & 0xff, y = b[i] >> shift & 0xff;
+            if (x != y)
+                return x < y ? -1 : 1;
+        }
+    }
+    return 0;
+}
+
+/* graph6 of the graph adj on n <= 64 vertices, as graph6.encode_rows
+   writes it, into out (G6_MAX bytes); returns the length. */
+#define G6_MAX (4 + (MAXN * (MAXN - 1) / 2 + 5) / 6)
+
+static int graph6_bytes(int n, const u64 *adj, char *out)
+{
+    int len = 0;
+    if (n <= 62) {
+        out[len++] = (char)(n + 63);
+    } else {
+        out[len++] = '~';
+        for (int shift = 12; shift >= 0; shift -= 6)
+            out[len++] = (char)((n >> shift & 63) + 63);
+    }
+    int acc = 0, nbits = 0;
+    for (int v = 1; v < n; v++) {
+        for (int u = 0; u < v; u++) {
+            acc = acc << 1 | (int)(adj[u] >> v & 1);
+            if (++nbits == 6) {
+                out[len++] = (char)(acc + 63);
+                acc = 0;
+                nbits = 0;
+            }
+        }
+    }
+    if (nbits)
+        out[len++] = (char)((acc << (6 - nbits)) + 63);
+    return len;
+}
+
+/* The canonical graph6 key of child, the parent plus vertex n joined to x,
+   into key if vertex n is in the orbit of the canonically last vertex; its
+   length then, else 0.  See the pure _key_if_last. */
+static int key_if_last(Expansion *ex, u64 x, const u64 *child, char *key)
+{
+    int n = ex->n;
+    Canon *cs = &ex->cs;
+    u64 merged = 0;
+    for (u64 m = x; m; m &= m - 1)
+        merged |= ex->comp_of[__builtin_ctzll(m)];
+    if (merged == all_mask(n)) { /* a connected child */
+        canon_run(cs, n + 1, child);
+        if (uf_find(cs, n) != uf_find(cs, cs->best.inv[n]))
+            return 0;
+        return graph6_bytes(n + 1, cs->best.rows, key);
+    }
+    /* vertex n is the last of its piece's vertices, in ascending order */
+    u64 sub[MAXN], mine[MAXN];
+    int k = induced_rows(child, merged | BIT(n), sub);
+    canon_run(cs, k, sub);
+    if (uf_find(cs, k - 1) != uf_find(cs, cs->best.inv[k - 1]))
+        return 0;
+    memcpy(mine, cs->best.rows, k * sizeof(u64));
+    /* the pieces in canonical order, by insertion */
+    int npieces = 1;
+    int size[MAXN];
+    const u64 *prows[MAXN];
+    size[0] = k;
+    prows[0] = mine;
+    for (int i = 0; i < ex->ncomps; i++) {
+        if (ex->comps[i] & merged)
+            continue;
+        int kc = POPCNT64(ex->comps[i]);
+        if (!ex->labeled[i]) {
+            induced_rows(ex->rows, ex->comps[i], sub);
+            canon_run(cs, kc, sub);
+            memcpy(ex->crows[i], cs->best.rows, kc * sizeof(u64));
+            ex->labeled[i] = 1;
+        }
+        if (cmp_piece(kc, ex->crows[i], k, mine) > 0)
+            return 0;
+        int j = npieces++;
+        while (j > 0 && cmp_piece(size[j - 1], prows[j - 1], kc, ex->crows[i]) > 0) {
+            size[j] = size[j - 1];
+            prows[j] = prows[j - 1];
+            j--;
+        }
+        size[j] = kc;
+        prows[j] = ex->crows[i];
+    }
+    u64 grows[MAXN];
+    int off = 0;
+    for (int p = 0; p < npieces; p++) {
+        for (int j = 0; j < size[p]; j++)
+            grows[off + j] = prows[p][j] << off;
+        off += size[p];
+    }
+    return graph6_bytes(n + 1, grows, key);
+}
+
+/* Connected components of adj as vertex masks, by smallest contained
+   vertex; returns how many there are. */
+static int components(int n, const u64 *adj, u64 *comps)
+{
+    u64 seen = 0;
+    int count = 0;
+    for (int start = 0; start < n; start++) {
+        if (seen >> start & 1)
+            continue;
+        u64 comp = BIT(start), frontier = BIT(start);
+        while (frontier) {
+            u64 next = 0;
+            for (u64 m = frontier; m; m &= m - 1)
+                next |= adj[__builtin_ctzll(m)];
+            frontier = next & ~comp;
+            comp |= frontier;
+        }
+        seen |= comp;
+        comps[count++] = comp;
+    }
+    return count;
 }
 
 /* ------------------------------------------------------------------------
@@ -936,6 +1248,86 @@ static PyObject *int_tuple(const int *vals, int n)
     return t;
 }
 
+static PyObject *u64_tuple(const u64 *vals, int n)
+{
+    PyObject *t = PyTuple_New(n);
+    for (int i = 0; t != NULL && i < n; i++) {
+        PyObject *x = PyLong_FromUnsignedLongLong(vals[i]);
+        if (x == NULL)
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, i, x);
+    }
+    return t;
+}
+
+/* An integer argument, clamped to lo..hi; a non-integer is a TypeError, as
+   operator.index gives it. */
+static int clamped_index(PyObject *o, int lo, int hi, int *out)
+{
+    PyObject *x = PyNumber_Index(o);
+    if (x == NULL)
+        return -1;
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(x, &overflow);
+    Py_DECREF(x);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow)
+        v = overflow > 0 ? hi : lo;
+    *out = v < lo ? lo : v > hi ? hi : (int)v;
+    return 0;
+}
+
+/* The generators: each one converted whole, then checked to be a
+   permutation of 0..n-1, as the pure _children_args checks them. */
+static int load_gens(Expansion *ex, PyObject *gens)
+{
+    int n = ex->n;
+    PyObject *list = PySequence_List(gens);
+    if (list == NULL)
+        return -1;
+    Py_ssize_t count = PyList_GET_SIZE(list);
+    ex->gens = PyMem_Calloc((size_t)count * n + 1, sizeof(int));
+    if (ex->gens == NULL) {
+        Py_DECREF(list);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (ex->ngens = 0; ex->ngens < count; ex->ngens++) {
+        PyObject *gen = PySequence_List(PyList_GET_ITEM(list, ex->ngens));
+        if (gen == NULL)
+            goto fail;
+        int *perm = ex->gens + (size_t)ex->ngens * n;
+        Py_ssize_t len = PyList_GET_SIZE(gen);
+        u64 hit = 0;
+        int ok = len == n;
+        for (Py_ssize_t i = 0; i < len; i++) {
+            int v;
+            if (clamped_index(PyList_GET_ITEM(gen, i), -1, n, &v) < 0) {
+                Py_DECREF(gen);
+                goto fail;
+            }
+            if (i < n && 0 <= v && v < n && !(hit >> v & 1)) {
+                hit |= BIT(v);
+                perm[i] = v;
+            } else {
+                ok = 0;
+            }
+        }
+        Py_DECREF(gen);
+        if (!ok) {
+            PyErr_SetString(PyExc_ValueError, "generator that is not a permutation of 0..n-1");
+            goto fail;
+        }
+    }
+    Py_DECREF(list);
+    return 0;
+fail:
+    Py_DECREF(list);
+    return -1;
+}
+
 static PyObject *scan_limit_error(void)
 {
     PyErr_SetString(PyExc_ValueError, "stability scans support at most 62 vertices");
@@ -1133,10 +1525,16 @@ static PyObject *py_bipartizing_pairs(PyObject *self, PyObject *const *args,
 static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Canon cs;
-    if (!nargs_ok("canon_raw", nargs, 2) || load(args[0], args[1], cs.adj, &cs.n) < 0)
+    u64 adj[MAXN];
+    int n;
+    if (!nargs_ok("canon_raw", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
         return NULL;
     int orbit_size[MAXN];
-    canon_run(&cs, orbit_size);
+    canon_run(&cs, n, adj);
+    /* the orbit of each first-path vertex under the generators fixing the
+       ones before it */
+    for (int i = 0; i < cs.first.depth; i++)
+        orbit_size[i] = POPCNT64(orbit_mask(&cs, BIT(cs.first.path[i]), cs.first.path, i));
     int orbits[MAXN];
     for (int v = 0; v < cs.n; v++)
         orbits[v] = uf_find(&cs, v);
@@ -1161,14 +1559,7 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
             PyTuple_SET_ITEM(gens, i, g);
     }
     /* the least leaf's rows: the graph relabeled by perm */
-    PyObject *rows = PyTuple_New(cs.n);
-    for (int v = 0; rows != NULL && v < cs.n; v++) {
-        PyObject *r = PyLong_FromUnsignedLongLong(cs.best.rows[v]);
-        if (r == NULL)
-            Py_CLEAR(rows);
-        else
-            PyTuple_SET_ITEM(rows, v, r);
-    }
+    PyObject *rows = u64_tuple(cs.best.rows, cs.n);
     PyObject *result = NULL;
     if (perm != NULL && order != NULL && gens != NULL && orbs != NULL && rows != NULL)
         result = PyTuple_Pack(5, perm, order, gens, orbs, rows);
@@ -1177,6 +1568,98 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
     Py_XDECREF(gens);
     Py_XDECREF(orbs);
     Py_XDECREF(rows);
+    return result;
+}
+
+/* The candidate loop of the pure children, on a loaded parent: the sorted
+   list of (key, rows). */
+static PyObject *expand(Expansion *ex, int cap)
+{
+    int n = ex->n;
+    u64 eligible = 0;
+    for (int v = 0; v < n; v++) {
+        ex->degree[v] = POPCNT64(ex->rows[v]);
+        if (ex->degree[v] < cap)
+            eligible |= BIT(v);
+    }
+    ex->ncomps = components(n, ex->rows, ex->comps);
+    for (int i = 0; i < ex->ncomps; i++) {
+        ex->labeled[i] = 0;
+        for (u64 m = ex->comps[i]; m; m &= m - 1)
+            ex->comp_of[__builtin_ctzll(m)] = ex->comps[i];
+    }
+    PyObject *accepted = PyDict_New();
+    if (accepted == NULL)
+        return NULL;
+    u64 x = 0;
+    for (;;) {
+        if (POPCNT64(x) <= cap && !maskset_has(&ex->seen, x) && may_be_last(ex, x)) {
+            u64 child[MAXN];
+            char key[G6_MAX];
+            if (add_orbit(ex, x) < 0)
+                goto fail;
+            for (int v = 0; v < n; v++)
+                child[v] = ex->rows[v] | (u64)(x >> v & 1) << n;
+            child[n] = x;
+            int len = key_if_last(ex, x, child, key);
+            if (len) {
+                PyObject *k = PyBytes_FromStringAndSize(key, len);
+                int has = k == NULL ? -1 : PyDict_Contains(accepted, k);
+                PyObject *rows = has == 0 ? u64_tuple(child, n + 1) : NULL;
+                int err = has < 0 || (has == 0 && (rows == NULL ||
+                                                   PyDict_SetItem(accepted, k, rows) < 0));
+                Py_XDECREF(k);
+                Py_XDECREF(rows);
+                if (err)
+                    goto fail;
+            }
+        }
+        if (x == eligible)
+            break;
+        x = (x - eligible) & eligible; /* next subset of `eligible`, ascending */
+    }
+    PyObject *items = PyDict_Items(accepted);
+    Py_DECREF(accepted);
+    if (items != NULL && PyList_Sort(items) < 0)
+        Py_CLEAR(items);
+    return items;
+fail:
+    Py_DECREF(accepted);
+    return NULL;
+}
+
+/* The arguments are checked in the pure _children_args's order, with its
+   messages: the parent order, the rows, max_degree, then gens. */
+static PyObject *py_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, cap;
+    if (!nargs_ok("children", nargs, 4) || clamped_index(args[0], -1, MAXN, &n) < 0)
+        return NULL;
+    if (n < 0 || n >= MAXN) {
+        PyErr_SetString(PyExc_ValueError, "parent order outside 0..63");
+        return NULL;
+    }
+    Expansion *ex = PyMem_Malloc(sizeof(Expansion));
+    if (ex == NULL)
+        return PyErr_NoMemory();
+    ex->gens = NULL;
+    ex->seen.cap = 64;
+    ex->seen.count = 0;
+    ex->seen.slots = PyMem_Calloc(ex->seen.cap, sizeof(u64));
+    ex->stack_cap = 64;
+    ex->stack = PyMem_Malloc(ex->stack_cap * sizeof(u64));
+    PyObject *result = NULL;
+    cap = n;
+    if (ex->seen.slots == NULL || ex->stack == NULL)
+        PyErr_NoMemory();
+    else if (load(args[0], args[1], ex->rows, &ex->n) == 0 &&
+             (args[2] == Py_None || clamped_index(args[2], -1, n, &cap) == 0) &&
+             load_gens(ex, args[3]) == 0)
+        result = expand(ex, cap);
+    PyMem_Free(ex->gens);
+    PyMem_Free(ex->seen.slots);
+    PyMem_Free(ex->stack);
+    PyMem_Free(ex);
     return result;
 }
 
@@ -1219,6 +1702,10 @@ static PyMethodDef methods[] = {
              "the automorphisms it finds; aut_order is exact, gens generate the "
              "automorphism group, rows are the graph relabeled by perm. See the pure "
              "twin for the full contract."),
+    FASTCALL(children, "n, rows, max_degree, gens",
+             "The sorted (key, rows) list of a parent's accepted one-vertex "
+             "extensions, exactly as the pure kernel finds them; see the pure twin "
+             "for the full contract."),
     FASTCALL(planar, "n, rows",
              "True if the graph is planar: the testing phase of the left-right "
              "criterion, as the pure twin runs it."),

@@ -11,7 +11,15 @@ from __future__ import annotations
 from functools import reduce
 from operator import index, or_
 
-from chromastab.graph import UnionFind, bits, is_independent, mask_of
+from chromastab import graph6
+from chromastab.graph import (
+    UnionFind,
+    bits,
+    component_masks,
+    induced,
+    is_independent,
+    mask_of,
+)
 
 BACKEND = "pure"
 
@@ -566,6 +574,190 @@ def _orbit(vertices, gens):
             if u not in orbit:
                 orbit.add(u)
                 stack.append(u)
+    return orbit
+
+
+# ---------------------------------------------------------------------------
+# canonical augmentation
+# ---------------------------------------------------------------------------
+
+
+def _children_args(n, rows, max_degree, gens):
+    """The checked arguments of `children`, in the compiled core's order and
+    with its messages: (n, rows as a tuple, cap, gens as lists).  A cap above
+    n is n, below 0 is -1, so both backends take any int."""
+    n = index(n)
+    if not 0 <= n <= 63:
+        raise ValueError("parent order outside 0..63")
+    checked = []
+    for v in range(n):
+        r = index(rows[v])
+        if r < 0 or r >> n:
+            raise ValueError("adjacency row with a bit outside 0..n-1")
+        checked.append(r)
+    cap = n if max_degree is None else max(-1, min(n, index(max_degree)))
+    perms = []
+    for gen in gens:
+        perm = [index(v) for v in gen]
+        if sorted(perm) != list(range(n)):
+            raise ValueError("generator that is not a permutation of 0..n-1")
+        perms.append(perm)
+    return n, tuple(checked), cap, perms
+
+
+def children(n, rows, max_degree, gens):
+    """Accepted one-vertex extensions of a parent graph: the sorted list of
+    (key, rows), key being the child's canonical graph6 bytes, as
+    `iso.canon_data` gives it, and rows the first child found with that key.
+
+    gens generate the parent's automorphism group.  max_degree (None for no
+    bound) caps every degree of the child.  Neighbor subsets of the vertices
+    below the cap are visited in ascending order.  A subset that an earlier
+    one reaches under gens is skipped, and a child is canonically labeled
+    only when its new vertex passes `_may_be_last`.
+
+    A child is accepted when its new vertex n lies in the orbit of its
+    canonically last vertex (McKay 1998, "Isomorph-free exhaustive
+    generation").  A connected child is labeled whole.  A disconnected child
+    keeps every parent component that the new vertex misses, so only the
+    new vertex's piece is labeled, and each untouched parent component is
+    labeled once per parent, on first use.  canon_data puts the largest
+    (n_C, pack_key) piece last (see _piece_class), so the new vertex is in
+    the last orbit exactly when its piece is largest, ties allowed, and it
+    lies in the orbit of its piece's last canonical position.  The key is
+    graph6 of the pieces' canonical rows in that order, shifted to their
+    offsets.
+    """
+    n, rows, cap, gens = _children_args(n, rows, max_degree, gens)
+    nbrs = [list(bits(r)) for r in rows]
+    degree = [len(vs) for vs in nbrs]
+    eligible = mask_of(u for u in range(n) if degree[u] < cap)
+    comps = component_masks(n, rows)
+    comp_of = [0] * n
+    for comp in comps:
+        for v in bits(comp):
+            comp_of[v] = comp
+    labeled = {}  # untouched parent component -> (class, canonical rows)
+    newbit = 1 << n
+    seen = set()
+    accepted = {}
+    x = 0
+    while True:
+        if x.bit_count() <= cap and x not in seen:
+            # a list: tuples grown from the bits generator, one per
+            # candidate, left about 0.5 MB more peak RSS behind
+            xs = list(bits(x))
+            if _may_be_last(x, xs, nbrs, degree, comps, comp_of):
+                seen.update(_subset_orbit(x, xs, gens))
+                child = list(rows)
+                for u in xs:
+                    child[u] |= newbit
+                child.append(x)
+                child = tuple(child)
+                key = _key_if_last(n, rows, child, xs, comps, comp_of, labeled)
+                if key is not None:
+                    accepted.setdefault(key, child)
+        if x == eligible:
+            break
+        x = (x - eligible) & eligible  # next subset of `eligible`, ascending
+    return sorted(accepted.items())
+
+
+def _piece_class(crows):
+    """A component's place in the canonical order of a disconnected graph:
+    (n_C, pack_key), pack_key being its canonical rows as 8 little-endian
+    bytes each."""
+    return len(crows), b"".join([r.to_bytes(8, "little") for r in crows])
+
+
+def _key_if_last(n, rows, child, xs, comps, comp_of, labeled):
+    """The canonical graph6 key of child, the parent (n, rows) plus vertex n
+    joined to xs, if vertex n is in the orbit of its canonically last
+    vertex; else None.  labeled caches the parent components' labels."""
+    merged = 0
+    for u in xs:
+        merged |= comp_of[u]
+    if merged == (1 << n) - 1:  # a connected child
+        perm, _order, _gens, orbits, crows = canon_raw(n + 1, child)
+        if orbits[n] != orbits[perm.index(n)]:
+            return None
+        return graph6.encode_rows(n + 1, crows).encode()
+    # vertex n is the last of its piece's vertices, in ascending order
+    verts, sub = induced(child, merged | 1 << n)
+    last = len(verts) - 1
+    perm, _order, _gens, orbits, crows = canon_raw(len(verts), sub)
+    if orbits[last] != orbits[perm.index(last)]:
+        return None
+    mine = _piece_class(crows)
+    pieces = [(mine, crows)]
+    for comp in comps:
+        if comp & merged:
+            continue
+        if comp not in labeled:
+            verts, sub = induced(rows, comp)
+            crows = canon_raw(len(verts), sub)[4]
+            labeled[comp] = _piece_class(crows), crows
+        if labeled[comp][0] > mine:
+            return None
+        pieces.append(labeled[comp])
+    pieces.sort(key=lambda piece: piece[0])
+    grows = []
+    for _cls, crows in pieces:
+        off = len(grows)
+        grows += [r << off for r in crows]
+    return graph6.encode_rows(n + 1, grows).encode()
+
+
+def _may_be_last(x, xs, nbrs, degree, comps, comp_of):
+    """Whether a new vertex joined to the vertices xs (mask x) can be
+    canonically last; nbrs and degree are the parent's neighbor lists and
+    degrees.
+
+    canon_data puts a largest component last.  Within a component,
+    canon_raw's first refinement round orders vertices by degree, the second
+    by the sorted degrees of their neighbors, and later splits keep that
+    order.  So the canonically last vertex (and its whole orbit) lies in a
+    largest component, has the maximum degree d there, and has the largest
+    sorted neighbor degrees among the vertices of degree d.
+    """
+    d = len(xs)
+    merged = 0
+    for u in xs:
+        merged |= comp_of[u]
+    size = merged.bit_count() + 1
+    if any(comp.bit_count() > size for comp in comps if not comp & merged):
+        return False
+    mine = None
+    for v in range(len(degree)):
+        if not merged >> v & 1:
+            continue
+        joined = x >> v & 1
+        if degree[v] + joined > d:
+            return False
+        if degree[v] + joined == d:
+            if mine is None:
+                mine = sorted([degree[u] + 1 for u in xs])
+            theirs = [degree[u] + (x >> u & 1) for u in nbrs[v]]
+            if joined:
+                theirs.append(d)
+            if sorted(theirs) > mine:
+                return False
+    return True
+
+
+def _subset_orbit(x, xs, gens):
+    """The orbit of vertex mask x (vertices xs) under the group generated by
+    gens."""
+    orbit = {x}
+    stack = [xs]
+    while stack:
+        ys = stack.pop()
+        for gen in gens:
+            zs = [gen[u] for u in ys]
+            z = mask_of(zs)
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(zs)
     return orbit
 
 

@@ -7,6 +7,7 @@ import pytest
 from chromastab import generate, graph6, iso, oracles
 from chromastab.generate import Catalog, GenSpec, GenerateError
 from chromastab.graph import Graph, bits, component_masks
+from chromastab.kernels import pure
 
 
 def test_known_counts_small():
@@ -55,7 +56,7 @@ def test_pretest_never_rejects_an_accepted_child(max_degree, top):
         comp_of = [next(c for c in comps if c >> v & 1) for v in range(n)]
         for x, _child, perm in candidates:
             if perm is not None:
-                assert generate._may_be_last(
+                assert pure._may_be_last(
                     x, list(bits(x)), [list(bits(r)) for r in rows], degree, comps, comp_of
                 ), (rows, x)
 
@@ -76,6 +77,24 @@ def test_reduced_expansion_matches_unreduced(max_degree, top):
                 first.setdefault(key, child)
         want = sorted(first.items())
         assert generate._children_of((n, rows, max_degree)) == want
+
+
+def test_each_parent_is_labeled_once(monkeypatch):
+    """_children_of labels the parent with one canon_data call and leaves
+    its children to the kernel."""
+    calls = []
+    canon_data = iso.canon_data
+
+    def counting(n, rows):
+        calls.append(n)
+        return canon_data(n, rows)
+
+    monkeypatch.setattr(iso, "canon_data", counting)
+    for n, level in generate.all_levels(6).items():
+        for _key, rows in level:
+            calls.clear()
+            generate._children_of((n, rows, 4))
+            assert calls == [n]
 
 
 @pytest.mark.parametrize("max_degree", [None, 3, 4])

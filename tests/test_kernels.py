@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromastab import families, generate, graph6, kernels, oracles
+from chromastab import families, generate, graph6, iso, kernels, oracles
 from chromastab.graph import (
     Graph,
     UnionFind,
@@ -300,11 +300,18 @@ def test_compiled_kernels_do_not_leak(built_ckern):
     keep each call's result alive."""
     ck = built_ckern
     c40, g9 = cycle_graph(40), families.g9()
+    k3k3 = disjoint(K3, K3)
+    g9_gens = iso.canon_data(g9.n, g9.rows).generators
+    k3k3_gens = iso.canon_data(k3k3.n, k3k3.rows).generators
     calls = {
         "canon_raw": lambda: ck.canon_raw(c40.n, c40.rows),
         "stability_witnesses": lambda: ck.stability_witnesses(g9.n, g9.rows, 3, False),
         "color_graph": lambda: ck.color_graph(g9.n, g9.rows, 3),
         "bipartizing_pairs": lambda: ck.bipartizing_pairs(c40.n, c40.rows),
+        "children": lambda: ck.children(g9.n, g9.rows, None, g9_gens),
+        "children of a disconnected parent": lambda: ck.children(
+            k3k3.n, k3k3.rows, None, k3k3_gens
+        ),
     }
     for name, call in calls.items():
         call()
@@ -812,3 +819,184 @@ def test_planar_matches_networkx_and_between_backends(built_ckern, case):
     assert known in (None, expected)
     assert pure.planar(g.n, g.rows) == expected
     assert built_ckern.planar(g.n, g.rows) == expected
+
+
+# ---------------------------------------------------------------------------
+# canonical augmentation: children
+# ---------------------------------------------------------------------------
+
+
+def children_of(kern, n, rows, max_degree):
+    return kern.children(n, rows, max_degree, iso.canon_data(n, rows).generators)
+
+
+def unreduced_children(n, rows, max_degree):
+    """The reference for `children`: every child whose new vertex joins a
+    subset of the vertices below the cap, labeled whole by iso.canon_data,
+    with no pre-test and no orbit reduction; the sorted (key, rows) of those
+    whose new vertex is in the last orbit, the first child per key."""
+    cap = n if max_degree is None else max(-1, min(n, max_degree))
+    eligible = [u for u in range(n) if rows[u].bit_count() < cap]
+    masks = sorted(
+        mask_of(c)
+        for size in range(min(cap, len(eligible)) + 1)
+        for c in itertools.combinations(eligible, size)
+    )
+    first = {}
+    for x in masks:
+        child = tuple([r | (x >> u & 1) << n for u, r in enumerate(rows)] + [x])
+        data = iso.canon_data(n + 1, child)
+        if data.last_orbit >> n & 1:
+            first.setdefault(data.key, child)
+    return sorted(first.items())
+
+
+def test_children_match_between_backends_through_order_7(built_ckern):
+    """Every parent of order <= 7, unbounded and at max_degree 3 and 4."""
+    for max_degree in (None, 3, 4):
+        for n, level in generate.all_levels(7, max_degree).items():
+            for _key, rows in level:
+                want = children_of(pure, n, rows, max_degree)
+                assert children_of(built_ckern, n, rows, max_degree) == want, (rows, max_degree)
+
+
+@st.composite
+def augmentation_parents(draw):
+    """(n, rows, max_degree): G(n, p) parents, or shuffled unions of up to
+    four pieces with the largest one repeated; n <= 12, and n <= 9 without
+    a degree bound, which leaves 2^n neighbor subsets to label.  Pieces of
+    at most 8 vertices have one-byte rows, so explicit examples cover the
+    byte order of pack_key."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    max_degree = draw(st.sampled_from([None, 2, 3, 4]))
+    limit = 9 if max_degree is None else 12
+    if draw(st.booleans()):
+        n = draw(st.integers(0, limit))
+        return n, random_rows(rng, n, draw(st.sampled_from([0.1, 0.25, 0.4, 0.7]))), max_degree
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+            lambda sizes: sum(sizes) + max(sizes) <= limit
+        )
+    )
+    pieces = [random_rows(rng, k, 0.5) for k in sizes]
+    pieces.append(pieces[sizes.index(max(sizes))])
+    g = disjoint(*(Graph(len(rows), rows) for rows in pieces))
+    order = rng.sample(range(g.n), g.n)
+    return g.n, apply_perm(g.n, g.rows, order), max_degree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parent=augmentation_parents())
+@example(parent=(0, (), None))
+@example(parent=(6, disjoint(K3, K3).rows, None))
+@example(parent=(12, disjoint(K3, K3, K3, K3).rows, 4))
+@example(parent=(9, disjoint(complete_graph(1), K3, K5).rows, 4))
+# two 9-vertex pieces of minimum degree 2, whose canonical rows take two
+# bytes each and come in one order by little-endian pack_key and in the
+# other by big-endian, and a P9 whose ends close it to the last piece, C10
+@example(parent=(27, disjoint(
+    Graph(9, (448, 224, 248, 164, 36, 30, 263, 271, 193)),
+    Graph(9, (40, 196, 290, 337, 232, 405, 26, 306, 172)),
+    path_graph(9),
+).rows, 2))
+def test_children_match_the_unreduced_expansion(built_ckern, parent):
+    """Both backends' children against every child labeled by canon_data,
+    which runs on the built module here."""
+    n, rows, max_degree = parent
+    got = children_of(pure, n, rows, max_degree)
+    assert children_of(built_ckern, n, rows, max_degree) == got
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_active", built_ckern)
+        assert got == unreduced_children(n, rows, max_degree)
+
+
+def test_children_of_the_largest_parents(built_ckern):
+    """Parents of order 62 and 63 with few vertices below the cap: children
+    of 63 and 64 vertices, keyed in graph6's long form."""
+    k1 = complete_graph(1)
+    for g, max_degree, count in (
+        (path_graph(62), 2, 1),  # C63 only: a new end is never last
+        (path_graph(63), 2, 1),
+        (disjoint(k1, cycle_graph(61), k1), 1, 0),  # no piece outgrows C61
+        (disjoint(k1, k1, cycle_graph(61)), 1, 0),
+        (disjoint(k1, path_graph(62)), 2, 1),  # C63 + K1
+        (path_graph(63), -5, 0),
+    ):
+        gens = iso.canon_data(g.n, g.rows).generators
+        got = pure.children(g.n, g.rows, max_degree, gens)
+        assert built_ckern.children(g.n, g.rows, max_degree, gens) == got
+        assert got == unreduced_children(g.n, g.rows, max_degree)
+        assert len(got) == count, g
+
+
+def test_pure_children_label_each_parent_component_once(monkeypatch):
+    """A disconnected child labels only its new vertex's piece; each parent
+    component it leaves alone is labeled once per parent, on first use."""
+    parent = disjoint(K3, K3, path_graph(3), complete_graph(1))
+    gens = iso.canon_data(parent.n, parent.rows).generators
+    labeled = []
+    canon_raw = pure.canon_raw
+
+    def recording(n, rows):
+        labeled.append(tuple(rows))
+        return canon_raw(n, rows)
+
+    monkeypatch.setattr(pure, "canon_raw", recording)
+    got = pure.children(parent.n, parent.rows, None, gens)
+    # no piece that holds the new vertex has 3 vertices, so these calls
+    # label parent components: each K3 once, P3 once
+    assert sorted(rows for rows in labeled if len(rows) == 3) == [(2, 5, 2), (6, 5, 3), (6, 5, 3)]
+    assert got == unreduced_children(parent.n, parent.rows, None)
+
+
+def children_calls(kern):
+    """One children call per kind of malformed argument, and some extreme
+    valid ones; P3 is (2, 5, 2), with generators ((2, 1, 0),)."""
+    p3, gens = (2, 5, 2), ((2, 1, 0),)
+    return [
+        lambda: kern.children(-1, (), None, ()),
+        lambda: kern.children(64, (0,) * 64, None, ()),
+        lambda: kern.children(1 << 70, (), None, ()),
+        lambda: kern.children(-1 << 70, (), None, ()),
+        lambda: kern.children(3.0, p3, None, gens),
+        lambda: kern.children(3, (2, 5, 8), None, gens),
+        lambda: kern.children(3, (2, -1, 2), None, gens),
+        lambda: kern.children(3, (2, 1 << 64, 2), None, gens),
+        lambda: kern.children(3, (2, 5.0, 2), None, gens),
+        lambda: kern.children(3, (2, 5), None, gens),
+        lambda: kern.children(3, 7, None, gens),
+        lambda: kern.children(3, p3, 2.0, gens),
+        lambda: kern.children(3, p3, "2", gens),
+        lambda: kern.children(3, p3, None, 5),
+        lambda: kern.children(3, p3, None, (5,)),
+        lambda: kern.children(3, p3, None, ((2, 1),)),
+        lambda: kern.children(3, p3, None, ((2, 1, 0, 3),)),
+        lambda: kern.children(3, p3, None, ((0, 0, 1),)),
+        lambda: kern.children(3, p3, None, ((2, 1, 3),)),
+        lambda: kern.children(3, p3, None, ((2, 1, -1),)),
+        lambda: kern.children(3, p3, None, ((2, 1, 1 << 70),)),
+        lambda: kern.children(3, p3, None, ((2, 1, 0), (3, 1, 0.0))),
+        lambda: kern.children(3, p3, None, ((0, 1, 2), (2, 1, 0))),
+        lambda: kern.children(3, [2, 5, 2, 99], 1 << 70, [[2, 1, 0]]),
+        lambda: kern.children(3, p3, -1 << 70, gens),
+        lambda: kern.children(0, (), 0, ()),
+    ]
+
+
+def test_children_check_their_arguments_alike(built_ckern):
+    """Both backends reject each malformed argument with the same error type
+    and message, in the same order, and agree on the extreme valid ones."""
+    outcomes = [kernel_outcome(call) for call in children_calls(pure)]
+    assert outcomes == [kernel_outcome(call) for call in children_calls(built_ckern)]
+    order = ("ValueError", "parent order outside 0..63")
+    row = ("ValueError", "adjacency row with a bit outside 0..n-1")
+    perm = ("ValueError", "generator that is not a permutation of 0..n-1")
+    assert outcomes[:4] == [order] * 4
+    assert outcomes[4][0] == outcomes[8][0] == outcomes[11][0] == "TypeError"
+    assert outcomes[5:8] == [row] * 3
+    assert outcomes[9][0] == "IndexError"
+    assert outcomes[14:21] == [("TypeError", "'int' object is not iterable")] + [perm] * 6
+    assert outcomes[21][0] == "TypeError"
+    assert outcomes[22] == outcomes[23] == pure.children(3, (2, 5, 2), None, ())
+    assert outcomes[24] == []
+    assert outcomes[25] == [(b"@", (0,))]
