@@ -22,9 +22,13 @@ when chi(C) = chi(G); chi(G) is the largest chi(C).  Then
   C a chi-coloring whose smallest class has color 0, and color the other
   components with chi-1 colors that avoid color 0.
 
-Every stability entry point below splits G once into components, scans only
-the top ones and combines the results; witness products are sorted, which
-is the ascending order of the whole-graph scan.  `profile` is the only
+Every stability entry point below makes one `top_components` kernel call,
+which returns chi(G) and the vertex masks of the top components: the kernel
+floods the components as bitsets and takes each chi on G's own rows, so a
+connected graph is never split or relabeled, and only the top components of
+a disconnected graph are relabeled (by `graph.induced`) for their scans.
+The results are combined; witness products are sorted, which is the
+ascending order of the whole-graph scan.  `profile` is the only
 code that computes a graph's (max degree, chi, vs, ivs[, mcc]); sweeps,
 search predicates and verifiers all read it.
 
@@ -67,7 +71,7 @@ from functools import reduce
 from operator import or_
 
 from chromastab import iso, kernels
-from chromastab.graph import Graph, bits, component_masks, induced, is_independent, mask_of
+from chromastab.graph import Graph, bits, induced, is_independent, mask_of
 
 
 class ChromaticError(ValueError):
@@ -161,24 +165,19 @@ def chromatic_number(g: Graph) -> int:
 def _top_components(n, rows):
     """chi(G) and the components C with chi(C) = chi(G), each as
     (n_C, rows_C, vertices): C relabeled to 0..n_C-1 in ascending order of
-    its vertices of G.  A connected graph is its own single component, with
-    its rows as they are and vertices None."""
-    kern = kernels.active()
-    comps = component_masks(n, rows)
-    if len(comps) <= 1:
-        top = [(n, rows, None)]
-        chi = kern.chromatic_number(n, rows)
-    else:
-        chi, top = 0, []
-        for comp in comps:
-            verts, crows = induced(rows, comp)
-            c = kern.chromatic_number(len(verts), crows)
-            if c > chi:
-                chi, top = c, []
-            if c == chi:
-                top.append((len(verts), crows, verts))
+    its vertices of G.  One top_components kernel call finds them; a
+    connected graph is its own single component, with its rows as they are
+    and vertices None, so only the top components of a disconnected graph
+    are relabeled."""
+    chi, masks = kernels.active().top_components(n, rows)
     if chi == 0:
         raise ChromaticError("stability parameters are undefined for the null graph")
+    if masks == ((1 << n) - 1,):
+        return chi, [(n, rows, None)]
+    top = []
+    for mask in masks:
+        verts, crows = induced(rows, mask)
+        top.append((len(verts), crows, verts))
     return chi, top
 
 
@@ -268,7 +267,7 @@ def profile(rows, test=None, mcc=False):
     class iff they start with CLASS_PROFILE.  After each of the four,
     test(values so far) may stop the profile: stage is the number of values
     that passed, and only those values are returned.  chi and every later
-    value come from one split into top components; vs and ivs take one
+    value come from one top_components kernel call; vs and ivs take one
     kernel call per top component, made only when the chi stage passes.
     """
     n = len(rows)

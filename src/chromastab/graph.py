@@ -288,7 +288,7 @@ class Graph:
     # -- structure predicates -------------------------------------------------
 
     def is_connected(self) -> bool:
-        return len(component_masks(self.n, self.rows)) <= 1
+        return self.n == 0 or reach(self.rows, 0) == self.vertex_mask()
 
     def connectivity(self) -> ConnectivityInfo:
         """(connected, two_connected); 2-connected means connected, n >= 3 and

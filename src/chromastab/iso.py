@@ -164,5 +164,7 @@ def is_planar(g: Graph) -> bool:
         undecided |= comp
     if not undecided:
         return True
+    if undecided == g.vertex_mask():
+        return kernels.active().planar(g.n, g.rows)
     verts, sub = induced(g.rows, undecided)
     return kernels.active().planar(len(verts), sub)

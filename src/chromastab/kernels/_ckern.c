@@ -27,17 +27,15 @@ static u64 all_mask(int n)
    coloring
    ------------------------------------------------------------------------ */
 
-/* Active vertices by descending degree within the active set, then index;
-   returns how many there are. */
-static int active_order(int n, const u64 *adj, u64 active, int *order)
+/* Vertices 0..n-1 by descending degree, ties by index: the order of the
+   greedy clique and of every coloring walk.  A stability scan computes it
+   once, and its walk for a mask takes it minus the mask. */
+static void degree_order(int n, const u64 *adj, int *order)
 {
     int deg[MAXN];
-    int c = 0;
     for (int v = 0; v < n; v++) {
-        if (!(active >> v & 1))
-            continue;
-        int dv = POPCNT64(adj[v] & active);
-        int i = c;
+        int dv = POPCNT64(adj[v]);
+        int i = v;
         while (i > 0 && deg[i - 1] < dv) {
             order[i] = order[i - 1];
             deg[i] = deg[i - 1];
@@ -45,36 +43,26 @@ static int active_order(int n, const u64 *adj, u64 active, int *order)
         }
         order[i] = v;
         deg[i] = dv;
-        c++;
     }
-    return c;
 }
 
-static int two_colorable(int n, const u64 *adj, u64 active)
+/* True if the graph induced on `active` is bipartite: a BFS by layers from
+   the least vertex of each component.  Edges join only equal or adjacent
+   layers, so an odd cycle shows as an edge inside a layer. */
+static int two_colorable(const u64 *adj, u64 active)
 {
-    int side[MAXN];
-    int stack[MAXN];
-    for (int v = 0; v < n; v++)
-        side[v] = -1;
-    for (int start = 0; start < n; start++) {
-        if (!(active >> start & 1) || side[start] >= 0)
-            continue;
-        side[start] = 0;
-        stack[0] = start;
-        int top = 1;
-        while (top) {
-            int v = stack[--top];
-            for (int u = 0; u < n; u++) {
-                if (!((adj[v] & active) >> u & 1))
-                    continue;
-                if (side[u] < 0) {
-                    side[u] = side[v] ^ 1;
-                    stack[top++] = u;
-                } else if (side[u] == side[v]) {
-                    return 0;
-                }
-            }
+    while (active) {
+        u64 layer = active & (~active + 1), seen = layer;
+        while (layer) {
+            u64 reach = 0;
+            for (u64 m = layer; m; m &= m - 1)
+                reach |= adj[__builtin_ctzll(m)];
+            if (reach & layer)
+                return 0;
+            layer = reach & active & ~seen;
+            seen |= layer;
         }
+        active &= ~seen;
     }
     return 1;
 }
@@ -100,50 +88,54 @@ static int color_rec(int idx, int norder, const int *order, const u64 *adj, int 
     return 0;
 }
 
-/* First proper coloring of the active vertices with at most k colors, as
-   class masks in classes[0..min(k, n)-1]; true if there is one.  A vertex
-   never opens more than one new color, so at most min(k, n) are open. */
-static int color_classes(int n, const u64 *adj, u64 active, int k, u64 *classes)
+/* First proper coloring of order[0..norder-1], taken in that order, with at
+   most k colors, as class masks in classes[0..min(k, norder)-1]; true if
+   there is one.  A vertex never opens more than one new color, so at most
+   min(k, norder) are open. */
+static int color_classes(int norder, const int *order, const u64 *adj, int k, u64 *classes)
 {
-    int order[MAXN];
-    int norder = active_order(n, adj, active, order);
-    for (int c = 0; c < k && c < n; c++)
+    for (int c = 0; c < k && c < norder; c++)
         classes[c] = 0;
     return color_rec(0, norder, order, adj, k, classes, 0);
 }
 
-/* True if the graph minus the `excluded` vertex mask is k-colorable. */
-static int colorable_excluding(int n, const u64 *adj, u64 excluded, int k)
+/* True if the graph minus the `excluded` vertex mask is k-colorable; the
+   walk takes order[0..n-1] (degree_order) minus the excluded vertices and
+   reads only whether a coloring exists. */
+static int colorable_excluding(int n, const u64 *adj, const int *order, u64 excluded, int k)
 {
     u64 classes[MAXN];
+    int walk[MAXN];
+    int nwalk = 0;
     u64 active = all_mask(n) & ~excluded;
     if (active == 0)
         return 1;
     if (k <= 0)
         return 0;
     if (k == 1) {
-        for (int v = 0; v < n; v++)
-            if (active >> v & 1 && adj[v] & active)
+        for (u64 m = active; m; m &= m - 1)
+            if (adj[__builtin_ctzll(m)] & active)
                 return 0;
         return 1;
     }
     if (k == 2)
-        return two_colorable(n, adj, active);
-    return color_classes(n, adj, active, k, classes);
+        return two_colorable(adj, active);
+    for (int i = 0; i < n; i++)
+        if (active >> order[i] & 1)
+            walk[nwalk++] = order[i];
+    return color_classes(nwalk, walk, adj, k, classes);
 }
 
-/* A clique: each vertex in descending-degree order, ties by index, joins
-   when it is adjacent to every vertex already in.  Fills members[] and
-   returns the clique size. */
-static int greedy_clique(int n, const u64 *adj, int *members)
+/* A clique: each vertex of order[0..n-1] in `part`, in turn, joins when it
+   is adjacent to every vertex already in.  Fills members[] and returns the
+   clique size. */
+static int greedy_clique(int n, const u64 *adj, const int *order, u64 part, int *members)
 {
-    int order[MAXN];
     u64 clique = 0;
     int size = 0;
-    int norder = active_order(n, adj, all_mask(n), order);
-    for (int i = 0; i < norder; i++) {
+    for (int i = 0; i < n; i++) {
         int v = order[i];
-        if ((adj[v] & clique) == clique) {
+        if (part >> v & 1 && (adj[v] & clique) == clique) {
             clique |= BIT(v);
             members[size++] = v;
         }
@@ -151,27 +143,28 @@ static int greedy_clique(int n, const u64 *adj, int *members)
     return size;
 }
 
-static int chromatic(int n, const u64 *adj)
+/* chi of the graph on the vertex mask `part`, which is G or a union of its
+   components, in G's labels; order is G's degree_order, and every walk
+   takes it minus the vertices outside part.  A graph on s vertices is
+   s-colorable, so the walks stop at s - 1 colors. */
+static int chromatic_within(int n, const u64 *adj, const int *order, u64 part)
 {
+    int size = POPCNT64(part);
     int any_edge = 0;
-    if (n == 0)
+    if (size == 0)
         return 0;
-    for (int v = 0; v < n; v++) {
-        if (adj[v]) {
-            any_edge = 1;
-            break;
-        }
-    }
+    for (u64 m = part; m && !any_edge; m &= m - 1)
+        any_edge = adj[__builtin_ctzll(m)] != 0;
     if (!any_edge)
         return 1;
     int members[MAXN];
-    int lb = greedy_clique(n, adj, members);
+    int lb = greedy_clique(n, adj, order, part, members);
     if (lb < 2)
         lb = 2;
-    for (int k = lb; k <= n; k++)
-        if (colorable_excluding(n, adj, 0, k))
+    for (int k = lb; k < size; k++)
+        if (colorable_excluding(n, adj, order, ~part, k))
             return k;
-    return n;
+    return size;
 }
 
 /* The greedy clique, then the other vertices in connected order: each next
@@ -180,7 +173,9 @@ static int chromatic(int n, const u64 *adj)
    clique size. */
 static int mcc_order(int n, const u64 *adj, int *order)
 {
-    int q = greedy_clique(n, adj, order);
+    int by_degree[MAXN];
+    degree_order(n, adj, by_degree);
+    int q = greedy_clique(n, adj, by_degree, all_mask(n), order);
     u64 placed = 0;
     for (int i = 0; i < q; i++)
         placed |= BIT(order[i]);
@@ -336,7 +331,7 @@ static u64 bipartizing_pairs(int n, const u64 *adj)
             if ((out & pair) == pair || !meets_all(pair, &triangles) ||
                 !(m - deg[x] - deg[y] + (int)(adj[x] >> y & 1)))
                 continue;
-            if (two_colorable(n, adj, all_mask(n) & ~pair))
+            if (two_colorable(adj, all_mask(n) & ~pair))
                 out |= pair;
         }
     }
@@ -1351,6 +1346,7 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
                                        Py_ssize_t nargs)
 {
     u64 adj[MAXN], excluded;
+    int order[MAXN];
     int n, k;
     if (!nargs_ok("deletion_colorable", nargs, 4) || load(args[0], args[1], adj, &n) < 0)
         return NULL;
@@ -1358,19 +1354,21 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
     excluded = PyLong_AsUnsignedLongLongMask(args[2]);
     if ((excluded == (u64)-1 && PyErr_Occurred()) || as_int(args[3], &k) < 0)
         return NULL;
-    return PyBool_FromLong(colorable_excluding(n, adj, excluded, k));
+    degree_order(n, adj, order);
+    return PyBool_FromLong(colorable_excluding(n, adj, order, excluded, k));
 }
 
 static PyObject *py_color_graph(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 adj[MAXN];
     u64 classes[MAXN];
-    int colors[MAXN];
+    int order[MAXN], colors[MAXN];
     int n, k;
     if (!nargs_ok("color_graph", nargs, 3) || load(args[0], args[1], adj, &n) < 0 ||
         as_int(args[2], &k) < 0)
         return NULL;
-    if (!color_classes(n, adj, all_mask(n), k, classes))
+    degree_order(n, adj, order);
+    if (!color_classes(n, order, adj, k, classes))
         Py_RETURN_NONE;
     for (int c = 0; c < k && c < n; c++)
         for (u64 m = classes[c]; m; m &= m - 1)
@@ -1382,10 +1380,41 @@ static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
                                      Py_ssize_t nargs)
 {
     u64 adj[MAXN];
+    int order[MAXN];
     int n;
     if (!nargs_ok("chromatic_number", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
         return NULL;
-    return PyLong_FromLong(chromatic(n, adj));
+    degree_order(n, adj, order);
+    return PyLong_FromLong(chromatic_within(n, adj, order, all_mask(n)));
+}
+
+/* (chi, masks): chi(G) and the masks of the components C with
+   chi(C) = chi(G), ascending by least vertex, as the pure twin finds them:
+   each chi is taken on G's rows restricted to the component, in G's
+   labels. */
+static PyObject *py_top_components(PyObject *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    u64 adj[MAXN], comps[MAXN];
+    int order[MAXN];
+    int n, chi = 0, ntop = 0;
+    if (!nargs_ok("top_components", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
+        return NULL;
+    degree_order(n, adj, order);
+    int ncomps = components(n, adj, comps);
+    for (int i = 0; i < ncomps; i++) {
+        int c = chromatic_within(n, adj, order, comps[i]);
+        if (c > chi) {
+            chi = c;
+            ntop = 0;
+        }
+        if (c == chi)
+            comps[ntop++] = comps[i];
+    }
+    PyObject *masks = u64_tuple(comps, ntop);
+    if (masks == NULL)
+        return NULL;
+    return Py_BuildValue("(iN)", chi, masks);
 }
 
 /* Minimum color-class size over all proper k-colorings that use all k
@@ -1437,14 +1466,16 @@ static PyObject *py_stability_values(PyObject *self, PyObject *const *args,
     if (n > 62)
         return scan_limit_error();
     Cliques cl;
+    int order[MAXN];
     collect_cliques(n, adj, chi, &cl);
+    degree_order(n, adj, order);
     int k = scan_colors(chi);
     u64 top = BIT(n);
     for (int s = 1; s <= n; s++) {
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
             if (vs && !independent(adj, mask))
                 continue;
-            if (meets_all(mask, &cl) && colorable_excluding(n, adj, mask, k)) {
+            if (meets_all(mask, &cl) && colorable_excluding(n, adj, order, mask, k)) {
                 if (!vs)
                     vs = s;
                 if (independent(adj, mask)) {
@@ -1468,7 +1499,9 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
     if (n > 62)
         return scan_limit_error();
     Cliques cl;
+    int order[MAXN];
     collect_cliques(n, adj, chi, &cl);
+    degree_order(n, adj, order);
     int k = scan_colors(chi);
     u64 top = BIT(n);
     PyObject *hits = PyList_New(0);
@@ -1480,7 +1513,7 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
             if (indep && !independent(adj, mask))
                 continue;
-            if (meets_all(mask, &cl) && colorable_excluding(n, adj, mask, k)) {
+            if (meets_all(mask, &cl) && colorable_excluding(n, adj, order, mask, k)) {
                 PyObject *m = PyLong_FromUnsignedLongLong(mask);
                 int err = m == NULL ? -1 : PyList_Append(hits, m);
                 Py_XDECREF(m);
@@ -1493,7 +1526,7 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
             continue;
         for (Py_ssize_t i = 0; i < nhits; i++) {
             u64 m = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(hits, i));
-            if (k > 0 && colorable_excluding(n, adj, m, k - 1)) {
+            if (k > 0 && colorable_excluding(n, adj, order, m, k - 1)) {
                 PyErr_SetString(PyExc_AssertionError,
                                 "deletion lowered the chromatic number by more than one");
                 goto fail;
@@ -1593,7 +1626,16 @@ static PyObject *expand(Expansion *ex, int cap)
         return NULL;
     u64 x = 0;
     for (;;) {
-        if (POPCNT64(x) <= cap && !maskset_has(&ex->seen, x) && may_be_last(ex, x)) {
+        if (POPCNT64(x) > cap) {
+            /* every subset of `eligible` from x up to the one that clears
+               x's lowest run of eligible bits holds x, so jump there; a jump
+               past the top of `eligible` wraps to 0 and ends the walk */
+            x = ((x | ~eligible) + (x & (~x + 1))) & eligible;
+            if (!x)
+                break;
+            continue;
+        }
+        if (!maskset_has(&ex->seen, x) && may_be_last(ex, x)) {
             u64 child[MAXN];
             char key[G6_MAX];
             if (add_orbit(ex, x) < 0)
@@ -1683,6 +1725,10 @@ static PyMethodDef methods[] = {
     FASTCALL(color_graph, "n, rows, k",
              "A proper coloring with at most k colors, or None (see the pure twin)."),
     FASTCALL(chromatic_number, "n, rows", "The chromatic number."),
+    FASTCALL(top_components, "n, rows",
+             "(chi, masks): chi(G) and the masks of the components C with "
+             "chi(C) = chi(G), ascending by least vertex, exactly as the pure twin "
+             "finds them."),
     FASTCALL(min_color_class_size, "n, rows, k",
              "Minimum color-class size over all proper k-colorings that use all k "
              "colors, or None; the search precolors a greedy clique and orders the "

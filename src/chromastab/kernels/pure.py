@@ -64,26 +64,32 @@ def _subsets_of_size(n, s):
 # ---------------------------------------------------------------------------
 
 
-def _color_walk(n, rows, active, k):
-    """First proper coloring of the active vertices with at most k colors, as
-    a per-vertex color list (-1 outside active), or None.
+def _degree_order(n, rows):
+    """Vertices 0..n-1 by descending degree, ties by index: the order of the
+    greedy clique and of every coloring walk.  A stability scan computes it
+    once, and its walk for a mask takes it minus the mask."""
+    return sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
 
-    Vertices are tried in descending-degree order and color symmetry is
-    broken by requiring first occurrences of colors in increasing order, so
-    the first vertex (a maximum-degree one) always receives color 0.  Each
+
+def _walk(rows, order, k):
+    """Class masks of the first proper coloring of the vertices of `order`,
+    taken in that order, with at most k colors, or None.
+
+    Color symmetry is broken by requiring first occurrences of colors in
+    increasing order, so the first vertex always receives color 0.  Each
     color class is one vertex mask, so a color is free for v when rows[v]
     misses its class.  A vertex never opens more than one new color, so at
-    most min(k, n) classes are ever open.
+    most min(k, len(order)) classes are ever open.
     """
-    order = sorted(bits(active), key=lambda v: (-(rows[v] & active).bit_count(), v))
-    classes = [0] * min(k, n)
+    size = len(order)
+    classes = [0] * min(k, size)
 
     def walk(idx, used):
-        if idx == len(order):
+        if idx == size:
             return True
         v = order[idx]
         row = rows[v]
-        for c in range(min(used + 1, k)):
+        for c in range(used + 1 if used < k else k):
             if row & classes[c]:
                 continue
             classes[c] |= 1 << v
@@ -92,18 +98,16 @@ def _color_walk(n, rows, active, k):
             classes[c] ^= 1 << v
         return False
 
-    if not walk(0, 0):
-        return None
-    colors = [-1] * n
-    for c, members in enumerate(classes):
-        for v in bits(members):
-            colors[v] = c
-    return colors
+    return classes if walk(0, 0) else None
 
 
-def _colorable_excluding(n, rows, excluded, k):
-    """True if the graph induced on V minus `excluded` is k-colorable."""
-    active = ((1 << n) - 1) & ~excluded
+def _colorable_excluding(rows, order, excluded, k):
+    """True if the graph minus the `excluded` vertex mask is k-colorable.
+
+    order lists all n vertices (_degree_order); the walk takes it minus the
+    excluded ones and reads only whether a coloring exists.
+    """
+    active = ((1 << len(order)) - 1) & ~excluded
     if active == 0:
         return True
     if k <= 0:
@@ -112,63 +116,99 @@ def _colorable_excluding(n, rows, excluded, k):
         return all(rows[v] & active == 0 for v in bits(active))
     if k == 2:
         return _two_colorable(rows, active)
-    return _color_walk(n, rows, active, k) is not None
+    return _walk(rows, [v for v in order if not excluded >> v & 1], k) is not None
 
 
 def _two_colorable(rows, active):
-    side = {}
-    for start in bits(active):
-        if start in side:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in bits(rows[v] & active):
-                if u not in side:
-                    side[u] = side[v] ^ 1
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return False
+    """True if the graph induced on `active` is bipartite: a BFS by layers
+    from the least vertex of each component.  Edges join only equal or
+    adjacent layers, so an odd cycle shows as an edge inside a layer."""
+    while active:
+        layer = seen = active & -active
+        while layer:
+            reach = 0
+            for v in bits(layer):
+                reach |= rows[v]
+            if reach & layer:
+                return False
+            layer = reach & active & ~seen
+            seen |= layer
+        active &= ~seen
     return True
 
 
 def deletion_colorable(n, rows, excluded, k):
     """True if the graph minus the `excluded` vertex mask is k-colorable."""
     _check_order(n, rows)
-    return _colorable_excluding(n, rows, excluded, _c_int(k))
+    return _colorable_excluding(rows, _degree_order(n, rows), excluded, _c_int(k))
 
 
 def color_graph(n, rows, k):
-    """A proper coloring with at most k colors, or None (see _color_walk)."""
+    """A proper coloring with at most k colors, as a per-vertex color tuple,
+    or None: the first one that _walk finds in _degree_order."""
     _check_order(n, rows)
-    colors = _color_walk(n, rows, (1 << n) - 1, _c_int(k))
-    return None if colors is None else tuple(colors)
+    classes = _walk(rows, _degree_order(n, rows), _c_int(k))
+    if classes is None:
+        return None
+    colors = [0] * n
+    for c, members in enumerate(classes):
+        for v in bits(members):
+            colors[v] = c
+    return tuple(colors)
 
 
-def _greedy_clique(n, rows):
-    """A clique as a vertex list: each vertex in descending-degree order,
-    ties by index, joins when it is adjacent to every vertex already in."""
+def _greedy_clique(rows, order):
+    """A clique as a vertex list: each vertex of order in turn joins when it
+    is adjacent to every vertex already in."""
     clique = []
     mask = 0
-    for v in sorted(range(n), key=lambda v: (-rows[v].bit_count(), v)):
+    for v in order:
         if rows[v] & mask == mask:
             clique.append(v)
             mask |= 1 << v
     return clique
 
 
+def _chi_within(rows, order, part):
+    """chi of the graph on the vertex mask `part`, which is G or a union of
+    its components, in G's labels; order is G's _degree_order, and every
+    walk takes it minus the vertices outside part.  A graph on s vertices
+    is s-colorable, so the walks stop at s - 1 colors."""
+    size = part.bit_count()
+    if size == 0:
+        return 0
+    if not any(rows[v] for v in bits(part)):
+        return 1
+    lb = max(2, len(_greedy_clique(rows, [v for v in order if part >> v & 1])))
+    for k in range(lb, size):
+        if _colorable_excluding(rows, order, ~part, k):
+            return k
+    return size
+
+
 def chromatic_number(n, rows):
     _check_order(n, rows)
-    if n == 0:
-        return 0
-    if not any(rows):
-        return 1
-    lb = max(2, len(_greedy_clique(n, rows)))
-    for k in range(lb, n + 1):
-        if _colorable_excluding(n, rows, 0, k):
-            return k
-    return n
+    return _chi_within(rows, _degree_order(n, rows), (1 << n) - 1)
+
+
+def top_components(n, rows):
+    """(chi, masks): chi(G), and the vertex masks of the components C with
+    chi(C) = chi(G), ascending by least vertex; (0, ()) for n == 0.
+
+    The components come from one bitset flood, and each chi is taken on G's
+    rows restricted to the component, in G's labels: nothing is relabeled,
+    and the rows are checked once.
+    """
+    _check_order(n, rows)
+    order = _degree_order(n, rows)
+    chi, top = 0, []
+    for comp in component_masks(n, rows):
+        c = _chi_within(rows, order, comp)
+        if c > chi:
+            chi, top = c, []
+        if c == chi:
+            top.append(comp)
+    return chi, tuple(top)
 
 
 def _mcc_order(n, rows):
@@ -178,7 +218,7 @@ def _mcc_order(n, rows):
     Each next vertex of `rest` has the most neighbors among the clique and
     the vertices before it, then the highest degree, then the lowest index.
     """
-    clique = _greedy_clique(n, rows)
+    clique = _greedy_clique(rows, _degree_order(n, rows))
     placed = mask_of(clique)
     rest = []
     left = ((1 << n) - 1) & ~placed
@@ -320,13 +360,14 @@ def stability_values(n, rows, chi):
     """
     chi = _scan_chi(n, rows, chi)
     cliques = _cliques(n, rows, chi, n)
+    order = _degree_order(n, rows)
     k = chi - 1
     vs = 0
     for s in range(1, n + 1):
         for mask in _subsets_of_size(n, s):
             if vs and not is_independent(rows, mask):
                 continue
-            if _meets_all(mask, cliques) and _colorable_excluding(n, rows, mask, k):
+            if _meets_all(mask, cliques) and _colorable_excluding(rows, order, mask, k):
                 if not vs:
                     vs = s
                 if is_independent(rows, mask):
@@ -344,17 +385,18 @@ def stability_witnesses(n, rows, chi, independent_only):
     """
     chi = _scan_chi(n, rows, chi)
     cliques = _cliques(n, rows, chi, n)
+    order = _degree_order(n, rows)
     k = chi - 1
     for s in range(1, n + 1):
         hits = []
         for mask in _subsets_of_size(n, s):
             if independent_only and not is_independent(rows, mask):
                 continue
-            if _meets_all(mask, cliques) and _colorable_excluding(n, rows, mask, k):
+            if _meets_all(mask, cliques) and _colorable_excluding(rows, order, mask, k):
                 hits.append(mask)
         if hits:
             for mask in hits:
-                if k > 0 and _colorable_excluding(n, rows, mask, k - 1):
+                if k > 0 and _colorable_excluding(rows, order, mask, k - 1):
                     raise AssertionError(
                         "deletion lowered the chromatic number by more than one"
                     )
@@ -612,9 +654,10 @@ def children(n, rows, max_degree, gens):
 
     gens generate the parent's automorphism group.  max_degree (None for no
     bound) caps every degree of the child.  Neighbor subsets of the vertices
-    below the cap are visited in ascending order.  A subset that an earlier
-    one reaches under gens is skipped, and a child is canonically labeled
-    only when its new vertex passes `_may_be_last`.
+    below the cap are visited in ascending order, and a subset with more
+    vertices than the cap jumps past every later one that holds it.  A
+    subset that an earlier one reaches under gens is skipped, and a child
+    is canonically labeled only when its new vertex passes `_may_be_last`.
 
     A child is accepted when its new vertex n lies in the orbit of its
     canonically last vertex (McKay 1998, "Isomorph-free exhaustive
@@ -643,7 +686,15 @@ def children(n, rows, max_degree, gens):
     accepted = {}
     x = 0
     while True:
-        if x.bit_count() <= cap and x not in seen:
+        if x.bit_count() > cap:
+            # every subset of `eligible` from x up to the one that clears
+            # x's lowest run of eligible bits holds x, so jump there; a jump
+            # past the top of `eligible` wraps to 0 and ends the walk
+            x = ((x | ~eligible) + (x & -x)) & eligible
+            if not x:
+                break
+            continue
+        if x not in seen:
             # a list: tuples grown from the bits generator, one per
             # candidate, left about 0.5 MB more peak RSS behind
             xs = list(bits(x))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chromastab import chromatic, families, generate, kernels, oracles
+from chromastab import chromatic, families, generate, graph, iso, kernels, oracles
 from chromastab.chromatic import ChromaticError
 from chromastab.graph import (
     Graph,
@@ -347,10 +347,10 @@ def test_profile_stops_at_the_first_stage_its_test_rejects(pure_backend, monkeyp
     call for a later stage is made."""
     kernel_calls = {
         name: counting_calls(monkeypatch, kernels.pure, name)
-        for name in ("chromatic_number", "stability_values", "min_color_class_size")
+        for name in ("top_components", "stability_values", "min_color_class_size")
     }
     # the kernel behind stage 1 (chi), 2 and 3 (vs and ivs, one call) and mcc
-    stage_kernel = ["chromatic_number", "stability_values", "stability_values",
+    stage_kernel = ["top_components", "stability_values", "stability_values",
                     "min_color_class_size"]
     k4 = complete_graph(4)
     two_k4 = Graph.build(8, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()])
@@ -367,3 +367,39 @@ def test_profile_stops_at_the_first_stage_its_test_rejects(pure_backend, monkeyp
             assert seen == [values[: i + 1] for i in range(min(s + 1, 4))]
             made = {name for name, calls in kernel_calls.items() if calls}
             assert made == set(stage_kernel[:s])
+
+
+def test_funnel_splits_and_relabels_no_connected_graph(backend, monkeypatch):
+    """On a connected graph, profile and min_color_class_size call neither
+    graph.component_masks nor induced, and analyze calls them only as its
+    planarity test does; on a disconnected graph, only the top components
+    are relabeled."""
+    monkeypatch.setattr(kernels, "_active", backend)
+    levels = generate.all_levels(6)
+    connected = [families.g9(), families.g10(), cycle_graph(5), complete_graph(4)]
+    connected += [g for n in levels for _key, rows in levels[n]
+                  if (g := Graph(n, rows)).is_connected()]
+    calls = []
+    for name in ("component_masks", "induced"):
+        fn = getattr(graph, name)
+        for module in (graph, chromatic, iso):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+                )
+    for g in connected:
+        chromatic.profile(g.rows, mcc=True)
+        chromatic.min_color_class_size(g)
+        assert calls == [], g.rows
+        iso.is_planar(g)
+        planarity = list(calls)
+        calls.clear()
+        chromatic.analyze(g)
+        assert calls == planarity, g.rows
+        calls.clear()
+    k4 = complete_graph(4)
+    # 2K4 + K3 + K1: the two K4s are the top components
+    g = Graph.build(12, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()]
+                    + [(8, 9), (9, 10), (8, 10)])
+    chromatic.profile(g.rows, mcc=True)
+    assert calls == ["induced", "induced"]

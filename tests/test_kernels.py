@@ -20,7 +20,9 @@ from chromastab.graph import (
     apply_perm,
     complete_bipartite,
     complete_graph,
+    component_masks,
     cycle_graph,
+    induced,
     mask_of,
     path_graph,
 )
@@ -123,6 +125,7 @@ def kernel_calls(kern, n, rows):
         lambda: kern.deletion_colorable(n, rows, 0, 1),
         lambda: kern.color_graph(n, rows, 1),
         lambda: kern.chromatic_number(n, rows),
+        lambda: kern.top_components(n, rows),
         lambda: kern.min_color_class_size(n, rows, 1),
         lambda: kern.stability_values(n, rows, 1),
         lambda: kern.stability_witnesses(n, rows, 1, False),
@@ -271,6 +274,7 @@ def test_backends_agree_everywhere(built_ckern):
     for n, rows in corpus():
         chi = pure.chromatic_number(n, rows)
         assert ck.chromatic_number(n, rows) == chi
+        assert ck.top_components(n, rows) == pure.top_components(n, rows)
         for k in (0, 1, 2, chi - 1, chi, chi + 1):
             if k < 0:
                 continue
@@ -295,7 +299,7 @@ def test_backends_agree_everywhere(built_ckern):
 
 
 def test_compiled_kernels_do_not_leak(built_ckern):
-    """2,000 calls of each kernel that hands back new Python objects leave
+    """2,000 calls of each kernel that hands back a tuple or a list leave
     less than 64 KiB of traced growth; a reference leaked per call would
     keep each call's result alive."""
     ck = built_ckern
@@ -307,6 +311,7 @@ def test_compiled_kernels_do_not_leak(built_ckern):
         "canon_raw": lambda: ck.canon_raw(c40.n, c40.rows),
         "stability_witnesses": lambda: ck.stability_witnesses(g9.n, g9.rows, 3, False),
         "color_graph": lambda: ck.color_graph(g9.n, g9.rows, 3),
+        "top_components": lambda: ck.top_components(k3k3.n, k3k3.rows),
         "bipartizing_pairs": lambda: ck.bipartizing_pairs(c40.n, c40.rows),
         "children": lambda: ck.children(g9.n, g9.rows, None, g9_gens),
         "children of a disconnected parent": lambda: ck.children(
@@ -603,9 +608,9 @@ def test_scans_test_colorings_only_of_sets_meeting_every_collected_clique(monkey
     tested = []
     colorable = pure._colorable_excluding
 
-    def recording(n, rows, excluded, k):
+    def recording(rows, order, excluded, k):
         tested.append(excluded)
-        return colorable(n, rows, excluded, k)
+        return colorable(rows, order, excluded, k)
 
     skipped_any = False
     for n, rows in graphs:
@@ -716,7 +721,7 @@ def test_min_color_class_size_search_is_clique_seeded_and_connected(monkeypatch)
     for text in SLOW_MCC:
         g = graph6.decode(text)
         chi = pure.chromatic_number(g.n, g.rows)
-        omega = len(pure._greedy_clique(g.n, g.rows))
+        omega = len(pure._greedy_clique(g.rows, pure._degree_order(g.n, g.rows)))
         # a clique larger than k rules out k-colorings without a search
         for k in range(omega):
             assert pure.min_color_class_size(g.n, g.rows, k) is None
@@ -732,6 +737,83 @@ def test_min_color_class_size_search_is_clique_seeded_and_connected(monkeypatch)
     # and the search stops there: 27 nodes, against 2,022,894 without the stop
     assert pure.min_color_class_size(12, (0,) * 12, 6) == 1
     assert len(calls) <= 100
+
+
+def split_top_components(kern, n, rows):
+    """(chi, masks) the way the chromatic layer once found them: the
+    components by graph.component_masks, each relabeled by induced and
+    colored by chromatic_number."""
+    chi, top = 0, []
+    for comp in component_masks(n, rows):
+        verts, crows = induced(rows, comp)
+        c = kern.chromatic_number(len(verts), crows)
+        if c > chi:
+            chi, top = c, []
+        if c == chi:
+            top.append(comp)
+    return chi, tuple(top)
+
+
+def seeded_unions(rng, count):
+    """`count` shuffled disjoint unions of 1-4 classes of order <= 5, one
+    piece repeated, with 0-3 isolated vertices mixed in, as (n, rows)."""
+    pieces = [Graph(n, rows) for n in range(1, 6) for _key, rows in generate.levels_up_to(n)]
+    for _ in range(count):
+        parts = [rng.choice(pieces) for _ in range(rng.randint(1, 4))]
+        parts.append(rng.choice(parts))
+        parts += [complete_graph(1)] * rng.randint(0, 3)
+        g = disjoint(*parts)
+        yield g.n, apply_perm(g.n, g.rows, rng.sample(range(g.n), g.n))
+
+
+def test_top_components_match_the_split_and_chromatic_number(backend, levels_through_8):
+    """top_components against component_masks plus chromatic_number of each
+    relabeled component: every class through order 7, 400 seeded unions
+    with repeated pieces and isolated vertices, and unions of up to 64
+    vertices."""
+    cases = [(0, ())]
+    cases += [(n, rows) for n in range(1, 8) for _key, rows in levels_through_8[n]]
+    cases += seeded_unions(random.Random(21), 400)
+    for g in (
+        disjoint(K3, K3, K3, K3, K5),
+        disjoint(K5, K3, K3, K3, K3),
+        Graph.build(12, []),
+        disjoint(*[complete_graph(4)] * 16),
+        disjoint(complete_graph(1), cycle_graph(63)),
+        disjoint(cycle_graph(31), cycle_graph(33)),
+    ):
+        cases.append((g.n, g.rows))
+    disconnected = 0
+    for n, rows in cases:
+        want = split_top_components(backend, n, rows)
+        assert backend.top_components(n, rows) == want, rows
+        disconnected += len(component_masks(n, rows)) > 1
+    assert disconnected >= 400
+
+
+def test_colorability_walks_stop_below_the_vertex_count(monkeypatch):
+    """chromatic_number and top_components never test s colors on s
+    vertices, since every graph on s vertices is s-colorable: K_n takes no
+    walk at all, and any other graph or component only k < s."""
+    tested = []
+    colorable = pure._colorable_excluding
+
+    def recording(rows, order, excluded, k):
+        tested.append(((((1 << len(order)) - 1) & ~excluded).bit_count(), k))
+        return colorable(rows, order, excluded, k)
+
+    monkeypatch.setattr(pure, "_colorable_excluding", recording)
+    for n in range(1, 10):
+        rows = complete_graph(n).rows
+        assert pure.chromatic_number(n, rows) == n
+        assert pure.top_components(n, rows) == (n, ((1 << n) - 1,))
+    k4k5 = disjoint(complete_graph(4), K5, complete_graph(4))
+    assert pure.top_components(k4k5.n, k4k5.rows) == (5, (0b111110000,))
+    assert tested == []
+    for n, rows in corpus():
+        pure.chromatic_number(n, rows)
+        pure.top_components(n, rows)
+    assert tested and all(k < size for size, k in tested)
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +1009,30 @@ def test_children_of_the_largest_parents(built_ckern):
         assert built_ckern.children(g.n, g.rows, max_degree, gens) == got
         assert got == unreduced_children(g.n, g.rows, max_degree)
         assert len(got) == count, g
+
+
+def test_children_jump_over_subsets_above_the_cap(built_ckern):
+    """Parents with 30 vertices below a cap of at most 2, and P30 below a
+    cap of 3: a walk through every subset of them takes 2^30 steps for 466
+    (4,526) admissible ones, and the pure one ends in seconds only because it
+    jumps over the subsets with too many vertices.  Both backends agree
+    with the unreduced expansion."""
+    k1, k2 = complete_graph(1), path_graph(2)
+    started = time.monotonic()
+    for g, max_degree in (
+        (disjoint(*[k2] * 15), 2),
+        (disjoint(*[k2] * 13, k1, k1, k1, k1), 2),
+        (Graph.build(30, []), 2),
+        (Graph.build(30, []), 1),
+        (path_graph(30), 3),
+    ):
+        gens = iso.canon_data(g.n, g.rows).generators
+        got = pure.children(g.n, g.rows, max_degree, gens)
+        assert built_ckern.children(g.n, g.rows, max_degree, gens) == got
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_active", built_ckern)
+            assert got == unreduced_children(g.n, g.rows, max_degree), (g, max_degree)
+    assert time.monotonic() - started < 60
 
 
 def test_pure_children_label_each_parent_component_once(monkeypatch):
