@@ -24,11 +24,12 @@ when chi(C) = chi(G); chi(G) is the largest chi(C).  Then
 
 Every stability entry point below makes one `top_components` kernel call,
 which returns chi(G) and the vertex masks of the top components: the kernel
-floods the components as bitsets and takes each chi on G's own rows, so a
-connected graph is never split or relabeled, and only the top components of
-a disconnected graph are relabeled (by `graph.induced`) for their scans.
-The results are combined; witness products are sorted, which is the
-ascending order of the whole-graph scan.  `profile` is the only
+floods the components as bitsets and takes each chi on G's own rows.  A
+connected graph is the one-piece case: its one top component is every
+vertex, which `graph.induced` hands back unrelabeled, and only the top
+components of a disconnected graph are relabeled for their scans.  The
+results are combined; witness products are sorted, which is the ascending
+order of the whole-graph scan.  `profile` is the only
 code that computes a graph's (max degree, chi, vs, ivs[, mcc]); sweeps,
 search predicates and verifiers all read it.
 
@@ -165,15 +166,11 @@ def chromatic_number(g: Graph) -> int:
 def _top_components(n, rows):
     """chi(G) and the components C with chi(C) = chi(G), each as
     (n_C, rows_C, vertices): C relabeled to 0..n_C-1 in ascending order of
-    its vertices of G.  One top_components kernel call finds them; a
-    connected graph is its own single component, with its rows as they are
-    and vertices None, so only the top components of a disconnected graph
-    are relabeled."""
+    its vertices of G.  One top_components kernel call finds them; the one
+    component of a connected graph keeps G's labels (see graph.induced)."""
     chi, masks = kernels.active().top_components(n, rows)
     if chi == 0:
         raise ChromaticError("stability parameters are undefined for the null graph")
-    if masks == ((1 << n) - 1,):
-        return chi, [(n, rows, None)]
     top = []
     for mask in masks:
         verts, crows = induced(rows, mask)
@@ -183,7 +180,7 @@ def _top_components(n, rows):
 
 def _lift(mask, verts):
     """A component's vertex mask in the labels of G."""
-    return mask if verts is None else mask_of(verts[i] for i in bits(mask))
+    return mask_of(verts[i] for i in bits(mask))
 
 
 def _product(top, results) -> StabilityResult:

@@ -28,12 +28,12 @@ representatives unchanged:
   generators generate the parent's automorphism group, so each orbit of
   subsets is labeled at most once.
 
-A connected child that passes the pre-test is labeled whole, by one
-`canon_raw` call.  A disconnected child keeps the parent components that
-the new vertex misses, so only the new vertex's piece is labeled; each
-untouched component is labeled once per parent and its canonical rows are
-reused.  The graph6 key is built only for an accepted child, from the
-kernel's canonical rows, as `iso.canon_data` builds it.
+A child that passes the pre-test keeps the parent components that the new
+vertex misses, so only the new vertex's piece is labeled, by one
+`canon_raw` call; a connected child is the one-piece case, labeled whole.
+Each untouched component is labeled once per parent and its canonical rows
+are reused.  The graph6 key is built only for an accepted child, from the
+pieces' canonical rows, as `iso.canon_data` builds it.
 
 Scans read whole orders through `walk`: `all_levels` sorts and caches the
 levels below the top order, and `sweep` streams the top order parent by

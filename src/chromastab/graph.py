@@ -53,7 +53,12 @@ def reach(rows, start, banned=0) -> int:
 
 def induced(rows, mask):
     """The subgraph induced on a vertex mask: its vertices in ascending order,
-    and its rows relabeled to 0..len(verts)-1 in that order."""
+    and its rows relabeled to 0..len(verts)-1 in that order.  The whole
+    vertex mask needs no relabel, so its rows come back as they are: a
+    connected graph is the one-piece case at no relabeling cost."""
+    n = len(rows)
+    if mask == (1 << n) - 1:
+        return list(range(n)), tuple(rows)
     verts = list(bits(mask))
     index = {v: i for i, v in enumerate(verts)}
     # tuple() of a list: a tuple grown from a generator can keep an oversized

@@ -1,13 +1,17 @@
 """Canonical labeling, isomorphism, automorphism groups and planarity.
 
-The canonical form of a connected graph is the relabeling that minimizes the
-row-bitmask tuple over a partition-refinement backtrack tree (target cell =
-first largest).  The search prunes the tree with the automorphisms it
-discovers, which generate the automorphism group; canon_raw returns the
-canonical rows, and the key is graph6 of them.  Disconnected graphs are
-canonicalized per component, whose rows are concatenated in sorted key
-order; the automorphism order multiplies the per-component orders with a
-factorial for every repeated component.
+Every graph is taken apart into its components, and a connected graph is
+the one-piece case.  canon_raw labels each component: it finds the
+relabeling that minimizes the row-bitmask tuple over a
+partition-refinement backtrack tree (target cell = first largest), and
+prunes the tree with the automorphisms it discovers, which generate the
+component's automorphism group.  canon_raw only ever sees a connected
+graph; its run time grows exponentially on a union of many pieces.  The
+canonical rows are the pieces' canonical rows, concatenated in sorted
+piece order, and the key is graph6 of them.  The automorphism order
+multiplies the pieces' orders with a factorial for every run of identical
+pieces, and the orbits are the pieces' orbits, merged position by position
+across identical pieces.
 Planarity is decided per component: counting settles most components, and
 the planar kernel runs the left-right criterion on the rest.
 """
@@ -24,7 +28,6 @@ from chromastab.graph import (
     bits,
     component_masks,
     induced,
-    mask_of,
 )
 
 
@@ -48,43 +51,40 @@ class CanonData:
     aut_order: int
     generators: tuple
     orbits: tuple       # vertex -> smallest vertex of its orbit
-    last_orbit: int     # mask: orbit of the canonically last vertex
 
 
 def canon_data(n, rows) -> CanonData:
-    """Canonical data for raw adjacency rows (component-composed); the key is
-    graph6 of the canonical rows that canon_raw returns."""
+    """Canonical data for raw adjacency rows, composed from the canon_raw
+    labels of their components (a connected graph is the one-piece case);
+    the key is graph6 of the composed canonical rows."""
     kern = kernels.active()
-    comps = component_masks(n, rows)
-    if len(comps) <= 1:
-        perm, order, gens, orbits, crows = kern.canon_raw(n, rows)
-        key = graph6.encode_rows(n, crows).encode()
-        last = _orbit_mask(orbits, perm.index(n - 1)) if n else 0
-        return CanonData(key, perm, order, gens, orbits, last)
-
     # Components go in (n_C, pack_key) order (pure._piece_class), pack_key
     # being the canonical rows as 8 little-endian bytes each; this order
-    # defines the canonical form of a disconnected graph: the pieces' rows,
-    # shifted to their offsets.  The `children` kernels compose it too.
+    # defines the canonical form: the pieces' rows, shifted to their
+    # offsets.  The `children` kernels compose it too.
     pieces = []
-    for comp in comps:
+    for comp in component_masks(n, rows):
         verts, sub = induced(rows, comp)
-        perm, porder, gens, _orbits, crows = kern.canon_raw(len(verts), sub)
-        pieces.append((pure._piece_class(crows), verts, perm, porder, gens, crows))
+        perm, porder, gens, orbits, crows = kern.canon_raw(len(verts), sub)
+        pieces.append((pure._piece_class(crows), verts, perm, porder, gens, orbits, crows))
     pieces.sort(key=lambda p: p[0])
 
     gperm = [0] * n
     grows = []
     ggens = []
     swaps = []
+    # each piece's orbits, named by their least vertices, are already sets
+    # of this union-find; identical pieces merge them position by position
+    orb = UnionFind(n)
     order = run = 1
     prev_cls, prev_at = None, ()
-    for cls, verts, perm, porder, gens, crows in pieces:
+    for cls, verts, perm, porder, gens, orbits, crows in pieces:
         off = len(grows)
         at = [0] * len(verts)  # the piece's vertices in canonical order
         for local, v in enumerate(verts):
             gperm[v] = off + perm[local]
             at[perm[local]] = v
+            orb.parent[v] = verts[orbits[local]]
         grows += [r << off for r in crows]
         for gen in gens:
             lifted = list(range(n))
@@ -100,23 +100,13 @@ def canon_data(n, rows) -> CanonData:
             swap = list(range(n))
             for a, b in zip(prev_at, at):
                 swap[a], swap[b] = b, a
+                orb.union(a, b)
             swaps.append(tuple(swap))
         prev_cls, prev_at = cls, at
     ggens += swaps
-
-    orb = UnionFind(n)
-    for gen in ggens:
-        for v in range(n):
-            orb.union(v, gen[v])
-    orbits = tuple(orb.find(v) for v in range(n))
+    orbits = tuple(map(orb.find, range(n)))
     key = graph6.encode_rows(n, grows).encode()
-    last = _orbit_mask(orbits, at[-1])
-    return CanonData(key, tuple(gperm), order, tuple(ggens), orbits, last)
-
-
-def _orbit_mask(orbits, v):
-    root = orbits[v]
-    return mask_of(u for u, r in enumerate(orbits) if r == root)
+    return CanonData(key, tuple(gperm), order, tuple(ggens), orbits)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -164,7 +154,5 @@ def is_planar(g: Graph) -> bool:
         undecided |= comp
     if not undecided:
         return True
-    if undecided == g.vertex_mask():
-        return kernels.active().planar(g.n, g.rows)
     verts, sub = induced(g.rows, undecided)
     return kernels.active().planar(len(verts), sub)

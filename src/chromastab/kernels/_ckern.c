@@ -860,7 +860,9 @@ static int graph6_bytes(int n, const u64 *adj, char *out)
 
 /* The canonical graph6 key of child, the parent plus vertex n joined to x,
    into key if vertex n is in the orbit of the canonically last vertex; its
-   length then, else 0.  See the pure _key_if_last. */
+   length then, else 0.  The new vertex's piece, the whole child when the
+   child is connected, is labeled and composed with the untouched parent
+   components, each labeled once per parent.  See the pure _key_if_last. */
 static int key_if_last(Expansion *ex, u64 x, const u64 *child, char *key)
 {
     int n = ex->n;
@@ -868,12 +870,6 @@ static int key_if_last(Expansion *ex, u64 x, const u64 *child, char *key)
     u64 merged = 0;
     for (u64 m = x; m; m &= m - 1)
         merged |= ex->comp_of[__builtin_ctzll(m)];
-    if (merged == all_mask(n)) { /* a connected child */
-        canon_run(cs, n + 1, child);
-        if (uf_find(cs, n) != uf_find(cs, cs->best.inv[n]))
-            return 0;
-        return graph6_bytes(n + 1, cs->best.rows, key);
-    }
     /* vertex n is the last of its piece's vertices, in ascending order */
     u64 sub[MAXN], mine[MAXN];
     int k = induced_rows(child, merged | BIT(n), sub);
@@ -1746,8 +1742,10 @@ static PyMethodDef methods[] = {
     FASTCALL(canon_raw, "n, rows",
              "(perm, aut_order, gens, orbits, rows) from a refinement tree pruned by "
              "the automorphisms it finds; aut_order is exact, gens generate the "
-             "automorphism group, rows are the graph relabeled by perm. See the pure "
-             "twin for the full contract."),
+             "automorphism group, rows are the graph relabeled by perm. Only "
+             "connected graphs are given to it: a disconnected one is labeled whole, "
+             "in a time that grows exponentially on a union of many pieces. See the "
+             "pure twin for the full contract."),
     FASTCALL(children, "n, rows, max_degree, gens",
              "The sorted (key, rows) list of a parent's accepted one-vertex "
              "extensions, exactly as the pure kernel finds them; see the pure twin "

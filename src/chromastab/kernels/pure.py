@@ -488,6 +488,11 @@ def canon_raw(n, rows):
     the automorphisms it finds (McKay & Piperno 2014, "Practical graph
     isomorphism, II").
 
+    Only connected graphs are given to it.  A disconnected graph would be
+    labeled whole, correctly but in a time that grows exponentially on a
+    union of many pieces, so iso.canon_data and `children` label each
+    component on its own and compose the results.
+
     Each node individualizes, in ascending order, the vertices of its first
     largest cell.  A child is skipped when an explored sibling lies in its
     orbit under the automorphisms found so far that fix the node's
@@ -661,15 +666,16 @@ def children(n, rows, max_degree, gens):
 
     A child is accepted when its new vertex n lies in the orbit of its
     canonically last vertex (McKay 1998, "Isomorph-free exhaustive
-    generation").  A connected child is labeled whole.  A disconnected child
-    keeps every parent component that the new vertex misses, so only the
-    new vertex's piece is labeled, and each untouched parent component is
-    labeled once per parent, on first use.  canon_data puts the largest
-    (n_C, pack_key) piece last (see _piece_class), so the new vertex is in
-    the last orbit exactly when its piece is largest, ties allowed, and it
-    lies in the orbit of its piece's last canonical position.  The key is
-    graph6 of the pieces' canonical rows in that order, shifted to their
-    offsets.
+    generation").  Every child keeps the parent components that the new
+    vertex misses, so only the new vertex's piece is labeled (the whole
+    child when the child is connected: the one-piece case), and each
+    untouched parent component is labeled once per parent, on first use;
+    canon_raw only ever sees a connected graph.  canon_data puts the
+    largest (n_C, pack_key) piece last (see _piece_class), so the new
+    vertex is in the last orbit exactly when its piece is largest, ties
+    allowed, and it lies in the orbit of its piece's last canonical
+    position.  The key is graph6 of the pieces' canonical rows in that
+    order, shifted to their offsets.
     """
     n, rows, cap, gens = _children_args(n, rows, max_degree, gens)
     nbrs = [list(bits(r)) for r in rows]
@@ -724,34 +730,35 @@ def _piece_class(crows):
 def _key_if_last(n, rows, child, xs, comps, comp_of, labeled):
     """The canonical graph6 key of child, the parent (n, rows) plus vertex n
     joined to xs, if vertex n is in the orbit of its canonically last
-    vertex; else None.  labeled caches the parent components' labels."""
+    vertex; else None.  The new vertex's piece, the whole child when the
+    child is connected, is labeled and composed with the untouched parent
+    components, whose (class, canonical rows) labeled caches per parent."""
     merged = 0
     for u in xs:
         merged |= comp_of[u]
-    if merged == (1 << n) - 1:  # a connected child
-        perm, _order, _gens, orbits, crows = canon_raw(n + 1, child)
-        if orbits[n] != orbits[perm.index(n)]:
-            return None
-        return graph6.encode_rows(n + 1, crows).encode()
     # vertex n is the last of its piece's vertices, in ascending order
     verts, sub = induced(child, merged | 1 << n)
     last = len(verts) - 1
     perm, _order, _gens, orbits, crows = canon_raw(len(verts), sub)
     if orbits[last] != orbits[perm.index(last)]:
         return None
-    mine = _piece_class(crows)
-    pieces = [(mine, crows)]
+    mine = None  # the piece's class, found once another piece is ordered
+    pieces = []
     for comp in comps:
         if comp & merged:
             continue
         if comp not in labeled:
             verts, sub = induced(rows, comp)
-            crows = canon_raw(len(verts), sub)[4]
-            labeled[comp] = _piece_class(crows), crows
+            prows = canon_raw(len(verts), sub)[4]
+            labeled[comp] = _piece_class(prows), prows
+        if mine is None:
+            mine = _piece_class(crows)
         if labeled[comp][0] > mine:
             return None
         pieces.append(labeled[comp])
-    pieces.sort(key=lambda piece: piece[0])
+    pieces.append((mine, crows))
+    # equal classes hold equal rows, so the tuples sort by class alone
+    pieces.sort()
     grows = []
     for _cls, crows in pieces:
         off = len(grows)

@@ -137,7 +137,8 @@ def _members(chk, order, chorded):
     keys = set()
     for mask in masks:
         g = build(mask)
-        key = iso.canonical_form(g)
+        data = iso.canon_data(g.n, g.rows)
+        key = data.key
         if not chk.expect(key not in keys, f"isomorphic members at n={order}", g, chords=mask):
             break
         keys.add(key)
@@ -148,7 +149,7 @@ def _members(chk, order, chorded):
             two_connected = g.connectivity().two_connected
             chk.expect(two_connected, f"not 2-connected at n={order}", g, chords=mask)
             if mask:
-                aut = iso.automorphisms(g).order
+                aut = data.aut_order
                 chk.expect(aut == 1, f"automorphism group of order {aut}", g, chords=mask)
         if not chk.ok():
             break

@@ -370,9 +370,10 @@ def test_profile_stops_at_the_first_stage_its_test_rejects(pure_backend, monkeyp
 
 
 def test_funnel_splits_and_relabels_no_connected_graph(backend, monkeypatch):
-    """On a connected graph, profile and min_color_class_size call neither
-    graph.component_masks nor induced, and analyze calls them only as its
-    planarity test does; on a disconnected graph, only the top components
+    """On a connected graph, profile and min_color_class_size never call
+    graph.component_masks, and every induced call takes the whole vertex
+    mask, which induced hands back unrelabeled; analyze adds only what its
+    planarity test calls.  On a disconnected graph, only the top components
     are relabeled."""
     monkeypatch.setattr(kernels, "_active", backend)
     levels = generate.all_levels(6)
@@ -385,21 +386,25 @@ def test_funnel_splits_and_relabels_no_connected_graph(backend, monkeypatch):
         for module in (graph, chromatic, iso):
             if hasattr(module, name):
                 monkeypatch.setattr(
-                    module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+                    module, name,
+                    lambda *args, fn=fn, name=name: calls.append((name, args[-1])) or fn(*args),
                 )
     for g in connected:
+        whole = ("induced", g.vertex_mask())
         chromatic.profile(g.rows, mcc=True)
         chromatic.min_color_class_size(g)
-        assert calls == [], g.rows
+        assert calls == [whole, whole], g.rows
+        calls.clear()
         iso.is_planar(g)
         planarity = list(calls)
+        assert all(call == whole or call[0] == "component_masks" for call in planarity), g.rows
         calls.clear()
         chromatic.analyze(g)
-        assert calls == planarity, g.rows
+        assert calls == [whole] + planarity, g.rows
         calls.clear()
     k4 = complete_graph(4)
     # 2K4 + K3 + K1: the two K4s are the top components
     g = Graph.build(12, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()]
                     + [(8, 9), (9, 10), (8, 10)])
     chromatic.profile(g.rows, mcc=True)
-    assert calls == ["induced", "induced"]
+    assert calls == [("induced", 0x0F), ("induced", 0xF0)]

@@ -41,7 +41,7 @@ def _unreduced_expansion(max_degree, top):
                         [r | (1 << n) if x >> u & 1 else r for u, r in enumerate(rows)] + [x]
                     )
                     data = iso.canon_data(n + 1, child)
-                    accepted = data.last_orbit >> n & 1
+                    accepted = data.orbits[n] == data.orbits[data.perm.index(n)]
                     candidates.append((x, child, data.perm if accepted else None))
             out.append((rows, candidates))
     return out

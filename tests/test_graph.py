@@ -9,10 +9,11 @@ from chromastab.graph import (
     complete_graph,
     cycle_graph,
     has_two_disjoint_paths,
+    induced,
     mask_of,
     path_graph,
 )
-from chromastab import iso, oracles
+from chromastab import generate, iso, oracles
 from chromastab.chromatic import chromatic_number
 
 
@@ -225,6 +226,20 @@ def test_even_subdivision_preserves_bipartiteness(g, half):
 @settings(max_examples=80, deadline=None)
 def test_bipartite_iff_no_odd_cycle(g):
     assert (chromatic_number(g) <= 2) == (not oracles.has_odd_cycle(g))
+
+
+def test_whole_mask_induced_matches_the_general_relabel():
+    """induced hands the whole vertex mask back unrelabeled; the general
+    relabel, which the same mask takes beside one more isolated vertex,
+    gives the same vertices and rows on every class through order 6."""
+    assert induced((), 0) == ([], ())
+    levels = generate.all_levels(6)
+    for n, level in levels.items():
+        for _key, rows in level:
+            whole = (1 << n) - 1
+            general = induced(rows + (0,), whole)
+            assert induced(rows, whole) == general == (list(range(n)), rows)
+            assert induced(list(rows), whole) == general
 
 
 def test_mask_helpers():

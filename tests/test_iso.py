@@ -11,9 +11,11 @@ from chromastab.graph import (
     UnionFind,
     complete_bipartite,
     complete_graph,
+    component_masks,
     cycle_graph,
     path_graph,
 )
+from chromastab.kernels import pure
 
 
 def test_relabeling_invariance_c5():
@@ -117,6 +119,42 @@ def test_composition_matches_brute_automorphisms():
         assert tuple(orbits.find(v) for v in range(g.n)) == data.orbits
         h = shuffled_union(rng, parts)
         assert iso.canon_data(h.n, h.rows).key == data.key
+
+
+def test_canon_raw_only_sees_connected_graphs(monkeypatch):
+    """canon_raw on a union of pieces labels it whole, in a time that grows
+    exponentially with the pieces (8K3+8C5 took seconds), so every caller
+    hands it one component: canon_data on every class through order 7 and
+    on kK3+kC5, and pure `children` on every parent of order <= 6."""
+    levels = generate.all_levels(7)
+    sizes = []
+
+    def wrap(kern):
+        raw = kern.canon_raw
+
+        def connected_only(n, rows):
+            assert component_masks(n, rows) == [(1 << n) - 1], rows
+            sizes.append(n)
+            return raw(n, rows)
+
+        monkeypatch.setattr(kern, "canon_raw", connected_only)
+
+    wrap(kernels.active())
+    if kernels.active() is not pure:
+        wrap(pure)
+    for n, level in levels.items():
+        for _key, rows in level:
+            iso.canon_data(n, rows)
+    k3, c5 = complete_graph(3).rows, cycle_graph(5).rows
+    for k in range(1, 7):
+        g = shuffled_union(random.Random(k), [k3, c5] * k)
+        assert iso.canon_data(g.n, g.rows).aut_order == math.factorial(k) ** 2 * 6**k * 10**k
+    assert max(sizes) == 7
+    sizes.clear()
+    for n in range(1, 7):
+        for _key, rows in levels[n]:
+            pure.children(n, rows, None, iso.canon_data(n, rows).generators)
+    assert max(sizes) == 7
 
 
 def test_generators_preserve_adjacency():

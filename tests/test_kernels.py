@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -296,6 +297,24 @@ def test_backends_agree_everywhere(built_ckern):
         assert pure.canon_raw(n, rows) == ck.canon_raw(n, rows)
         assert pure.planar(n, rows) == ck.planar(n, rows)
         assert pure.bipartizing_pairs(n, rows) == ck.bipartizing_pairs(n, rows)
+
+
+def public_kernels(kern):
+    """{name: parameter names} of the kernels a backend module defines."""
+    return {
+        name: list(inspect.signature(fn).parameters)
+        for name, fn in vars(kern).items()
+        if inspect.isroutine(fn) and not name.startswith("_")
+        and getattr(fn, "__module__", None) == kern.__name__
+    }
+
+
+def test_backends_export_the_same_kernels(built_ckern):
+    """pure and the build of _ckern.c define the same public kernels, each
+    with the same parameters."""
+    kernels_of_pure = public_kernels(pure)
+    assert len(kernels_of_pure) == 11
+    assert public_kernels(built_ckern) == kernels_of_pure
 
 
 def test_compiled_kernels_do_not_leak(built_ckern):
@@ -928,7 +947,7 @@ def unreduced_children(n, rows, max_degree):
     for x in masks:
         child = tuple([r | (x >> u & 1) << n for u, r in enumerate(rows)] + [x])
         data = iso.canon_data(n + 1, child)
-        if data.last_orbit >> n & 1:
+        if data.orbits[n] == data.orbits[data.perm.index(n)]:
             first.setdefault(data.key, child)
     return sorted(first.items())
 
