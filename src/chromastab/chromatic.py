@@ -57,8 +57,8 @@ vs scan where it settles them:
   leaves an edge: were G - S edgeless, G - x would be a star at y plus
   isolated vertices, which is bipartite, and vs would be 1.  For chi >= 5
   the mask is 0, since two deletions lower chi by at most two.  Every other
-  graph (chi <= 2, chi = 4, or chi = 3 with vs = 1) takes one
-  `bipartizing_pairs` kernel call.
+  graph (chi <= 2, chi = 4, or chi = 3 with vs = 1) takes one call of the
+  pure `bipartizing_pairs` kernel, on every backend.
 * Triangle filter: clique hitting at two colors.  A pair that misses a
   triangle leaves it in G - {x, y}, so the kernel skips, without a coloring
   test, every pair that misses one of the first n triangles.
@@ -72,6 +72,7 @@ from functools import reduce
 from operator import or_
 
 from chromastab import iso, kernels
+from chromastab.kernels import pure
 from chromastab.graph import Graph, bits, induced, is_independent, mask_of
 
 
@@ -150,10 +151,11 @@ class Coloring:
 
 
 def is_k_colorable(g: Graph, k: int):
-    """A proper coloring with at most k colors, or None."""
+    """A proper coloring with at most k colors, or None; the pure
+    `color_graph` kernel finds it on every backend."""
     if k < 0:
         raise ChromaticError("color count must be nonnegative")
-    colors = kernels.active().color_graph(g.n, g.rows, k)
+    colors = pure.color_graph(g.n, g.rows, k)
     if colors is None:
         return None
     return Coloring.from_colors(g, colors)
@@ -268,7 +270,7 @@ def profile(rows, test=None, mcc=False):
     kernel call per top component, made only when the chi stage passes.
     """
     n = len(rows)
-    values = (max((r.bit_count() for r in rows), default=0),)
+    values = (max(map(int.bit_count, rows), default=0),)
     for stage in range(4):
         if stage == 1:
             chi, top = _top_components(n, rows)
@@ -291,14 +293,14 @@ def bipartizing_pair_vertices(g: Graph) -> int:
     """Mask of vertices x for which some y exists with chi(G - {x,y}) == 2.
 
     The constant 2 is literal (an edge must survive), so this is most
-    meaningful for 3-chromatic graphs.  One kernel call tests every pair on
-    rows checked once: a pair that misses one of the first n triangles is
-    skipped without a coloring test (the triangle filter above), and each
-    other pair takes the count of the edges it leaves and one
-    2-colorability test.  `analyze` calls this only where the bipartizing
-    lemma above leaves the mask open.
+    meaningful for 3-chromatic graphs.  One pure kernel call (on every
+    backend) tests every pair on rows checked once: a pair that misses one
+    of the first n triangles is skipped without a coloring test (the
+    triangle filter above), and each other pair takes the count of the
+    edges it leaves and one 2-colorability test.  `analyze` calls this only
+    where the bipartizing lemma above leaves the mask open.
     """
-    return kernels.active().bipartizing_pairs(g.n, g.rows)
+    return pure.bipartizing_pairs(g.n, g.rows)
 
 
 def _bipartizing_mask(g, chi, vs, vs_wit) -> int:

@@ -13,7 +13,7 @@ multiplies the pieces' orders with a factorial for every run of identical
 pieces, and the orbits are the pieces' orbits, merged position by position
 across identical pieces.
 Planarity is decided per component: counting settles most components, and
-the planar kernel runs the left-right criterion on the rest.
+the pure planar kernel runs the left-right criterion on the rest.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def is_planar(g: Graph) -> bool:
     C is planar when m_C <= 8, since a subdivision of K5 (10 edges) or K3,3
     (9 edges) has at least 9 edges; and C is not planar when n_C >= 3 and
     m_C > 3 n_C - 6 (Euler's bound).  Only the components that neither rule
-    settles go, together, to the left-right test of the planar kernel.
+    settles go, together, to the left-right test of the pure planar kernel.
     """
     undecided = 0
     for comp in component_masks(g.n, g.rows):
@@ -155,4 +155,4 @@ def is_planar(g: Graph) -> bool:
     if not undecided:
         return True
     verts, sub = induced(g.rows, undecided)
-    return kernels.active().planar(len(verts), sub)
+    return pure.planar(len(verts), sub)

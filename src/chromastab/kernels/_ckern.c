@@ -1,4 +1,7 @@
-/* Compiled kernels; same functions and same outputs as chromastab.kernels.pure.
+/* Compiled twins of the hot kernels of chromastab.kernels.pure, with the
+   same outputs: coloring, the stability scans, canonical labeling and level
+   expansion.  planar, bipartizing_pairs and color_graph have no twin here;
+   they run from pure on every backend.
 
    Plain C kernels over u64 adjacency rows (rows[v] is the neighbor bitmask of
    vertex v) come first; one block of Python wrappers below converts the
@@ -306,36 +309,6 @@ static int meets_all(u64 mask, const Cliques *cl)
         if (!(mask & cl->masks[i]))
             return 0;
     return 1;
-}
-
-/* Mask of the vertices x for which some y != x leaves G - {x, y}
-   2-chromatic, as the pure bipartizing_pairs finds them: each unordered pair
-   once, unless both ends are in the mask already; a pair that misses one of
-   the first n triangles is skipped without a coloring test, and so is one
-   that leaves no edge. */
-static u64 bipartizing_pairs(int n, const u64 *adj)
-{
-    Cliques triangles;
-    int deg[MAXN];
-    int m = 0;
-    u64 out = 0;
-    collect_cliques(n, adj, 3, &triangles);
-    for (int v = 0; v < n; v++) {
-        deg[v] = POPCNT64(adj[v]);
-        m += deg[v];
-    }
-    m /= 2;
-    for (int x = 0; x < n; x++) {
-        for (int y = x + 1; y < n; y++) {
-            u64 pair = BIT(x) | BIT(y);
-            if ((out & pair) == pair || !meets_all(pair, &triangles) ||
-                !(m - deg[x] - deg[y] + (int)(adj[x] >> y & 1)))
-                continue;
-            if (two_colorable(adj, all_mask(n) & ~pair))
-                out |= pair;
-        }
-    }
-    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -938,217 +911,6 @@ static int components(int n, const u64 *adj, u64 *comps)
 }
 
 /* ------------------------------------------------------------------------
-   planarity
-   ------------------------------------------------------------------------ */
-
-/* The testing phase of the left-right criterion, as the pure planar runs it.
-   An edge is the int v << 6 | w once orient() directs it from v to w, and
-   NONE is no edge.  A conflict pair is {left low, left high, right low,
-   right high}; an interval runs from its high return edge down to its low
-   one through ref.  Each pair holds return edges of its own, and a graph
-   that passes the Euler bound has at most 3 * 64 - 6 edges, so MAXPAIRS
-   bounds the stack. */
-#define NONE (-1)
-#define HEAD(e) ((e) & 63)
-#define MAXPAIRS (3 * MAXN)
-
-typedef struct {
-    u64 adj[MAXN];
-    int height[MAXN];
-    int parent[MAXN];    /* the tree edge into a vertex, NONE at a root */
-    u64 heads[MAXN];     /* the heads of a vertex's out-edges */
-    int nout[MAXN];
-    int out[MAXN][MAXN]; /* out-edges by nesting depth, then head */
-    int lowpt[MAXN * MAXN];
-    int lowpt2[MAXN * MAXN];
-    int nesting[MAXN * MAXN];
-    int ref[MAXN * MAXN];
-    int npairs;
-    int pairs[MAXPAIRS][4];
-} Planar;
-
-/* DFS orientation: heights, lowpoints and nesting depths. */
-static void orient(Planar *p, int v)
-{
-    int e = p->parent[v];
-    for (u64 nb = p->adj[v]; nb; nb &= nb - 1) {
-        int w = __builtin_ctzll(nb);
-        if (p->heads[w] >> v & 1)
-            continue; /* oriented from w to v already */
-        int vw = v << 6 | w;
-        p->heads[v] |= BIT(w);
-        p->lowpt[vw] = p->lowpt2[vw] = p->height[v];
-        p->ref[vw] = NONE;
-        if (p->height[w] < 0) { /* tree edge */
-            p->parent[w] = vw;
-            p->height[w] = p->height[v] + 1;
-            orient(p, w);
-        } else { /* back edge */
-            p->lowpt[vw] = p->height[w];
-        }
-        p->nesting[vw] = 2 * p->lowpt[vw] + (p->lowpt2[vw] < p->height[v]);
-        if (e == NONE)
-            continue;
-        if (p->lowpt[vw] < p->lowpt[e]) {
-            p->lowpt2[e] = p->lowpt[e] < p->lowpt2[vw] ? p->lowpt[e] : p->lowpt2[vw];
-            p->lowpt[e] = p->lowpt[vw];
-        } else if (p->lowpt[vw] > p->lowpt[e]) {
-            if (p->lowpt[vw] < p->lowpt2[e])
-                p->lowpt2[e] = p->lowpt[vw];
-        } else if (p->lowpt2[vw] < p->lowpt2[e]) {
-            p->lowpt2[e] = p->lowpt2[vw];
-        }
-    }
-}
-
-/* True if the interval with high end `high` holds a return edge that ends
-   above lowpt(b). */
-static int conflicting(const Planar *p, int high, int b)
-{
-    return high != NONE && p->lowpt[high] > p->lowpt[b];
-}
-
-static int lowest(const Planar *p, const int *pair)
-{
-    if (pair[1] == NONE)
-        return p->lowpt[pair[2]];
-    if (pair[3] == NONE)
-        return p->lowpt[pair[0]];
-    return p->lowpt[pair[0]] < p->lowpt[pair[2]] ? p->lowpt[pair[0]] : p->lowpt[pair[2]];
-}
-
-/* Append the interval low..high below pair's left (side 0) or right (side
-   2) interval. */
-static void extend(Planar *p, int *pair, int side, int low, int high)
-{
-    if (pair[side + 1] == NONE)
-        pair[side + 1] = high;
-    else
-        p->ref[pair[side]] = high;
-    pair[side] = low;
-}
-
-static void swap_sides(int *q)
-{
-    int low = q[0], high = q[1];
-    q[0] = q[2];
-    q[1] = q[3];
-    q[2] = low;
-    q[3] = high;
-}
-
-/* Merge the return edges of ei, and those of its earlier siblings that
-   conflict with them, into one new conflict pair; false if they cannot be
-   placed. */
-static int add_constraints(Planar *p, int ei, int e, int bottom)
-{
-    int new[4] = {NONE, NONE, NONE, NONE};
-    int q[4];
-    /* the return edges of ei, above lowpt(e), go right as one interval */
-    do {
-        memcpy(q, p->pairs[--p->npairs], sizeof(q));
-        if (q[1] != NONE)
-            swap_sides(q);
-        if (q[1] != NONE)
-            return 0;
-        if (p->lowpt[q[2]] > p->lowpt[e])
-            extend(p, new, 2, q[2], q[3]);
-    } while (p->npairs != bottom);
-    /* the earlier siblings' return edges above lowpt(ei) go left */
-    while (p->npairs && (conflicting(p, p->pairs[p->npairs - 1][1], ei) ||
-                         conflicting(p, p->pairs[p->npairs - 1][3], ei))) {
-        memcpy(q, p->pairs[--p->npairs], sizeof(q));
-        if (conflicting(p, q[3], ei))
-            swap_sides(q);
-        if (conflicting(p, q[3], ei))
-            return 0;
-        if (q[3] != NONE)
-            extend(p, new, 2, q[2], q[3]);
-        extend(p, new, 0, q[0], q[1]);
-    }
-    if (new[1] != NONE || new[3] != NONE)
-        memcpy(p->pairs[p->npairs++], new, sizeof(new));
-    return 1;
-}
-
-/* Drop the return edges that end at the tail u of e. */
-static void remove_back_edges(Planar *p, int e)
-{
-    int u = e >> 6;
-    while (p->npairs && lowest(p, p->pairs[p->npairs - 1]) == p->height[u])
-        p->npairs--;
-    if (!p->npairs)
-        return;
-    int *pair = p->pairs[p->npairs - 1];
-    for (int high = 1; high <= 3; high += 2) {
-        while (pair[high] != NONE && HEAD(pair[high]) == u)
-            pair[high] = p->ref[pair[high]];
-        if (pair[high] == NONE)
-            pair[high - 1] = NONE;
-    }
-}
-
-static int lr_test(Planar *p, int v)
-{
-    int e = p->parent[v];
-    for (int i = 0; i < p->nout[v]; i++) {
-        int ei = p->out[v][i];
-        int bottom = p->npairs;
-        if (p->parent[HEAD(ei)] == ei) {
-            if (!lr_test(p, HEAD(ei)))
-                return 0;
-        } else {
-            int *pair = p->pairs[p->npairs++];
-            pair[0] = pair[1] = NONE;
-            pair[2] = pair[3] = ei;
-        }
-        if (i && p->lowpt[ei] < p->height[v] && !add_constraints(p, ei, e, bottom))
-            return 0;
-    }
-    if (e != NONE)
-        remove_back_edges(p, e);
-    return 1;
-}
-
-static int planar(Planar *p, int n)
-{
-    int m2 = 0;
-    for (int v = 0; v < n; v++)
-        m2 += POPCNT64(p->adj[v]);
-    if (n > 2 && m2 > 2 * (3 * n - 6))
-        return 0;
-    for (int v = 0; v < n; v++) {
-        p->height[v] = -1;
-        p->parent[v] = NONE;
-        p->heads[v] = 0;
-    }
-    for (int v = 0; v < n; v++) {
-        if (p->height[v] < 0) {
-            p->height[v] = 0;
-            orient(p, v);
-        }
-    }
-    for (int v = 0; v < n; v++) {
-        int c = 0;
-        for (u64 h = p->heads[v]; h; h &= h - 1) {
-            int e = v << 6 | __builtin_ctzll(h);
-            int i = c++;
-            while (i > 0 && p->nesting[p->out[v][i - 1]] > p->nesting[e]) {
-                p->out[v][i] = p->out[v][i - 1];
-                i--;
-            }
-            p->out[v][i] = e;
-        }
-        p->nout[v] = c;
-    }
-    p->npairs = 0;
-    for (int v = 0; v < n; v++)
-        if (p->parent[v] == NONE && !lr_test(p, v))
-            return 0;
-    return 1;
-}
-
-/* ------------------------------------------------------------------------
    Python wrappers
    ------------------------------------------------------------------------ */
 
@@ -1271,7 +1033,8 @@ static int clamped_index(PyObject *o, int lo, int hi, int *out)
 }
 
 /* The generators: each one converted whole, then checked to be a
-   permutation of 0..n-1, as the pure _children_args checks them. */
+   permutation of 0..n-1 and, in one pass over the rows, an automorphism of
+   the parent, as the pure _children_args checks them. */
 static int load_gens(Expansion *ex, PyObject *gens)
 {
     int n = ex->n;
@@ -1310,6 +1073,16 @@ static int load_gens(Expansion *ex, PyObject *gens)
         if (!ok) {
             PyErr_SetString(PyExc_ValueError, "generator that is not a permutation of 0..n-1");
             goto fail;
+        }
+        for (int v = 0; v < n; v++) {
+            u64 image = 0;
+            for (u64 m = ex->rows[v]; m; m &= m - 1)
+                image |= BIT(perm[__builtin_ctzll(m)]);
+            if (image != ex->rows[perm[v]]) {
+                PyErr_SetString(PyExc_ValueError,
+                                "generator that is not an automorphism of the parent");
+                goto fail;
+            }
         }
     }
     Py_DECREF(list);
@@ -1352,24 +1125,6 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
         return NULL;
     degree_order(n, adj, order);
     return PyBool_FromLong(colorable_excluding(n, adj, order, excluded, k));
-}
-
-static PyObject *py_color_graph(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 adj[MAXN];
-    u64 classes[MAXN];
-    int order[MAXN], colors[MAXN];
-    int n, k;
-    if (!nargs_ok("color_graph", nargs, 3) || load(args[0], args[1], adj, &n) < 0 ||
-        as_int(args[2], &k) < 0)
-        return NULL;
-    degree_order(n, adj, order);
-    if (!color_classes(n, order, adj, k, classes))
-        Py_RETURN_NONE;
-    for (int c = 0; c < k && c < n; c++)
-        for (u64 m = classes[c]; m; m &= m - 1)
-            colors[__builtin_ctzll(m)] = c;
-    return int_tuple(colors, n);
 }
 
 static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
@@ -1541,16 +1296,6 @@ fail:
     return NULL;
 }
 
-static PyObject *py_bipartizing_pairs(PyObject *self, PyObject *const *args,
-                                      Py_ssize_t nargs)
-{
-    u64 adj[MAXN];
-    int n;
-    if (!nargs_ok("bipartizing_pairs", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(bipartizing_pairs(n, adj));
-}
-
 static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Canon cs;
@@ -1701,15 +1446,6 @@ static PyObject *py_children(PyObject *self, PyObject *const *args, Py_ssize_t n
     return result;
 }
 
-static PyObject *py_planar(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Planar p;
-    int n;
-    if (!nargs_ok("planar", nargs, 2) || load(args[0], args[1], p.adj, &n) < 0)
-        return NULL;
-    return PyBool_FromLong(planar(&p, n));
-}
-
 /* The "--" line gives inspect.signature the positional parameters. */
 #define FASTCALL(name, params, doc)                                       \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL,       \
@@ -1718,8 +1454,6 @@ static PyObject *py_planar(PyObject *self, PyObject *const *args, Py_ssize_t nar
 static PyMethodDef methods[] = {
     FASTCALL(deletion_colorable, "n, rows, excluded, k",
              "True if the graph minus the `excluded` vertex mask is k-colorable."),
-    FASTCALL(color_graph, "n, rows, k",
-             "A proper coloring with at most k colors, or None (see the pure twin)."),
     FASTCALL(chromatic_number, "n, rows", "The chromatic number."),
     FASTCALL(top_components, "n, rows",
              "(chi, masks): chi(G) and the masks of the components C with "
@@ -1735,10 +1469,6 @@ static PyMethodDef methods[] = {
     FASTCALL(stability_witnesses, "n, rows, chi, independent_only",
              "(value, masks) exactly as the pure kernel computes them, with the "
              "same skip of sets that miss one of the first n K_chi's."),
-    FASTCALL(bipartizing_pairs, "n, rows",
-             "Mask of the vertices x for which some y != x leaves G - {x, y} "
-             "2-chromatic, exactly as the pure kernel finds them; a pair that misses "
-             "one of the first n triangles is skipped without a coloring test."),
     FASTCALL(canon_raw, "n, rows",
              "(perm, aut_order, gens, orbits, rows) from a refinement tree pruned by "
              "the automorphisms it finds; aut_order is exact, gens generate the "
@@ -1750,16 +1480,14 @@ static PyMethodDef methods[] = {
              "The sorted (key, rows) list of a parent's accepted one-vertex "
              "extensions, exactly as the pure kernel finds them; see the pure twin "
              "for the full contract."),
-    FASTCALL(planar, "n, rows",
-             "True if the graph is planar: the testing phase of the left-right "
-             "criterion, as the pure twin runs it."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_ckern",
-    .m_doc = "Compiled kernels; same functions and same outputs as chromastab.kernels.pure.",
+    .m_doc = "Compiled twins of the hot kernels of chromastab.kernels.pure, with the "
+             "same outputs; planar, bipartizing_pairs and color_graph run from pure.",
     .m_size = -1,
     .m_methods = methods,
 };

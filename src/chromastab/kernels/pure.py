@@ -1,9 +1,13 @@
 """Pure-Python compute kernels over bitset adjacency rows.
 
 Every function here takes a graph as ``(n, rows)`` where ``rows[v]`` is the
-neighbor bitmask of vertex ``v``.  The compiled extension
-(:mod:`chromastab.kernels._ckern`) implements the same functions with the
-same outputs bit for bit; this module is the fallback and the reference.
+neighbor bitmask of vertex ``v``.  This module is the one implementation
+of every kernel and the reference.  The compiled extension
+(:mod:`chromastab.kernels._ckern`) implements the hot kernels only
+(coloring, the stability scans, canonical labeling and level expansion)
+with the same outputs bit for bit, and the backend in use runs those.
+`planar`, `bipartizing_pairs` and `color_graph` have no compiled twin:
+their callers run them from here on every backend.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from operator import index, or_
 from chromastab import graph6
 from chromastab.graph import (
     UnionFind,
+    apply_perm,
     bits,
     component_masks,
     induced,
@@ -632,7 +637,10 @@ def _orbit(vertices, gens):
 def _children_args(n, rows, max_degree, gens):
     """The checked arguments of `children`, in the compiled core's order and
     with its messages: (n, rows as a tuple, cap, gens as lists).  A cap above
-    n is n, below 0 is -1, so both backends take any int."""
+    n is n, below 0 is -1, so both backends take any int.  Each generator
+    must be a permutation of 0..n-1 that maps every row onto the row of its
+    image: a permutation that is no automorphism would merge subsets from
+    different orbits and drop classes."""
     n = index(n)
     if not 0 <= n <= 63:
         raise ValueError("parent order outside 0..63")
@@ -642,14 +650,17 @@ def _children_args(n, rows, max_degree, gens):
         if r < 0 or r >> n:
             raise ValueError("adjacency row with a bit outside 0..n-1")
         checked.append(r)
+    rows = tuple(checked)
     cap = n if max_degree is None else max(-1, min(n, index(max_degree)))
     perms = []
     for gen in gens:
         perm = [index(v) for v in gen]
         if sorted(perm) != list(range(n)):
             raise ValueError("generator that is not a permutation of 0..n-1")
+        if apply_perm(n, rows, perm) != rows:
+            raise ValueError("generator that is not an automorphism of the parent")
         perms.append(perm)
-    return n, tuple(checked), cap, perms
+    return n, rows, cap, perms
 
 
 def children(n, rows, max_degree, gens):

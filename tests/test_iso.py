@@ -282,8 +282,9 @@ def test_planarity_is_decided_per_component():
 
 
 def test_planarity_checks_hold_on_the_built_module(built_ckern, monkeypatch):
-    """The order-7 oracle check and the 300 unions, with is_planar handing
-    the components it leaves open to the compiled planar kernel."""
+    """The order-7 oracle check and the 300 unions, with the built module
+    active: is_planar hands the components it leaves open to pure.planar,
+    which the built module does not define."""
     monkeypatch.setattr(kernels, "_active", built_ckern)
     test_planarity_of_every_class_through_order_7_matches_kuratowski_oracle()
     test_planarity_is_decided_per_component()

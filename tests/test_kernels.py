@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromastab import families, generate, graph6, iso, kernels, oracles
+from chromastab import chromatic, families, generate, graph6, iso, kernels, oracles
 from chromastab.graph import (
     Graph,
     UnionFind,
@@ -92,11 +92,12 @@ PURE_OUTPUTS_DIGEST = "bf1b536dae6d36aacb74c3a722e550b7901a4bc604fbd9890c8c30aeb
 
 def pure_outputs(kern=pure):
     """sha256 over a kernel module's outputs on the corpus: chi, colorings for
-    k = 0..chi+1, both stability witness scans, canon_raw up to 7 vertices."""
+    k = 0..chi+1, both stability witness scans, canon_raw up to 7 vertices.
+    The colorings come from pure.color_graph, which has no compiled twin."""
     h = hashlib.sha256()
     for n, rows in corpus():
         chi = kern.chromatic_number(n, rows)
-        out = [chi, [kern.color_graph(n, rows, k) for k in range(chi + 2)]]
+        out = [chi, [pure.color_graph(n, rows, k) for k in range(chi + 2)]]
         if chi >= 1:
             out.append(kern.stability_witnesses(n, rows, chi, False))
             out.append(kern.stability_witnesses(n, rows, chi, True))
@@ -120,31 +121,44 @@ MALFORMED_ROWS = [
 ]
 
 
+# the kernels that only pure defines; their callers run them from pure on
+# every backend
+PURE_ONLY = {"planar", "bipartizing_pairs", "color_graph"}
+
+
 def kernel_calls(kern, n, rows):
-    """One call of every kernel on (n, rows)."""
-    return [
+    """One call of every kernel of kern on (n, rows); pure's own kernels
+    come last."""
+    calls = [
         lambda: kern.deletion_colorable(n, rows, 0, 1),
-        lambda: kern.color_graph(n, rows, 1),
         lambda: kern.chromatic_number(n, rows),
         lambda: kern.top_components(n, rows),
         lambda: kern.min_color_class_size(n, rows, 1),
         lambda: kern.stability_values(n, rows, 1),
         lambda: kern.stability_witnesses(n, rows, 1, False),
-        lambda: kern.bipartizing_pairs(n, rows),
         lambda: kern.canon_raw(n, rows),
-        lambda: kern.planar(n, rows),
     ]
+    if kern is pure:
+        calls += [
+            lambda: kern.color_graph(n, rows, 1),
+            lambda: kern.bipartizing_pairs(n, rows),
+            lambda: kern.planar(n, rows),
+        ]
+    return calls
 
 
 def color_count_calls(kern, k):
-    """One call of every kernel that takes a color count k or chi, on K2."""
-    return [
+    """One call of every kernel of kern that takes a color count k or chi,
+    on K2; pure's color_graph comes last."""
+    calls = [
         lambda: kern.deletion_colorable(2, (2, 1), 0, k),
-        lambda: kern.color_graph(2, (2, 1), k),
         lambda: kern.min_color_class_size(2, (2, 1), k),
         lambda: kern.stability_values(2, (2, 1), k),
         lambda: kern.stability_witnesses(2, (2, 1), k, False),
     ]
+    if kern is pure:
+        calls.append(lambda: kern.color_graph(2, (2, 1), k))
+    return calls
 
 
 def kernel_outcome(call):
@@ -165,8 +179,10 @@ def test_color_counts_up_to_the_c_int_limit_agree(built_ckern):
     without allocating per color, and both backends give the same outcome."""
     k = 2**31 - 1
     outcomes = [kernel_outcome(call) for call in color_count_calls(pure, k)]
-    assert outcomes == [kernel_outcome(call) for call in color_count_calls(built_ckern, k)]
-    assert outcomes[:4] == [True, (0, 1), None, (1, 1)]
+    compiled = [kernel_outcome(call) for call in color_count_calls(built_ckern, k)]
+    assert outcomes[: len(compiled)] == compiled
+    assert outcomes[:3] == [True, None, (1, 1)]
+    assert outcomes[-1] == (0, 1)  # pure.color_graph
 
 
 @pytest.mark.parametrize("n", [-1, 65])
@@ -210,16 +226,8 @@ def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
                 n, rows, chi
             )
         assert ck.canon_raw(n, rows) == pure.canon_raw(n, rows)
-        assert ck.bipartizing_pairs(n, rows) == pure.bipartizing_pairs(n, rows)
     for _name, g, _order in SYMMETRIC:
         assert ck.canon_raw(g.n, g.rows) == pure.canon_raw(g.n, g.rows)
-        assert ck.bipartizing_pairs(g.n, g.rows) == pure.bipartizing_pairs(g.n, g.rows)
-    for n in range(1, 8):
-        for _key, rows in levels_through_8[n]:
-            assert ck.bipartizing_pairs(n, rows) == pure.bipartizing_pairs(n, rows), rows
-    # the pair kernel takes every vertex count up to 64, past the scans' 62
-    for g in (cycle_graph(63), cycle_graph(64), path_graph(64), complete_graph(64)):
-        assert ck.bipartizing_pairs(g.n, g.rows) == pure.bipartizing_pairs(g.n, g.rows)
     # every order-8 class with max degree <= 4, the search8 classes, and one
     # shuffled relabeling of each
     rng = random.Random(8)
@@ -279,7 +287,6 @@ def test_backends_agree_everywhere(built_ckern):
         for k in (0, 1, 2, chi - 1, chi, chi + 1):
             if k < 0:
                 continue
-            assert pure.color_graph(n, rows, k) == ck.color_graph(n, rows, k)
             assert pure.deletion_colorable(n, rows, 0, k) == ck.deletion_colorable(
                 n, rows, 0, k
             )
@@ -295,8 +302,6 @@ def test_backends_agree_everywhere(built_ckern):
                 n, rows, chi
             )
         assert pure.canon_raw(n, rows) == ck.canon_raw(n, rows)
-        assert pure.planar(n, rows) == ck.planar(n, rows)
-        assert pure.bipartizing_pairs(n, rows) == ck.bipartizing_pairs(n, rows)
 
 
 def public_kernels(kern):
@@ -310,11 +315,14 @@ def public_kernels(kern):
 
 
 def test_backends_export_the_same_kernels(built_ckern):
-    """pure and the build of _ckern.c define the same public kernels, each
-    with the same parameters."""
+    """The build of _ckern.c defines pure's public kernels but the three
+    that only pure defines, each with pure's parameters."""
     kernels_of_pure = public_kernels(pure)
-    assert len(kernels_of_pure) == 11
-    assert public_kernels(built_ckern) == kernels_of_pure
+    assert len(kernels_of_pure) == 11 and PURE_ONLY <= set(kernels_of_pure)
+    compiled = public_kernels(built_ckern)
+    assert len(compiled) == 8
+    assert compiled == {name: params for name, params in kernels_of_pure.items()
+                        if name not in PURE_ONLY}
 
 
 def test_compiled_kernels_do_not_leak(built_ckern):
@@ -329,9 +337,7 @@ def test_compiled_kernels_do_not_leak(built_ckern):
     calls = {
         "canon_raw": lambda: ck.canon_raw(c40.n, c40.rows),
         "stability_witnesses": lambda: ck.stability_witnesses(g9.n, g9.rows, 3, False),
-        "color_graph": lambda: ck.color_graph(g9.n, g9.rows, 3),
         "top_components": lambda: ck.top_components(k3k3.n, k3k3.rows),
-        "bipartizing_pairs": lambda: ck.bipartizing_pairs(c40.n, c40.rows),
         "children": lambda: ck.children(g9.n, g9.rows, None, g9_gens),
         "children of a disconnected parent": lambda: ck.children(
             k3k3.n, k3k3.rows, None, k3k3_gens
@@ -348,6 +354,35 @@ def test_compiled_kernels_do_not_leak(built_ckern):
         finally:
             tracemalloc.stop()
         assert growth < 64 * 1024, (name, growth)
+
+
+def test_callers_of_pure_only_kernels_run_on_the_built_module(
+    built_ckern, s9_catalog, monkeypatch
+):
+    """analyze, is_k_colorable and subdivide_family give the same results
+    with the built module active as on pure, so none of them reaches a
+    kernel that only pure defines through kernels.active().  corpus() holds
+    g9 and g10; subdivide_family takes each edge of five catalog hosts."""
+    graphs = [Graph(n, rows) for n, rows in corpus() if n]
+    hosts = s9_catalog.graphs()[:5]
+
+    def results():
+        reports = []
+        for g in graphs:
+            chi = chromatic.chromatic_number(g)
+            reports.append(chromatic.analyze(g))
+            reports += [chromatic.is_k_colorable(g, k) for k in (chi - 1, chi)]
+        subdivided = [kernel_outcome(lambda: families.subdivide_family(host, [(e, 2)]))
+                      for host in hosts for e in host.edges()]
+        return reports, subdivided
+
+    monkeypatch.setattr(kernels, "_active", pure)
+    want = results()
+    monkeypatch.setattr(kernels, "_active", built_ckern)
+    assert results() == want
+    # the hosts have edges both outside and inside their bipartizing-pair core
+    kinds = {type(out).__name__ for out in want[1]}
+    assert kinds == {"Graph", "tuple"}
 
 
 def test_backend_switch(built_ckern, monkeypatch):
@@ -368,18 +403,18 @@ def test_backend_switch(built_ckern, monkeypatch):
         kernels.set_backend("compiled")
 
 
-def test_proper_coloring_output(backend):
+def test_proper_coloring_output():
     for n, rows in corpus()[:80]:
-        chi = backend.chromatic_number(n, rows)
+        chi = pure.chromatic_number(n, rows)
         if chi == 0:
             continue
-        colors = backend.color_graph(n, rows, chi)
+        colors = pure.color_graph(n, rows, chi)
         assert colors is not None
         for v in range(n):
             for u in range(v):
                 if rows[v] >> u & 1:
                     assert colors[u] != colors[v]
-        assert backend.color_graph(n, rows, chi - 1) is None
+        assert pure.color_graph(n, rows, chi - 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +871,8 @@ def test_colorability_walks_stop_below_the_vertex_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# planar: differential fuzz against networkx, Kuratowski subdivisions spliced in
+# planar (pure only): differential fuzz against networkx, Kuratowski
+# subdivisions spliced in
 # ---------------------------------------------------------------------------
 
 
@@ -911,7 +947,7 @@ def planarity_cases(draw):
 @example(case=(petersen(), False))
 @example(case=(grid(8, 8, True), True))  # 64 vertices
 @example(case=(complete_graph(64), False))
-def test_planar_matches_networkx_and_between_backends(built_ckern, case):
+def test_planar_matches_networkx(case):
     g, known = case
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
@@ -919,7 +955,6 @@ def test_planar_matches_networkx_and_between_backends(built_ckern, case):
     expected = nx.check_planarity(nxg)[0]
     assert known in (None, expected)
     assert pure.planar(g.n, g.rows) == expected
-    assert built_ckern.planar(g.n, g.rows) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1105,6 +1140,12 @@ def children_calls(kern):
         lambda: kern.children(3, [2, 5, 2, 99], 1 << 70, [[2, 1, 0]]),
         lambda: kern.children(3, p3, -1 << 70, gens),
         lambda: kern.children(0, (), 0, ()),
+        # permutations that are no automorphism: of K2 + K1 and of K2 + 2K1;
+        # each generator is checked whole before the next
+        lambda: kern.children(3, (4, 0, 1), None, ((0, 2, 1),)),
+        lambda: kern.children(4, (8, 0, 0, 1), None, ((0, 1, 3, 2),)),
+        lambda: kern.children(3, (4, 0, 1), None, ((0, 2, 1), (0, 0, 1))),
+        lambda: kern.children(3, (4, 0, 1), None, ((0, 0, 1), (0, 2, 1))),
     ]
 
 
@@ -1125,3 +1166,8 @@ def test_children_check_their_arguments_alike(built_ckern):
     assert outcomes[22] == outcomes[23] == pure.children(3, (2, 5, 2), None, ())
     assert outcomes[24] == []
     assert outcomes[25] == [(b"@", (0,))]
+    aut = ("ValueError", "generator that is not an automorphism of the parent")
+    assert outcomes[26:] == [aut, aut, aut, perm]
+    # the true generators give 4 and 7 classes; the false ones dropped one
+    for n, rows, count in ((3, (4, 0, 1), 4), (4, (8, 0, 0, 1), 7)):
+        assert len(children_of(pure, n, rows, None)) == count
