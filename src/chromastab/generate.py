@@ -39,7 +39,8 @@ Scans read whole orders through `walk`: `all_levels` sorts and caches the
 levels below the top order, and `sweep` streams the top order parent by
 parent, each class with its record (such as `chromatic.profile`) computed
 where it is generated, holding one parent's children plus the keys seen so
-far for the cross-parent duplicate check.  `check_order` caps the order.
+far for the cross-parent duplicate check.  `check_order`, which every level
+build calls first, bounds the order.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ class GenerateError(ValueError):
 
 
 def check_order(n, max_degree=None):
-    """Refuse an order whose level may outgrow order 9's 274,668 classes: order
-    10 is admitted only with max_degree <= 4 (108,376 classes; max_degree 5
-    gives at least labeled_count(10, 5)/10! = 1,001,343)."""
+    """Refuse an order below 1, and one whose level may outgrow order 9's
+    274,668 classes: order 10 is admitted only with max_degree <= 4 (108,376
+    classes; max_degree 5 gives at least labeled_count(10, 5)/10! =
+    1,001,343).  Every level build checks it before any work."""
+    if n < 1:
+        raise GenerateError(f"order must be at least 1, got {n}")
     if n > 9 and not (n == 10 and max_degree is not None and max_degree <= 4):
         raise GenerateError(f"the level sweeps stop at order 9, got {n}")
 
@@ -86,8 +90,6 @@ class GenSpec:
     predicate: object = None
 
     def validate(self):
-        if self.n < 1:
-            raise GenerateError(f"order must be at least 1, got {self.n}")
         check_order(self.n, self.max_degree)
         if self.max_degree is not None and not 0 <= self.max_degree <= self.n - 1:
             raise GenerateError(f"max_degree {self.max_degree} outside 0..n-1")
@@ -182,6 +184,7 @@ def all_levels(n, max_degree=None, jobs=1):
     """{order: sorted list of (graph6 key, rows)} for every order 1..n, one
     representative per isomorphism class (respecting the degree bound).
     Levels are cached per max_degree within the process and extended on demand."""
+    check_order(n, max_degree)
     k1 = (graph6.encode_rows(1, (0,)).encode(), (0,))
     levels = _LEVEL_CACHE.setdefault(max_degree, {1: [k1]})
     for k in range(1, n):
@@ -201,7 +204,9 @@ def walk(n, max_degree=None, fn=None, jobs=1, first=1):
     """Yield (order, key, rows, fn(rows), or None without fn) for every class
     of orders first..n (respecting the degree bound), order by order.  An
     order below n is a held level, in key order, with fn mapped over it in a
-    pool; order n > 1 is streamed by `sweep` from level n - 1, never held."""
+    pool; order n > 1 is streamed by `sweep` from level n - 1, never held.
+    The order is checked before order 1 is yielded."""
+    check_order(n, max_degree)
     for order in range(first, n + 1):
         if order < n or order == 1:
             level = levels_up_to(order, max_degree, jobs)

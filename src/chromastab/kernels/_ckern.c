@@ -1,7 +1,10 @@
 /* Compiled twins of the hot kernels of chromastab.kernels.pure, with the
    same outputs: coloring, the stability scans, canonical labeling and level
    expansion.  planar, bipartizing_pairs and color_graph have no twin here;
-   they run from pure on every backend.
+   they run from pure on every backend.  As in pure, colorability is decided
+   in colorable_excluding alone (a bitset BFS for two colors, the walk for
+   every other count), chi is the maximum over the components
+   (top_components), and both stability scans share one Scan set-up.
 
    Plain C kernels over u64 adjacency rows (rows[v] is the neighbor bitmask of
    vertex v) come first; one block of Python wrappers below converts the
@@ -91,42 +94,25 @@ static int color_rec(int idx, int norder, const int *order, const u64 *adj, int 
     return 0;
 }
 
-/* First proper coloring of order[0..norder-1], taken in that order, with at
-   most k colors, as class masks in classes[0..min(k, norder)-1]; true if
-   there is one.  A vertex never opens more than one new color, so at most
-   min(k, norder) are open. */
-static int color_classes(int norder, const int *order, const u64 *adj, int k, u64 *classes)
-{
-    for (int c = 0; c < k && c < norder; c++)
-        classes[c] = 0;
-    return color_rec(0, norder, order, adj, k, classes, 0);
-}
-
-/* True if the graph minus the `excluded` vertex mask is k-colorable; the
-   walk takes order[0..n-1] (degree_order) minus the excluded vertices and
-   reads only whether a coloring exists. */
+/* True if the graph minus the `excluded` vertex mask is k-colorable.
+   order[0..n-1] is degree_order.  k = 2 is a bitset BFS; every other k is
+   the walk over order minus the excluded vertices, which reads only whether
+   a coloring exists: it colors no vertex with k <= 0 colors, and the empty
+   graph with any k.  A vertex never opens more than one new color, so only
+   min(k, nwalk) classes are ever open. */
 static int colorable_excluding(int n, const u64 *adj, const int *order, u64 excluded, int k)
 {
     u64 classes[MAXN];
     int walk[MAXN];
     int nwalk = 0;
-    u64 active = all_mask(n) & ~excluded;
-    if (active == 0)
-        return 1;
-    if (k <= 0)
-        return 0;
-    if (k == 1) {
-        for (u64 m = active; m; m &= m - 1)
-            if (adj[__builtin_ctzll(m)] & active)
-                return 0;
-        return 1;
-    }
     if (k == 2)
-        return two_colorable(adj, active);
+        return two_colorable(adj, all_mask(n) & ~excluded);
     for (int i = 0; i < n; i++)
-        if (active >> order[i] & 1)
+        if (!(excluded >> order[i] & 1))
             walk[nwalk++] = order[i];
-    return color_classes(nwalk, walk, adj, k, classes);
+    for (int c = 0; c < k && c < nwalk; c++)
+        classes[c] = 0;
+    return color_rec(0, nwalk, walk, adj, k, classes, 0);
 }
 
 /* A clique: each vertex of order[0..n-1] in `part`, in turn, joins when it
@@ -148,23 +134,15 @@ static int greedy_clique(int n, const u64 *adj, const int *order, u64 part, int 
 
 /* chi of the graph on the vertex mask `part`, which is G or a union of its
    components, in G's labels; order is G's degree_order, and every walk
-   takes it minus the vertices outside part.  A graph on s vertices is
-   s-colorable, so the walks stop at s - 1 colors. */
+   takes it minus the vertices outside part.  The greedy clique's size is
+   the lower bound (0 on no vertex, 1 on no edge, since part's first vertex
+   in order has the most neighbors, all inside part), and a graph on s
+   vertices is s-colorable, so the walks stop at s - 1 colors. */
 static int chromatic_within(int n, const u64 *adj, const int *order, u64 part)
 {
     int size = POPCNT64(part);
-    int any_edge = 0;
-    if (size == 0)
-        return 0;
-    for (u64 m = part; m && !any_edge; m &= m - 1)
-        any_edge = adj[__builtin_ctzll(m)] != 0;
-    if (!any_edge)
-        return 1;
     int members[MAXN];
-    int lb = greedy_clique(n, adj, order, part, members);
-    if (lb < 2)
-        lb = 2;
-    for (int k = lb; k < size; k++)
+    for (int k = greedy_clique(n, adj, order, part, members); k < size; k++)
         if (colorable_excluding(n, adj, order, ~part, k))
             return k;
     return size;
@@ -910,6 +888,29 @@ static int components(int n, const u64 *adj, u64 *comps)
     return count;
 }
 
+/* chi(G), the maximum chi over its components, with the masks of the
+   components C with chi(C) = chi(G) in comps[0..*ntop-1], ascending by least
+   vertex, as the pure top_components finds them: each chi is taken on G's
+   rows restricted to the component, in G's labels. */
+static int top_components(int n, const u64 *adj, u64 *comps, int *ntop)
+{
+    int order[MAXN];
+    int chi = 0;
+    degree_order(n, adj, order);
+    int ncomps = components(n, adj, comps);
+    *ntop = 0;
+    for (int i = 0; i < ncomps; i++) {
+        int c = chromatic_within(n, adj, order, comps[i]);
+        if (c > chi) {
+            chi = c;
+            *ntop = 0;
+        }
+        if (c == chi)
+            comps[(*ntop)++] = comps[i];
+    }
+    return chi;
+}
+
 /* ------------------------------------------------------------------------
    Python wrappers
    ------------------------------------------------------------------------ */
@@ -1092,17 +1093,32 @@ fail:
     return -1;
 }
 
-static PyObject *scan_limit_error(void)
-{
-    PyErr_SetString(PyExc_ValueError, "stability scans support at most 62 vertices");
-    return NULL;
-}
+/* The set-up both scans share, as the pure _scan_setup makes it. */
+typedef struct {
+    int n;
+    int k;
+    u64 adj[MAXN];
+    int order[MAXN];
+    Cliques cl;
+} Scan;
 
-/* The color count the scans test, chi - 1, without the overflow at INT_MIN:
-   every count up to 0 colors only the empty graph, so chi <= 1 gives 0. */
-static int scan_colors(int chi)
+/* Load (n, rows, chi) from args into sc, with the checks in the pure
+   order: the rows, chi, then the 62-vertex limit.  k is the color count the
+   scans test, chi - 1, without the overflow at INT_MIN: every count up to 0
+   colors only the empty graph, so chi <= 1 gives 0. */
+static int scan_setup(Scan *sc, PyObject *const *args)
 {
-    return chi > 1 ? chi - 1 : 0;
+    int chi;
+    if (load(args[0], args[1], sc->adj, &sc->n) < 0 || as_int(args[2], &chi) < 0)
+        return -1;
+    if (sc->n > 62) {
+        PyErr_SetString(PyExc_ValueError, "stability scans support at most 62 vertices");
+        return -1;
+    }
+    degree_order(sc->n, sc->adj, sc->order);
+    collect_cliques(sc->n, sc->adj, chi, &sc->cl);
+    sc->k = chi > 1 ? chi - 1 : 0;
+    return 0;
 }
 
 static PyObject *no_deletion_set_error(void)
@@ -1130,38 +1146,21 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
 static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
                                      Py_ssize_t nargs)
 {
-    u64 adj[MAXN];
-    int order[MAXN];
-    int n;
+    u64 adj[MAXN], comps[MAXN];
+    int n, ntop;
     if (!nargs_ok("chromatic_number", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
         return NULL;
-    degree_order(n, adj, order);
-    return PyLong_FromLong(chromatic_within(n, adj, order, all_mask(n)));
+    return PyLong_FromLong(top_components(n, adj, comps, &ntop));
 }
 
-/* (chi, masks): chi(G) and the masks of the components C with
-   chi(C) = chi(G), ascending by least vertex, as the pure twin finds them:
-   each chi is taken on G's rows restricted to the component, in G's
-   labels. */
 static PyObject *py_top_components(PyObject *self, PyObject *const *args,
                                    Py_ssize_t nargs)
 {
     u64 adj[MAXN], comps[MAXN];
-    int order[MAXN];
-    int n, chi = 0, ntop = 0;
+    int n, ntop;
     if (!nargs_ok("top_components", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
         return NULL;
-    degree_order(n, adj, order);
-    int ncomps = components(n, adj, comps);
-    for (int i = 0; i < ncomps; i++) {
-        int c = chromatic_within(n, adj, order, comps[i]);
-        if (c > chi) {
-            chi = c;
-            ntop = 0;
-        }
-        if (c == chi)
-            comps[ntop++] = comps[i];
-    }
+    int chi = top_components(n, adj, comps, &ntop);
     PyObject *masks = u64_tuple(comps, ntop);
     if (masks == NULL)
         return NULL;
@@ -1209,27 +1208,20 @@ static PyObject *py_min_color_class_size(PyObject *self, PyObject *const *args,
 static PyObject *py_stability_values(PyObject *self, PyObject *const *args,
                                      Py_ssize_t nargs)
 {
-    u64 adj[MAXN];
-    int n, chi, vs = 0;
-    if (!nargs_ok("stability_values", nargs, 3) || load(args[0], args[1], adj, &n) < 0 ||
-        as_int(args[2], &chi) < 0)
+    Scan sc;
+    int vs = 0;
+    if (!nargs_ok("stability_values", nargs, 3) || scan_setup(&sc, args) < 0)
         return NULL;
-    if (n > 62)
-        return scan_limit_error();
-    Cliques cl;
-    int order[MAXN];
-    collect_cliques(n, adj, chi, &cl);
-    degree_order(n, adj, order);
-    int k = scan_colors(chi);
-    u64 top = BIT(n);
-    for (int s = 1; s <= n; s++) {
+    u64 top = BIT(sc.n);
+    for (int s = 1; s <= sc.n; s++) {
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
-            if (vs && !independent(adj, mask))
+            if (vs && !independent(sc.adj, mask))
                 continue;
-            if (meets_all(mask, &cl) && colorable_excluding(n, adj, order, mask, k)) {
+            if (meets_all(mask, &sc.cl) &&
+                colorable_excluding(sc.n, sc.adj, sc.order, mask, sc.k)) {
                 if (!vs)
                     vs = s;
-                if (independent(adj, mask)) {
+                if (independent(sc.adj, mask)) {
                     int out[2] = {vs, s};
                     return int_tuple(out, 2);
                 }
@@ -1242,47 +1234,37 @@ static PyObject *py_stability_values(PyObject *self, PyObject *const *args,
 static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
                                         Py_ssize_t nargs)
 {
-    u64 adj[MAXN];
-    int n, chi, indep;
-    if (!nargs_ok("stability_witnesses", nargs, 4) || load(args[0], args[1], adj, &n) < 0 ||
-        as_int(args[2], &chi) < 0 || (indep = PyObject_IsTrue(args[3])) < 0)
+    Scan sc;
+    int indep;
+    if (!nargs_ok("stability_witnesses", nargs, 4) || scan_setup(&sc, args) < 0 ||
+        (indep = PyObject_IsTrue(args[3])) < 0)
         return NULL;
-    if (n > 62)
-        return scan_limit_error();
-    Cliques cl;
-    int order[MAXN];
-    collect_cliques(n, adj, chi, &cl);
-    degree_order(n, adj, order);
-    int k = scan_colors(chi);
-    u64 top = BIT(n);
+    u64 top = BIT(sc.n);
     PyObject *hits = PyList_New(0);
     if (hits == NULL)
         return NULL;
-    for (int s = 1; s <= n; s++) {
-        if (PyList_SetSlice(hits, 0, PyList_GET_SIZE(hits), NULL) < 0)
-            goto fail;
+    for (int s = 1; s <= sc.n; s++) {
         for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
-            if (indep && !independent(adj, mask))
+            if (indep && !independent(sc.adj, mask))
                 continue;
-            if (meets_all(mask, &cl) && colorable_excluding(n, adj, order, mask, k)) {
-                PyObject *m = PyLong_FromUnsignedLongLong(mask);
-                int err = m == NULL ? -1 : PyList_Append(hits, m);
-                Py_XDECREF(m);
-                if (err < 0)
-                    goto fail;
-            }
-        }
-        Py_ssize_t nhits = PyList_GET_SIZE(hits);
-        if (nhits == 0)
-            continue;
-        for (Py_ssize_t i = 0; i < nhits; i++) {
-            u64 m = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(hits, i));
-            if (k > 0 && colorable_excluding(n, adj, order, m, k - 1)) {
+            if (!meets_all(mask, &sc.cl) ||
+                !colorable_excluding(sc.n, sc.adj, sc.order, mask, sc.k))
+                continue;
+            /* k > 0: at k = 0 a witness deletes every vertex, and the empty
+               graph it leaves is colorable with any count, -1 too */
+            if (sc.k > 0 && colorable_excluding(sc.n, sc.adj, sc.order, mask, sc.k - 1)) {
                 PyErr_SetString(PyExc_AssertionError,
                                 "deletion lowered the chromatic number by more than one");
                 goto fail;
             }
+            PyObject *m = PyLong_FromUnsignedLongLong(mask);
+            int err = m == NULL ? -1 : PyList_Append(hits, m);
+            Py_XDECREF(m);
+            if (err < 0)
+                goto fail;
         }
+        if (PyList_GET_SIZE(hits) == 0)
+            continue;
         PyObject *masks = PyList_AsTuple(hits);
         Py_DECREF(hits);
         if (masks == NULL)

@@ -8,6 +8,11 @@ of every kernel and the reference.  The compiled extension
 with the same outputs bit for bit, and the backend in use runs those.
 `planar`, `bipartizing_pairs` and `color_graph` have no compiled twin:
 their callers run them from here on every backend.
+
+Colorability is decided in one place, `_colorable_excluding`: a bitset BFS
+for two colors, and `_walk` for every other count.  chi is the maximum over
+the components (`top_components`), and the two stability scans share one
+set-up (`_scan_setup`); the compiled core has the same structure.
 """
 
 from __future__ import annotations
@@ -49,12 +54,8 @@ def _c_int(x):
 
 
 def _subsets_of_size(n, s):
-    """All n-bit masks with exactly s bits set, ascending (Gosper's hack)."""
-    if s == 0:
-        yield 0
-        return
-    if s > n:
-        return
+    """All n-bit masks with exactly s >= 1 bits set, ascending (Gosper's
+    hack); none when s > n."""
     m = (1 << s) - 1
     top = 1 << n
     while m < top:
@@ -109,18 +110,13 @@ def _walk(rows, order, k):
 def _colorable_excluding(rows, order, excluded, k):
     """True if the graph minus the `excluded` vertex mask is k-colorable.
 
-    order lists all n vertices (_degree_order); the walk takes it minus the
-    excluded ones and reads only whether a coloring exists.
+    order lists all n vertices (_degree_order).  k = 2 is a bitset BFS;
+    every other k is the walk over order minus the excluded vertices, which
+    reads only whether a coloring exists: it colors no vertex with k <= 0
+    colors, and the empty graph with any k.
     """
-    active = ((1 << len(order)) - 1) & ~excluded
-    if active == 0:
-        return True
-    if k <= 0:
-        return False
-    if k == 1:
-        return all(rows[v] & active == 0 for v in bits(active))
     if k == 2:
-        return _two_colorable(rows, active)
+        return _two_colorable(rows, ((1 << len(order)) - 1) & ~excluded)
     return _walk(rows, [v for v in order if not excluded >> v & 1], k) is not None
 
 
@@ -177,14 +173,12 @@ def _greedy_clique(rows, order):
 def _chi_within(rows, order, part):
     """chi of the graph on the vertex mask `part`, which is G or a union of
     its components, in G's labels; order is G's _degree_order, and every
-    walk takes it minus the vertices outside part.  A graph on s vertices
-    is s-colorable, so the walks stop at s - 1 colors."""
+    walk takes it minus the vertices outside part.  The greedy clique's size
+    is the lower bound (0 on no vertex, 1 on no edge, since part's first
+    vertex in order has the most neighbors, all inside part), and a graph on
+    s vertices is s-colorable, so the walks stop at s - 1 colors."""
     size = part.bit_count()
-    if size == 0:
-        return 0
-    if not any(rows[v] for v in bits(part)):
-        return 1
-    lb = max(2, len(_greedy_clique(rows, [v for v in order if part >> v & 1])))
+    lb = len(_greedy_clique(rows, [v for v in order if part >> v & 1]))
     for k in range(lb, size):
         if _colorable_excluding(rows, order, ~part, k):
             return k
@@ -192,8 +186,9 @@ def _chi_within(rows, order, part):
 
 
 def chromatic_number(n, rows):
-    _check_order(n, rows)
-    return _chi_within(rows, _degree_order(n, rows), (1 << n) - 1)
+    """chi(G): the maximum chi over G's components, as top_components
+    finds it."""
+    return top_components(n, rows)[0]
 
 
 def top_components(n, rows):
@@ -305,14 +300,16 @@ def min_color_class_size(n, rows, k):
 # ---------------------------------------------------------------------------
 
 
-def _scan_chi(n, rows, chi):
-    """chi after the compiled scans' checks, in their order: the rows, chi,
-    then the 62-vertex limit."""
+def _scan_setup(n, rows, chi):
+    """(order, cliques, k), the set-up both scans share, after the compiled
+    scans' checks in their order: the rows, chi, then the 62-vertex limit.
+    order is _degree_order, cliques the first n K_chi's (see _cliques), and
+    k = chi - 1 the color count a deletion set must reach."""
     _check_order(n, rows)
     chi = _c_int(chi)
     if n > 62:
         raise ValueError("stability scans support at most 62 vertices")
-    return chi
+    return _degree_order(n, rows), _cliques(n, rows, chi, n), chi - 1
 
 
 def _cliques(n, rows, size, limit):
@@ -363,10 +360,7 @@ def stability_values(n, rows, chi):
     keeps that filter exact; the cap of n bounds the list on graphs with many
     of them (the complete multipartite K_{3,...,3} has 3^(n/3)).
     """
-    chi = _scan_chi(n, rows, chi)
-    cliques = _cliques(n, rows, chi, n)
-    order = _degree_order(n, rows)
-    k = chi - 1
+    order, cliques, k = _scan_setup(n, rows, chi)
     vs = 0
     for s in range(1, n + 1):
         for mask in _subsets_of_size(n, s):
@@ -383,28 +377,28 @@ def stability_values(n, rows, chi):
 def stability_witnesses(n, rows, chi, independent_only):
     """(value, masks): least size and every deletion set of that size.
 
-    With independent_only, only independent sets count.  Witness masks come
-    back in ascending numeric order.  Each witness is re-checked to lower the
+    With independent_only, only independent sets count; its truth is taken
+    once, right after the set-up.  Witness masks come back in ascending
+    numeric order.  Each witness is re-checked, as it is found, to lower the
     chromatic number by exactly one.  As in stability_values, a set that
     misses one of the first n K_chi's is skipped without a coloring test.
     """
-    chi = _scan_chi(n, rows, chi)
-    cliques = _cliques(n, rows, chi, n)
-    order = _degree_order(n, rows)
-    k = chi - 1
+    order, cliques, k = _scan_setup(n, rows, chi)
+    independent_only = bool(independent_only)
     for s in range(1, n + 1):
         hits = []
         for mask in _subsets_of_size(n, s):
             if independent_only and not is_independent(rows, mask):
                 continue
             if _meets_all(mask, cliques) and _colorable_excluding(rows, order, mask, k):
-                hits.append(mask)
-        if hits:
-            for mask in hits:
+                # k > 0: at k = 0 a witness deletes every vertex, and the
+                # empty graph it leaves is colorable with any count, -1 too
                 if k > 0 and _colorable_excluding(rows, order, mask, k - 1):
                     raise AssertionError(
                         "deletion lowered the chromatic number by more than one"
                     )
+                hits.append(mask)
+        if hits:
             return s, tuple(hits)
     raise AssertionError("no deletion set found; chi inconsistent")
 

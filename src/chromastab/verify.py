@@ -171,7 +171,6 @@ def verify_obs1(chk, n=8, jobs=1) -> dict:
     """The independent stability parameter equals the minimum color-class
     size over all optimal colorings, on every graph of order <= n plus the
     two named 9/10-vertex base graphs."""
-    generate.check_order(n)
     record = partial(chromatic.profile, mcc=True)
     scanned = _scan_levels(chk, n, record, _ivs_not_mcc, jobs)
     for g in (families.g9(), families.g10()):
@@ -209,7 +208,6 @@ def verify_lem9(chk, n=9, jobs=1) -> dict:
     """No graph of order <= 8 has ivs > vs together with chi >= max_degree/2
     + 1; at order 9 every such graph has chi=3, ivs=3, vs=2 and max degree 4.
     An n below 9 stops the scan at order n."""
-    generate.check_order(n)
     hits = []
 
     def gap_at(order, key, rows, value):

@@ -126,8 +126,17 @@ def test_spec_validation(monkeypatch):
     def no_level(*_args, **_kwargs):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(generate, "all_levels", no_level)
+    # every level build checks the order before it sweeps a level
     monkeypatch.setattr(generate, "sweep", no_level)
+    for build in (
+        lambda: generate.levels_up_to(0),
+        lambda: generate.levels_up_to(11),
+        lambda: generate.levels_up_to(11, 4),
+        lambda: next(generate.walk(11)),
+    ):
+        with pytest.raises(GenerateError):
+            build()
+    monkeypatch.setattr(generate, "all_levels", no_level)
     for max_degree in (None, 5):
         with pytest.raises(GenerateError, match="^the level sweeps stop at order 9, got 10$"):
             generate.enumerate_catalog(GenSpec(10, max_degree=max_degree))

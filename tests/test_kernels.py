@@ -2,11 +2,14 @@ import hashlib
 import inspect
 import itertools
 import math
+import os
 import random
 import subprocess
+import sys
 import sysconfig
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import networkx as nx
@@ -206,6 +209,109 @@ def test_compiled_core_compiles_without_warnings():
     assert check.returncode == 0, check.stdout + check.stderr
 
 
+def sanitized_cases():
+    """(kernel name, arguments) for each compiled kernel on the inputs where
+    the shifts and indices of _ckern.c reach their limits: corpus() with
+    every color count near chi, SYMMETRIC, graphs of 63 and 64 vertices, and
+    malformed arguments."""
+    cases = []
+    graphs = [(n, rows, n <= 10) for n, rows in corpus()]
+    graphs += [(g.n, g.rows, g.n <= 10) for _name, g, _order in SYMMETRIC]
+    for g in (path_graph(63), Graph.build(64, []), disjoint(complete_graph(1), cycle_graph(63)),
+              cycle_graph(64)):
+        graphs.append((g.n, g.rows, False))
+    for n, rows, small in graphs:
+        chi = pure.chromatic_number(n, rows)
+        cases += [("chromatic_number", (n, rows)), ("top_components", (n, rows)),
+                  ("min_color_class_size", (n, rows, chi))]
+        for excluded in (0, 0x5555555555555555, (1 << n) - 1, -1):
+            cases += [("deletion_colorable", (n, rows, excluded, k))
+                      for k in (-1, 0, 1, 2, chi - 1, chi)]
+        # the scans run where pure stays cheap, up to 10 vertices, and past
+        # 62, where both stop at the 62-vertex check; past 10 vertices
+        # canon_raw takes only connected graphs
+        if small or n > 62:
+            cases += [("stability_values", (n, rows, chi)),
+                      ("stability_witnesses", (n, rows, chi, False)),
+                      ("stability_witnesses", (n, rows, chi, True))]
+        if small or len(component_masks(n, rows)) == 1:
+            cases.append(("canon_raw", (n, rows)))
+        # P63 has 2^63 neighbor subsets, and 4 of degree at most 2
+        if n <= 7 or n == 63:
+            gens = iso.canon_data(n, rows).generators
+            cases += [("children", (n, rows, max_degree, gens))
+                      for max_degree in ((None, 2) if n <= 7 else (2,))]
+    for n, rows in MALFORMED_ROWS + [(3, (1.5, 0, 0)), (3.0, (0, 0, 0))]:
+        cases += [("deletion_colorable", (n, rows, 0, 1)), ("chromatic_number", (n, rows)),
+                  ("top_components", (n, rows)), ("min_color_class_size", (n, rows, 1)),
+                  ("stability_values", (n, rows, 1)),
+                  ("stability_witnesses", (n, rows, 1, False)), ("canon_raw", (n, rows))]
+    for k in (2.0, "x", 1 << 40, *EXTREME_CHIS):
+        cases += [("deletion_colorable", (2, (2, 1), 0, k)),
+                  ("min_color_class_size", (2, (2, 1), k)),
+                  ("stability_values", (2, (2, 1), k)),
+                  ("stability_witnesses", (2, (2, 1), k, False))]
+    for excluded in (-1, 1 << 70, -1 << 70 | 1, 1.5):
+        cases.append(("deletion_colorable", (3, (6, 5, 3), excluded, 2)))
+    return cases
+
+
+def sanitized_outcomes(kern, cases):
+    """The outcome of each case on kern, then of each children_calls call;
+    a TypeError by its type alone, since the backends word it differently."""
+    calls = [partial(getattr(kern, name), *args) for name, args in cases]
+    outcomes = [kernel_outcome(call) for call in calls + children_calls(kern)]
+    return [out[:1] if isinstance(out, tuple) and out[:1] == ("TypeError",) else out
+            for out in outcomes]
+
+
+# Run in a fresh interpreter, which an undefined-behavior report aborts:
+# argv holds the tests directory and the sanitized build.
+SANITIZED_RUN = """
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+import test_kernels as t
+spec = importlib.util.spec_from_file_location("chromastab.kernels._ckern", sys.argv[2])
+ck = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ck)
+cases = t.sanitized_cases()
+want = t.sanitized_outcomes(t.pure, cases)
+got = t.sanitized_outcomes(ck, cases)
+bad = [(case, w, g) for case, w, g in zip(cases, want, got) if w != g]
+assert len(want) == len(got) and not bad, bad[:3]
+"""
+
+
+def test_compiled_core_has_no_undefined_behavior(tmp_path):
+    """_ckern.c built with -fsanitize=undefined, under the build's own C
+    compiler, gives pure's outcome on every sanitized case; any undefined
+    shift, overflow or index aborts the run.  Skipped where the compiler
+    does not take the flags."""
+    if not have_c_toolchain():
+        pytest.skip("no C compiler or no Python.h")
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    flags = ["-shared", "-fPIC", "-O1", "-fsanitize=undefined",
+             "-fno-sanitize-recover=undefined"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x << 1; }\n")
+    if subprocess.run(cc + flags + [str(probe), "-o", str(tmp_path / "probe.so")],
+                      capture_output=True).returncode != 0:
+        pytest.skip("the C compiler does not take -fsanitize=undefined")
+    source = Path(kernels.__file__).with_name("_ckern.c")
+    so = tmp_path / ("_ckern" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        cc + flags + ["-I", sysconfig.get_paths()["include"], str(source), "-o", str(so)],
+        capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stdout + build.stderr
+    run = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, str(Path(__file__).parent), str(so)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "runtime error" not in run.stderr, run.stderr
+
+
 def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
     """Hold the out-of-tree build of _ckern.c to the pure outputs."""
     ck = built_ckern
@@ -214,12 +320,15 @@ def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
     assert pure_outputs(ck) == PURE_OUTPUTS_DIGEST
     for n, rows in corpus():
         chi = pure.chromatic_number(n, rows)
-        for k in (0, 1, 2, chi - 1, chi, chi + 1):
-            for excluded in (0, 0x5555555555555555 & ((1 << n) - 1)):
+        g = Graph(n, rows)
+        # no vertex left, and no color: the walk decides both
+        for excluded in (0, 0x5555555555555555 & ((1 << n) - 1), (1 << n) - 1):
+            left_chi = oracles.brute_chromatic_number(g.delete_vertices(excluded))
+            for k in (-1, 0, 1, 2, chi - 1, chi, chi + 1):
+                got = pure.deletion_colorable(n, rows, excluded, k)
+                assert ck.deletion_colorable(n, rows, excluded, k) == got
                 if k >= 0:
-                    assert ck.deletion_colorable(
-                        n, rows, excluded, k
-                    ) == pure.deletion_colorable(n, rows, excluded, k)
+                    assert got == (left_chi <= k), (rows, excluded, k)
         if chi >= 1:
             assert ck.stability_values(n, rows, chi) == pure.stability_values(n, rows, chi)
             assert ck.min_color_class_size(n, rows, chi) == pure.min_color_class_size(
@@ -276,6 +385,19 @@ def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
         for call in color_count_calls(kern, 1 << 40):
             with pytest.raises(OverflowError):
                 call()
+
+    # independent_only is taken once, after the rows, chi and the 62-vertex
+    # limit are checked: a failing truth test shows where
+    class NoTruth:
+        def __bool__(self):
+            raise RuntimeError("no truth value")
+
+    for n, error in ((63, ValueError), (0, RuntimeError), (3, RuntimeError)):
+        rows = path_graph(n).rows
+        outcomes = [kernel_outcome(lambda: kern.stability_witnesses(n, rows, 2, NoTruth()))
+                    for kern in (pure, ck)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == error.__name__, outcomes
 
 
 def test_backends_agree_everywhere(built_ckern):
@@ -824,7 +946,7 @@ def test_top_components_match_the_split_and_chromatic_number(backend, levels_thr
     """top_components against component_masks plus chromatic_number of each
     relabeled component: every class through order 7, 400 seeded unions
     with repeated pieces and isolated vertices, and unions of up to 64
-    vertices."""
+    vertices.  chromatic_number is the chi that top_components returns."""
     cases = [(0, ())]
     cases += [(n, rows) for n in range(1, 8) for _key, rows in levels_through_8[n]]
     cases += seeded_unions(random.Random(21), 400)
@@ -832,6 +954,7 @@ def test_top_components_match_the_split_and_chromatic_number(backend, levels_thr
         disjoint(K3, K3, K3, K3, K5),
         disjoint(K5, K3, K3, K3, K3),
         Graph.build(12, []),
+        Graph.build(64, []),
         disjoint(*[complete_graph(4)] * 16),
         disjoint(complete_graph(1), cycle_graph(63)),
         disjoint(cycle_graph(31), cycle_graph(33)),
@@ -841,6 +964,7 @@ def test_top_components_match_the_split_and_chromatic_number(backend, levels_thr
     for n, rows in cases:
         want = split_top_components(backend, n, rows)
         assert backend.top_components(n, rows) == want, rows
+        assert backend.chromatic_number(n, rows) == want[0], rows
         disconnected += len(component_masks(n, rows)) > 1
     assert disconnected >= 400
 
