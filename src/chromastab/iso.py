@@ -10,8 +10,8 @@ graph; its run time grows exponentially on a union of many pieces.  The
 canonical rows are the pieces' canonical rows, concatenated in sorted
 piece order, and the key is graph6 of them.  The automorphism order
 multiplies the pieces' orders with a factorial for every run of identical
-pieces, and the orbits are the pieces' orbits, merged position by position
-across identical pieces.
+pieces, and the generators are the pieces' generators, lifted, with a swap
+of each two neighbors in a run of identical pieces.
 Planarity is decided per component: counting settles most components, and
 the pure planar kernel runs the left-right criterion on the rest.
 """
@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 from chromastab import graph6, kernels
 from chromastab.kernels import pure
-from chromastab.graph import (
-    Graph,
-    UnionFind,
-    bits,
-    component_masks,
-    induced,
-)
+from chromastab.graph import Graph, bits, component_masks, induced
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,6 @@ class CanonData:
     perm: tuple         # vertex -> canonical position
     aut_order: int
     generators: tuple
-    orbits: tuple       # vertex -> smallest vertex of its orbit
 
 
 def canon_data(n, rows) -> CanonData:
@@ -65,26 +58,22 @@ def canon_data(n, rows) -> CanonData:
     pieces = []
     for comp in component_masks(n, rows):
         verts, sub = induced(rows, comp)
-        perm, porder, gens, orbits, crows = kern.canon_raw(len(verts), sub)
-        pieces.append((pure._piece_class(crows), verts, perm, porder, gens, orbits, crows))
+        perm, porder, gens, _orbits, crows = kern.canon_raw(len(verts), sub)
+        pieces.append((pure._piece_class(crows), verts, perm, porder, gens, crows))
     pieces.sort(key=lambda p: p[0])
 
     gperm = [0] * n
     grows = []
     ggens = []
     swaps = []
-    # each piece's orbits, named by their least vertices, are already sets
-    # of this union-find; identical pieces merge them position by position
-    orb = UnionFind(n)
     order = run = 1
     prev_cls, prev_at = None, ()
-    for cls, verts, perm, porder, gens, orbits, crows in pieces:
+    for cls, verts, perm, porder, gens, crows in pieces:
         off = len(grows)
         at = [0] * len(verts)  # the piece's vertices in canonical order
         for local, v in enumerate(verts):
             gperm[v] = off + perm[local]
             at[perm[local]] = v
-            orb.parent[v] = verts[orbits[local]]
         grows += [r << off for r in crows]
         for gen in gens:
             lifted = list(range(n))
@@ -100,13 +89,11 @@ def canon_data(n, rows) -> CanonData:
             swap = list(range(n))
             for a, b in zip(prev_at, at):
                 swap[a], swap[b] = b, a
-                orb.union(a, b)
             swaps.append(tuple(swap))
         prev_cls, prev_at = cls, at
     ggens += swaps
-    orbits = tuple(map(orb.find, range(n)))
     key = graph6.encode_rows(n, grows).encode()
-    return CanonData(key, tuple(gperm), order, tuple(ggens), orbits)
+    return CanonData(key, tuple(gperm), order, tuple(ggens))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -4,7 +4,9 @@
    they run from pure on every backend.  As in pure, colorability is decided
    in colorable_excluding alone (a bitset BFS for two colors, the walk for
    every other count), chi is the maximum over the components
-   (top_components), and both stability scans share one Scan set-up.
+   (top_components), and both stability scans share one Scan set-up.  Every
+   kernel reads n and its rows through load and its counts through
+   clamped_index, as pure's _load and _count do.
 
    Plain C kernels over u64 adjacency rows (rows[v] is the neighbor bitmask of
    vertex v) come first; one block of Python wrappers below converts the
@@ -14,7 +16,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <assert.h>
-#include <limits.h>
 #include <string.h>
 
 typedef unsigned long long u64;
@@ -925,20 +926,22 @@ static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return 0;
 }
 
-static int as_int(PyObject *o, int *out)
+/* An integer argument, clamped to lo..hi; a non-integer is a TypeError, as
+   operator.index gives it.  A count is clamped to -1..n+2, as by pure's
+   _count, which changes no answer. */
+static int clamped_index(PyObject *o, int lo, int hi, int *out)
 {
     PyObject *x = PyNumber_Index(o);
     if (x == NULL)
         return -1;
-    long v = PyLong_AsLong(x);
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(x, &overflow);
     Py_DECREF(x);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (v < INT_MIN || v > INT_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "value too large to convert to int");
-        return -1;
-    }
-    *out = (int)v;
+    if (overflow)
+        v = overflow > 0 ? hi : lo;
+    *out = v < lo ? lo : v > hi ? hi : (int)v;
     return 0;
 }
 
@@ -955,15 +958,20 @@ static int as_u64(PyObject *o, u64 *out)
     return 0;
 }
 
-/* The vertex count (checked to 0..64) and its adjacency rows, each checked
-   to have no bit outside 0..n-1: a negative row or one of 64 bits or more
-   fails the u64 conversion, a smaller one fails the shift. */
-static int load(PyObject *n_obj, PyObject *rows, u64 *adj, int *n)
+static const char VERTEX_COUNT[] = "vertex count outside 0..64";
+
+/* The vertex count args[0], clamped to -1..65 and checked to 0..top (else
+   ValueError with `message`), and exactly the first n of its rows args[1],
+   as pure's _load reads them: each in turn is checked to have no bit
+   outside 0..n-1; a negative row or one of 64 bits or more fails the u64
+   conversion, a smaller one fails the shift. */
+static int load(PyObject *const *args, int top, const char *message, u64 *adj, int *n)
 {
-    if (as_int(n_obj, n) < 0)
+    PyObject *rows = args[1];
+    if (clamped_index(args[0], -1, MAXN + 1, n) < 0)
         return -1;
-    if (*n < 0 || *n > MAXN) {
-        PyErr_SetString(PyExc_ValueError, "vertex count outside 0..64");
+    if (*n < 0 || *n > top) {
+        PyErr_SetString(PyExc_ValueError, message);
         return -1;
     }
     for (int i = 0; i < *n; i++) {
@@ -1013,24 +1021,6 @@ static PyObject *u64_tuple(const u64 *vals, int n)
             PyTuple_SET_ITEM(t, i, x);
     }
     return t;
-}
-
-/* An integer argument, clamped to lo..hi; a non-integer is a TypeError, as
-   operator.index gives it. */
-static int clamped_index(PyObject *o, int lo, int hi, int *out)
-{
-    PyObject *x = PyNumber_Index(o);
-    if (x == NULL)
-        return -1;
-    int overflow;
-    long long v = PyLong_AsLongLongAndOverflow(x, &overflow);
-    Py_DECREF(x);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow)
-        v = overflow > 0 ? hi : lo;
-    *out = v < lo ? lo : v > hi ? hi : (int)v;
-    return 0;
 }
 
 /* The generators: each one converted whole, then checked to be a
@@ -1103,13 +1093,13 @@ typedef struct {
 } Scan;
 
 /* Load (n, rows, chi) from args into sc, with the checks in the pure
-   order: the rows, chi, then the 62-vertex limit.  k is the color count the
-   scans test, chi - 1, without the overflow at INT_MIN: every count up to 0
-   colors only the empty graph, so chi <= 1 gives 0. */
+   order: the rows, chi, then the 62-vertex limit.  chi is a count clamped
+   to -1..n+2, so k, the color count the scans test, is chi - 1. */
 static int scan_setup(Scan *sc, PyObject *const *args)
 {
     int chi;
-    if (load(args[0], args[1], sc->adj, &sc->n) < 0 || as_int(args[2], &chi) < 0)
+    if (load(args, MAXN, VERTEX_COUNT, sc->adj, &sc->n) < 0 ||
+        clamped_index(args[2], -1, sc->n + 2, &chi) < 0)
         return -1;
     if (sc->n > 62) {
         PyErr_SetString(PyExc_ValueError, "stability scans support at most 62 vertices");
@@ -1117,7 +1107,7 @@ static int scan_setup(Scan *sc, PyObject *const *args)
     }
     degree_order(sc->n, sc->adj, sc->order);
     collect_cliques(sc->n, sc->adj, chi, &sc->cl);
-    sc->k = chi > 1 ? chi - 1 : 0;
+    sc->k = chi - 1;
     return 0;
 }
 
@@ -1133,11 +1123,12 @@ static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
     u64 adj[MAXN], excluded;
     int order[MAXN];
     int n, k;
-    if (!nargs_ok("deletion_colorable", nargs, 4) || load(args[0], args[1], adj, &n) < 0)
+    if (!nargs_ok("deletion_colorable", nargs, 4) ||
+        load(args, MAXN, VERTEX_COUNT, adj, &n) < 0)
         return NULL;
     /* any int: only its low n bits matter, as in pure's `full & ~excluded` */
     excluded = PyLong_AsUnsignedLongLongMask(args[2]);
-    if ((excluded == (u64)-1 && PyErr_Occurred()) || as_int(args[3], &k) < 0)
+    if ((excluded == (u64)-1 && PyErr_Occurred()) || clamped_index(args[3], -1, n + 2, &k) < 0)
         return NULL;
     degree_order(n, adj, order);
     return PyBool_FromLong(colorable_excluding(n, adj, order, excluded, k));
@@ -1148,7 +1139,7 @@ static PyObject *py_chromatic_number(PyObject *self, PyObject *const *args,
 {
     u64 adj[MAXN], comps[MAXN];
     int n, ntop;
-    if (!nargs_ok("chromatic_number", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
+    if (!nargs_ok("chromatic_number", nargs, 2) || load(args, MAXN, VERTEX_COUNT, adj, &n) < 0)
         return NULL;
     return PyLong_FromLong(top_components(n, adj, comps, &ntop));
 }
@@ -1158,7 +1149,7 @@ static PyObject *py_top_components(PyObject *self, PyObject *const *args,
 {
     u64 adj[MAXN], comps[MAXN];
     int n, ntop;
-    if (!nargs_ok("top_components", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
+    if (!nargs_ok("top_components", nargs, 2) || load(args, MAXN, VERTEX_COUNT, adj, &n) < 0)
         return NULL;
     int chi = top_components(n, adj, comps, &ntop);
     PyObject *masks = u64_tuple(comps, ntop);
@@ -1183,11 +1174,11 @@ static PyObject *py_min_color_class_size(PyObject *self, PyObject *const *args,
     u64 adj[MAXN];
     MccState st;
     if (!nargs_ok("min_color_class_size", nargs, 3) ||
-        load(args[0], args[1], adj, &st.n) < 0)
+        load(args, MAXN, VERTEX_COUNT, adj, &st.n) < 0)
         return NULL;
     if (st.n == 0)
         Py_RETURN_NONE;
-    if (as_int(args[2], &st.k) < 0)
+    if (clamped_index(args[2], -1, st.n + 2, &st.k) < 0)
         return NULL;
     if (st.k <= 0 || st.k > st.n)
         Py_RETURN_NONE;
@@ -1283,7 +1274,7 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
     Canon cs;
     u64 adj[MAXN];
     int n;
-    if (!nargs_ok("canon_raw", nargs, 2) || load(args[0], args[1], adj, &n) < 0)
+    if (!nargs_ok("canon_raw", nargs, 2) || load(args, MAXN, VERTEX_COUNT, adj, &n) < 0)
         return NULL;
     int orbit_size[MAXN];
     canon_run(&cs, n, adj);
@@ -1394,16 +1385,13 @@ fail:
 }
 
 /* The arguments are checked in the pure _children_args's order, with its
-   messages: the parent order, the rows, max_degree, then gens. */
+   messages: the parent order, the rows, max_degree, then gens.  The cap is
+   a count clamped to -1..n+2; no bound is MAXN, above every degree. */
 static PyObject *py_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n, cap;
-    if (!nargs_ok("children", nargs, 4) || clamped_index(args[0], -1, MAXN, &n) < 0)
+    int cap = MAXN;
+    if (!nargs_ok("children", nargs, 4))
         return NULL;
-    if (n < 0 || n >= MAXN) {
-        PyErr_SetString(PyExc_ValueError, "parent order outside 0..63");
-        return NULL;
-    }
     Expansion *ex = PyMem_Malloc(sizeof(Expansion));
     if (ex == NULL)
         return PyErr_NoMemory();
@@ -1414,11 +1402,10 @@ static PyObject *py_children(PyObject *self, PyObject *const *args, Py_ssize_t n
     ex->stack_cap = 64;
     ex->stack = PyMem_Malloc(ex->stack_cap * sizeof(u64));
     PyObject *result = NULL;
-    cap = n;
     if (ex->seen.slots == NULL || ex->stack == NULL)
         PyErr_NoMemory();
-    else if (load(args[0], args[1], ex->rows, &ex->n) == 0 &&
-             (args[2] == Py_None || clamped_index(args[2], -1, n, &cap) == 0) &&
+    else if (load(args, MAXN - 1, "parent order outside 0..63", ex->rows, &ex->n) == 0 &&
+             (args[2] == Py_None || clamped_index(args[2], -1, ex->n + 2, &cap) == 0) &&
              load_gens(ex, args[3]) == 0)
         result = expand(ex, cap);
     PyMem_Free(ex->gens);

@@ -9,6 +9,10 @@ with the same outputs bit for bit, and the backend in use runs those.
 `planar`, `bipartizing_pairs` and `color_graph` have no compiled twin:
 their callers run them from here on every backend.
 
+Every kernel reads n and its rows through `_load`, and its counts through
+`_count`, as the compiled `load` and `clamped_index` do, so the backends
+give the same outcome on every input, errors and their messages included.
+
 Colorability is decided in one place, `_colorable_excluding`: a bitset BFS
 for two colors, and `_walk` for every other count.  chi is the maximum over
 the components (`top_components`), and the two stability scans share one
@@ -17,8 +21,7 @@ set-up (`_scan_setup`); the compiled core has the same structure.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import index, or_
+from operator import index
 
 from chromastab import graph6
 from chromastab.graph import (
@@ -34,23 +37,29 @@ from chromastab.graph import (
 BACKEND = "pure"
 
 
-def _check_order(n, rows):
-    """The compiled kernels' input limits: one 64-bit word per row, and no
-    row with a bit outside 0..n-1.  One pass: the OR of the rows is negative
-    when some row is, and has a bit at or above n when some row has."""
-    if not 0 <= n <= 64:
-        raise ValueError("vertex count outside 0..64")
-    if reduce(or_, rows, 0) >> n:
-        raise ValueError("adjacency row with a bit outside 0..n-1")
+def _load(n, rows, top=64, message="vertex count outside 0..64"):
+    """(n, rows as a tuple), read as the compiled `load` reads them: n an
+    integer (else TypeError) in 0..top (else ValueError(message)), then
+    exactly rows[0..n-1], each read and checked in turn to be an integer
+    with no bit outside 0..n-1.  Rows past the first n are not read, and a
+    missing one raises the sequence's own IndexError."""
+    n = index(n)
+    if not 0 <= n <= top:
+        raise ValueError(message)
+    checked = []
+    for v in range(n):
+        row = index(rows[v])
+        if row >> n:  # a negative row shifts to -1
+            raise ValueError("adjacency row with a bit outside 0..n-1")
+        checked.append(row)
+    return n, tuple(checked)
 
 
-def _c_int(x):
-    """A color count as the compiled kernels convert it: an integer (else
-    TypeError) within the range of a C int (else OverflowError)."""
-    x = index(x)
-    if not -(1 << 31) <= x < 1 << 31:
-        raise OverflowError("value too large to convert to int")
-    return x
+def _count(k, n):
+    """A color count or degree cap, clamped to -1..n+2: colorability is
+    monotone in k, so a count outside that range has the answer of the
+    nearest end, and no count overflows a C int."""
+    return max(-1, min(n + 2, index(k)))
 
 
 def _subsets_of_size(n, s):
@@ -140,15 +149,15 @@ def _two_colorable(rows, active):
 
 def deletion_colorable(n, rows, excluded, k):
     """True if the graph minus the `excluded` vertex mask is k-colorable."""
-    _check_order(n, rows)
-    return _colorable_excluding(rows, _degree_order(n, rows), excluded, _c_int(k))
+    n, rows = _load(n, rows)
+    return _colorable_excluding(rows, _degree_order(n, rows), index(excluded), _count(k, n))
 
 
 def color_graph(n, rows, k):
     """A proper coloring with at most k colors, as a per-vertex color tuple,
     or None: the first one that _walk finds in _degree_order."""
-    _check_order(n, rows)
-    classes = _walk(rows, _degree_order(n, rows), _c_int(k))
+    n, rows = _load(n, rows)
+    classes = _walk(rows, _degree_order(n, rows), _count(k, n))
     if classes is None:
         return None
     colors = [0] * n
@@ -199,7 +208,7 @@ def top_components(n, rows):
     rows restricted to the component, in G's labels: nothing is relabeled,
     and the rows are checked once.
     """
-    _check_order(n, rows)
+    n, rows = _load(n, rows)
     order = _degree_order(n, rows)
     chi, top = 0, []
     for comp in component_masks(n, rows):
@@ -282,8 +291,8 @@ def min_color_class_size(n, rows, k):
     stops once the minimum is 1.  k > n returns None before the k class
     masks are allocated.
     """
-    _check_order(n, rows)
-    if n == 0 or not 0 < (k := _c_int(k)) <= n:
+    n, rows = _load(n, rows)
+    if n == 0 or not 0 < (k := _count(k, n)) <= n:
         return None
     clique, rest = _mcc_order(n, rows)
     if len(clique) > k:
@@ -301,19 +310,20 @@ def min_color_class_size(n, rows, k):
 
 
 def _scan_setup(n, rows, chi):
-    """(order, cliques, k), the set-up both scans share, after the compiled
-    scans' checks in their order: the rows, chi, then the 62-vertex limit.
-    order is _degree_order, cliques the first n K_chi's (see _cliques), and
-    k = chi - 1 the color count a deletion set must reach."""
-    _check_order(n, rows)
-    chi = _c_int(chi)
+    """(n, rows, order, cliques, k), the set-up both scans share, after the
+    compiled scans' checks in their order: the rows, chi, then the
+    62-vertex limit.  order is _degree_order, cliques the first n K_chi's
+    (see _cliques), and k = chi - 1 the color count a deletion set must
+    reach."""
+    n, rows = _load(n, rows)
+    chi = _count(chi, n)
     if n > 62:
         raise ValueError("stability scans support at most 62 vertices")
-    return _degree_order(n, rows), _cliques(n, rows, chi, n), chi - 1
+    return n, rows, _degree_order(n, rows), _cliques(n, rows, chi), chi - 1
 
 
-def _cliques(n, rows, size, limit):
-    """Up to `limit` cliques of `size` vertices as masks, in ascending
+def _cliques(n, rows, size):
+    """The first n cliques of `size` vertices as masks, in ascending
     lexicographic order of their vertex lists; none unless 1 <= size <= n.
 
     Bitset recursion: the candidates of a branch are the later common
@@ -323,10 +333,10 @@ def _cliques(n, rows, size, limit):
     out = []
 
     def grow(clique, cand, need):
-        """True once the limit is reached."""
+        """True once n cliques are collected."""
         if need == 0:
             out.append(clique)
-            return len(out) == limit
+            return len(out) == n
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
@@ -360,7 +370,7 @@ def stability_values(n, rows, chi):
     keeps that filter exact; the cap of n bounds the list on graphs with many
     of them (the complete multipartite K_{3,...,3} has 3^(n/3)).
     """
-    order, cliques, k = _scan_setup(n, rows, chi)
+    n, rows, order, cliques, k = _scan_setup(n, rows, chi)
     vs = 0
     for s in range(1, n + 1):
         for mask in _subsets_of_size(n, s):
@@ -383,7 +393,7 @@ def stability_witnesses(n, rows, chi, independent_only):
     chromatic number by exactly one.  As in stability_values, a set that
     misses one of the first n K_chi's is skipped without a coloring test.
     """
-    order, cliques, k = _scan_setup(n, rows, chi)
+    n, rows, order, cliques, k = _scan_setup(n, rows, chi)
     independent_only = bool(independent_only)
     for s in range(1, n + 1):
         hits = []
@@ -413,8 +423,8 @@ def bipartizing_pairs(n, rows):
     skipped without a coloring test.  The m - deg x - deg y + [xy is an
     edge] edges outside the pair say whether an edge is left.
     """
-    _check_order(n, rows)
-    triangles = _cliques(n, rows, 3, n)
+    n, rows = _load(n, rows)
+    triangles = _cliques(n, rows, 3)
     deg = [r.bit_count() for r in rows]
     m = sum(deg) // 2
     full = (1 << n) - 1
@@ -521,7 +531,7 @@ def canon_raw(n, rows):
       rows      -- the canonical rows, held by that least leaf: the graph
                    relabeled by perm (the empty graph's one leaf is the root)
     """
-    _check_order(n, rows)
+    n, rows = _load(n, rows)
     nbrs = [list(bits(r)) for r in rows]
     uf = UnionFind(n)
     gens = []
@@ -630,22 +640,15 @@ def _orbit(vertices, gens):
 
 def _children_args(n, rows, max_degree, gens):
     """The checked arguments of `children`, in the compiled core's order and
-    with its messages: (n, rows as a tuple, cap, gens as lists).  A cap above
-    n is n, below 0 is -1, so both backends take any int.  Each generator
-    must be a permutation of 0..n-1 that maps every row onto the row of its
-    image: a permutation that is no automorphism would merge subsets from
-    different orbits and drop classes."""
-    n = index(n)
-    if not 0 <= n <= 63:
-        raise ValueError("parent order outside 0..63")
-    checked = []
-    for v in range(n):
-        r = index(rows[v])
-        if r < 0 or r >> n:
-            raise ValueError("adjacency row with a bit outside 0..n-1")
-        checked.append(r)
-    rows = tuple(checked)
-    cap = n if max_degree is None else max(-1, min(n, index(max_degree)))
+    with its messages: (n, rows as a tuple, cap, gens as lists).  The parent
+    has 0..63 vertices, so that the child fits 64.  The cap is a count
+    (`_count`): every degree of the parent is below n, so a cap of n or more
+    bounds nothing, and no bound (None) is n.  Each generator must be a
+    permutation of 0..n-1 that maps every row onto the row of its image: a
+    permutation that is no automorphism would merge subsets from different
+    orbits and drop classes."""
+    n, rows = _load(n, rows, 63, "parent order outside 0..63")
+    cap = n if max_degree is None else _count(max_degree, n)
     perms = []
     for gen in gens:
         perm = [index(v) for v in gen]
@@ -844,7 +847,7 @@ def planar(n, rows):
     the embedding phase reads (the sides, the lowpoint edges and the ref
     links of tree edges and aligned intervals) is not kept.
     """
-    _check_order(n, rows)
+    n, rows = _load(n, rows)
     if n > 2 and sum(r.bit_count() for r in rows) > 2 * (3 * n - 6):
         return False
     height = [-1] * n

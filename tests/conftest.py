@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from chromastab import generate, kernels, verify
+from chromastab.graph import UnionFind
 from chromastab.kernels import pure
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -30,6 +31,15 @@ def s9_catalog():
 def levels_through_8():
     """Every isomorphism class of orders 1..8 (unbounded), cached."""
     return generate.all_levels(8, None, JOBS)
+
+
+def generated_orbits(n, gens):
+    """vertex -> smallest vertex of its orbit under the group gens generate."""
+    uf = UnionFind(n)
+    for gen in gens:
+        for v in range(n):
+            uf.union(v, gen[v])
+    return tuple(uf.find(v) for v in range(n))
 
 
 def have_c_toolchain():

@@ -9,6 +9,8 @@ from chromastab.generate import Catalog, GenSpec, GenerateError
 from chromastab.graph import Graph, bits, component_masks
 from chromastab.kernels import pure
 
+from conftest import generated_orbits
+
 
 def test_known_counts_small():
     for n in range(1, 8):
@@ -41,7 +43,8 @@ def _unreduced_expansion(max_degree, top):
                         [r | (1 << n) if x >> u & 1 else r for u, r in enumerate(rows)] + [x]
                     )
                     data = iso.canon_data(n + 1, child)
-                    accepted = data.orbits[n] == data.orbits[data.perm.index(n)]
+                    orbits = generated_orbits(n + 1, data.generators)
+                    accepted = orbits[n] == orbits[data.perm.index(n)]
                     candidates.append((x, child, data.perm if accepted else None))
             out.append((rows, candidates))
     return out

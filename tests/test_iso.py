@@ -8,7 +8,6 @@ import pytest
 from chromastab import families, generate, iso, kernels, oracles
 from chromastab.graph import (
     Graph,
-    UnionFind,
     complete_bipartite,
     complete_graph,
     component_masks,
@@ -16,6 +15,8 @@ from chromastab.graph import (
     path_graph,
 )
 from chromastab.kernels import pure
+
+from conftest import generated_orbits
 
 
 def test_relabeling_invariance_c5():
@@ -104,19 +105,16 @@ def repeated_piece_unions(rng, count):
 
 
 def test_composition_matches_brute_automorphisms():
-    """On the repeated-piece unions, canon_data's group order and orbits are
-    the brute-force ones, its generators are automorphisms whose orbits are
-    those orbits, and a reshuffle keeps the key."""
+    """On the repeated-piece unions, canon_data's group order is the
+    brute-force one, its generators are automorphisms whose orbits are the
+    brute-force orbits, and a reshuffle keeps the key."""
     rng = random.Random(11)
     for parts, g in repeated_piece_unions(rng, 150):
         data = iso.canon_data(g.n, g.rows)
-        assert (data.aut_order, data.orbits) == oracles.brute_automorphisms(g)
-        orbits = UnionFind(g.n)
         for gen in data.generators:
             assert g.relabel(gen).rows == g.rows
-            for v in range(g.n):
-                orbits.union(v, gen[v])
-        assert tuple(orbits.find(v) for v in range(g.n)) == data.orbits
+        orbits = generated_orbits(g.n, data.generators)
+        assert (data.aut_order, orbits) == oracles.brute_automorphisms(g)
         h = shuffled_union(rng, parts)
         assert iso.canon_data(h.n, h.rows).key == data.key
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from chromastab import chromatic, families, generate, graph6, iso, kernels, oracles
 from chromastab.graph import (
     Graph,
-    UnionFind,
     apply_perm,
     complete_bipartite,
     complete_graph,
@@ -32,7 +31,7 @@ from chromastab.graph import (
 )
 from chromastab.kernels import pure
 
-from conftest import have_c_toolchain
+from conftest import generated_orbits, have_c_toolchain
 
 
 def random_rows(rng, n, p):
@@ -124,43 +123,46 @@ MALFORMED_ROWS = [
 ]
 
 
-# the kernels that only pure defines; their callers run them from pure on
-# every backend
-PURE_ONLY = {"planar", "bipartizing_pairs", "color_graph"}
+# one call of each kernel but children, as (name, arguments after n and
+# rows); the kernels of PURE_ONLY_ARGS only pure defines, and their callers
+# run them from pure on every backend
+KERNEL_ARGS = [
+    ("deletion_colorable", (0, 1)),
+    ("chromatic_number", ()),
+    ("top_components", ()),
+    ("min_color_class_size", (1,)),
+    ("stability_values", (1,)),
+    ("stability_witnesses", (1, False)),
+    ("canon_raw", ()),
+]
+PURE_ONLY_ARGS = [("color_graph", (1,)), ("bipartizing_pairs", ()), ("planar", ())]
+PURE_ONLY = {name for name, _args in PURE_ONLY_ARGS}
 
 
 def kernel_calls(kern, n, rows):
     """One call of every kernel of kern on (n, rows); pure's own kernels
     come last."""
-    calls = [
-        lambda: kern.deletion_colorable(n, rows, 0, 1),
-        lambda: kern.chromatic_number(n, rows),
-        lambda: kern.top_components(n, rows),
-        lambda: kern.min_color_class_size(n, rows, 1),
-        lambda: kern.stability_values(n, rows, 1),
-        lambda: kern.stability_witnesses(n, rows, 1, False),
-        lambda: kern.canon_raw(n, rows),
+    table = KERNEL_ARGS + (PURE_ONLY_ARGS if kern is pure else [])
+    return [partial(getattr(kern, name), n, rows, *args) for name, args in table]
+
+
+def count_args(k):
+    """(name, arguments after n and rows) of one call of each compiled
+    kernel that takes a color count k or chi."""
+    return [
+        ("deletion_colorable", (0, k)),
+        ("min_color_class_size", (k,)),
+        ("stability_values", (k,)),
+        ("stability_witnesses", (k, False)),
     ]
-    if kern is pure:
-        calls += [
-            lambda: kern.color_graph(n, rows, 1),
-            lambda: kern.bipartizing_pairs(n, rows),
-            lambda: kern.planar(n, rows),
-        ]
-    return calls
 
 
 def color_count_calls(kern, k):
     """One call of every kernel of kern that takes a color count k or chi,
     on K2; pure's color_graph comes last."""
-    calls = [
-        lambda: kern.deletion_colorable(2, (2, 1), 0, k),
-        lambda: kern.min_color_class_size(2, (2, 1), k),
-        lambda: kern.stability_values(2, (2, 1), k),
-        lambda: kern.stability_witnesses(2, (2, 1), k, False),
-    ]
+    calls = [partial(getattr(kern, name), 2, (2, 1), *args) for name, args in count_args(k)]
     if kern is pure:
-        calls.append(lambda: kern.color_graph(2, (2, 1), k))
+        calls.append(partial(pure.color_graph, 2, (2, 1), k))
     return calls
 
 
@@ -170,6 +172,77 @@ def kernel_outcome(call):
         return call()
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+ORDER_ERROR = ("ValueError", "vertex count outside 0..64")
+ROW_ERROR = ("ValueError", "adjacency row with a bit outside 0..n-1")
+NOT_AN_INT = ("TypeError", "'float' object cannot be interpreted as an integer")
+
+# (n, rows, the error every kernel raises on them, or None when every kernel
+# reads only rows[:n]): vertex counts outside 0..64 up to 2^70, a float n or
+# row, rows with a bit outside 0..n-1, a missing row, and rows past n, a
+# malformed one among them
+ODD_GRAPHS = [
+    *((n, (0,) * 3, ORDER_ERROR) for n in (-1, 65, 1 << 40, -(1 << 40), 1 << 70)),
+    (3.0, (0, 0, 0), NOT_AN_INT),
+    (3, (1.5, 0, 0), NOT_AN_INT),
+    *((n, rows, ROW_ERROR) for n, rows in MALFORMED_ROWS),
+    (3, (6, 5), ("IndexError", "tuple index out of range")),
+    (2, (2, 1, 8), None),
+    (0, (-1,), None),
+    (3, (6, 5, 3, 1.5), None),
+]
+
+# counts that every kernel clamps to -1..n+2, and counts that are no int
+ODD_COUNTS = [2.0, "x", -(1 << 70), -(1 << 40), -(1 << 31), -1, 0, 1, 2, 3, 4,
+              (1 << 31) - 1, 1 << 40, 1 << 70]
+# `excluded` masks: any int is one, and only its low n bits matter
+ODD_EXCLUDED = [-1, 1 << 70, -1 << 70 | 1, 1.5]
+
+
+def argument_cases():
+    """(kernel name, arguments) of every compiled kernel on malformed and
+    extreme arguments: ODD_GRAPHS, the scans past 62 vertices, every count
+    of ODD_COUNTS on K2, and ODD_EXCLUDED on K3.  Both backends give each the same outcome, type and message
+    included, and none raises OverflowError."""
+    cases = [(name, (n, rows, *args)) for n, rows, _error in ODD_GRAPHS
+             for name, args in KERNEL_ARGS]
+    path63 = path_graph(63).rows
+    cases += [("stability_values", (63, path63, 2)),
+              ("stability_witnesses", (63, path63, 2, False))]
+    cases += [(name, (2, (2, 1), *args)) for k in ODD_COUNTS for name, args in count_args(k)]
+    cases += [("deletion_colorable", (3, (6, 5, 3), excluded, 2)) for excluded in ODD_EXCLUDED]
+    return cases
+
+
+def case_outcomes(kern, cases):
+    """The outcome of each (name, arguments) case on kern."""
+    return [kernel_outcome(partial(getattr(kern, name), *args)) for name, args in cases]
+
+
+def test_pure_kernels_read_malformed_and_extreme_arguments():
+    """Every pure kernel raises the error of each odd graph, or reads only
+    its first n rows; a count outside -1..n+2 has the answer of the nearest
+    end, which K2 shows: it is k-colorable iff k >= 2, its one 2-coloring
+    has classes of one vertex, and no count raises OverflowError."""
+    for n, rows, error in ODD_GRAPHS:
+        got = [kernel_outcome(call) for call in kernel_calls(pure, n, rows)]
+        if error is None:
+            assert got == [kernel_outcome(call) for call in kernel_calls(pure, n, rows[:n])]
+        else:
+            assert got == [error] * len(got), (n, rows)
+    for k in ODD_COUNTS:
+        outcomes = [kernel_outcome(call) for call in color_count_calls(pure, k)]
+        if not isinstance(k, int):
+            assert outcomes == [("TypeError", f"'{type(k).__name__}' object cannot be "
+                                 "interpreted as an integer")] * len(outcomes)
+            continue
+        assert outcomes[:2] == [k >= 2, 1 if k == 2 else None], k
+        assert outcomes[4] == ((0, 1) if k >= 2 else None), k
+        assert "OverflowError" not in {out[0] for out in outcomes if isinstance(out, tuple)}
+    # K3 minus every vertex, no vertex, and vertex 0
+    assert [kernel_outcome(lambda: pure.deletion_colorable(3, (6, 5, 3), excluded, 2))
+            for excluded in ODD_EXCLUDED] == [True, False, True, NOT_AN_INT]
 
 
 def test_pure_min_color_class_size_refuses_more_colors_than_vertices():
@@ -213,7 +286,7 @@ def sanitized_cases():
     """(kernel name, arguments) for each compiled kernel on the inputs where
     the shifts and indices of _ckern.c reach their limits: corpus() with
     every color count near chi, SYMMETRIC, graphs of 63 and 64 vertices, and
-    malformed arguments."""
+    argument_cases()."""
     cases = []
     graphs = [(n, rows, n <= 10) for n, rows in corpus()]
     graphs += [(g.n, g.rows, g.n <= 10) for _name, g, _order in SYMMETRIC]
@@ -241,28 +314,12 @@ def sanitized_cases():
             gens = iso.canon_data(n, rows).generators
             cases += [("children", (n, rows, max_degree, gens))
                       for max_degree in ((None, 2) if n <= 7 else (2,))]
-    for n, rows in MALFORMED_ROWS + [(3, (1.5, 0, 0)), (3.0, (0, 0, 0))]:
-        cases += [("deletion_colorable", (n, rows, 0, 1)), ("chromatic_number", (n, rows)),
-                  ("top_components", (n, rows)), ("min_color_class_size", (n, rows, 1)),
-                  ("stability_values", (n, rows, 1)),
-                  ("stability_witnesses", (n, rows, 1, False)), ("canon_raw", (n, rows))]
-    for k in (2.0, "x", 1 << 40, *EXTREME_CHIS):
-        cases += [("deletion_colorable", (2, (2, 1), 0, k)),
-                  ("min_color_class_size", (2, (2, 1), k)),
-                  ("stability_values", (2, (2, 1), k)),
-                  ("stability_witnesses", (2, (2, 1), k, False))]
-    for excluded in (-1, 1 << 70, -1 << 70 | 1, 1.5):
-        cases.append(("deletion_colorable", (3, (6, 5, 3), excluded, 2)))
-    return cases
+    return cases + argument_cases()
 
 
 def sanitized_outcomes(kern, cases):
-    """The outcome of each case on kern, then of each children_calls call;
-    a TypeError by its type alone, since the backends word it differently."""
-    calls = [partial(getattr(kern, name), *args) for name, args in cases]
-    outcomes = [kernel_outcome(call) for call in calls + children_calls(kern)]
-    return [out[:1] if isinstance(out, tuple) and out[:1] == ("TypeError",) else out
-            for out in outcomes]
+    """The outcome of each case on kern, then of each children_calls call."""
+    return case_outcomes(kern, cases) + [kernel_outcome(call) for call in children_calls(kern)]
 
 
 # Run in a fresh interpreter, which an undefined-behavior report aborts:
@@ -346,45 +403,13 @@ def test_compiled_core_builds_and_matches_pure(built_ckern, levels_through_8):
             for r in (rows, shuffled):
                 assert ck.canon_raw(8, r) == pure.canon_raw(8, r), r
 
-    # both backends share the 0..64 vertex limit and the 62-vertex scan limit
-    for kern in (pure, ck):
-        for n in (-1, 65):
-            for call in kernel_calls(kern, n, (0,) * max(n, 0)):
-                with pytest.raises(ValueError, match=r"^vertex count outside 0\.\.64$"):
-                    call()
-    path63 = path_graph(63).rows
-    too_big = "^stability scans support at most 62 vertices$"
-    for kern in (pure, ck):
-        with pytest.raises(ValueError, match=too_big):
-            kern.stability_values(63, path63, 2)
-        with pytest.raises(ValueError, match=too_big):
-            kern.stability_witnesses(63, path63, 2, False)
-
-    # and reject a negative row or a bit at or above n alike, before any work
-    for kern in (pure, ck):
-        for n, rows in MALFORMED_ROWS:
-            for call in kernel_calls(kern, n, rows):
-                with pytest.raises(ValueError, match=r"^adjacency row with a bit outside 0\.\.n-1$"):
-                    call()
-
-    # and agree on malformed non-row arguments.  Only the low n bits of
-    # `excluded` matter; a float row, vertex count, k or chi is a TypeError,
-    # and a k or chi outside the C int range an OverflowError.
-    for kern in (pure, ck):
-        assert kern.deletion_colorable(2, (2, 1), -1, 2) is True
-        assert kern.deletion_colorable(2, (2, 1), 1 << 70, 2) is True
-        assert kern.deletion_colorable(3, (6, 5, 3), -1 << 70 | 1, 2) is True
-        calls = kernel_calls(kern, 3, (1.5, 0, 0)) + kernel_calls(kern, 3.0, (0, 0, 0))
-        calls.append(lambda: kern.deletion_colorable(3, (6, 5, 3), 1.5, 2))
-        calls += color_count_calls(kern, 2.0) + [
-            lambda: kern.deletion_colorable(2, (2, 1), 3, "x")
-        ]
-        for call in calls:
-            with pytest.raises(TypeError):
-                call()
-        for call in color_count_calls(kern, 1 << 40):
-            with pytest.raises(OverflowError):
-                call()
+    # malformed and extreme arguments give one outcome on both backends,
+    # type and message included, and no integer raises OverflowError; the
+    # pure outcomes are pinned by test_pure_kernels_read_malformed_and_extreme_arguments
+    cases = argument_cases()
+    want = case_outcomes(pure, cases)
+    assert case_outcomes(ck, cases) == want
+    assert "OverflowError" not in {out[0] for out in want if isinstance(out, tuple)}
 
     # independent_only is taken once, after the rows, chi and the 62-vertex
     # limit are checked: a failing truth test shows where
@@ -542,15 +567,6 @@ def test_proper_coloring_output():
 # ---------------------------------------------------------------------------
 # the canon_raw contract, on pure and on the out-of-tree build
 # ---------------------------------------------------------------------------
-
-
-def generated_orbits(n, gens):
-    """vertex -> smallest vertex of its orbit under the group gens generate."""
-    uf = UnionFind(n)
-    for gen in gens:
-        for v in range(n):
-            uf.union(v, gen[v])
-    return tuple(uf.find(v) for v in range(n))
 
 
 def test_canon_raw_generators_are_automorphisms(backend):
@@ -729,7 +745,8 @@ def scan_outputs(kern, n, rows, chi):
 MANY_CLIQUES = [complete_multipartite(2, 2, 2, 2), complete_multipartite(3, 3, 3)]
 
 
-# chi at and near the ends of the C int range, where chi - 1 can overflow
+# chi at and near the ends of the C int range; both backends clamp chi to
+# -1..n+2, so chi - 1 cannot overflow
 EXTREME_CHIS = [-(1 << 31), -(1 << 31) + 1, -1, 0, (1 << 31) - 1]
 
 
@@ -762,7 +779,7 @@ def test_scans_on_graphs_with_more_cliques_than_vertices(backend):
     for g, parts in zip(MANY_CLIQUES, [[0b11 << 2 * i for i in range(4)],
                                         [0b111 << 3 * i for i in range(3)]]):
         chi = len(parts)
-        assert len(pure._cliques(g.n, g.rows, chi, 1000)) > g.n
+        assert len(brute_cliques(g.n, g.rows, chi)) > g.n
         size = parts[0].bit_count()
         expected = (size, tuple(parts))
         assert backend.stability_witnesses(g.n, g.rows, chi, False) == expected
@@ -796,7 +813,7 @@ def test_scans_test_colorings_only_of_sets_meeting_every_collected_clique(monkey
         # the scans collect the first n K_chi's, which are all of them when
         # there are at most n
         cliques = brute_cliques(n, rows, chi)[:n]
-        assert pure._cliques(n, rows, chi, n) == cliques
+        assert pure._cliques(n, rows, chi) == cliques
         monkeypatch.setattr(pure, "_colorable_excluding", recording)
         pure.stability_values(n, rows, chi)
         pure.stability_witnesses(n, rows, chi, False)
@@ -814,7 +831,7 @@ def test_clique_collection_stops_at_the_cap():
     of 0..59, most significant part first."""
     g = complete_multipartite(*[3] * 20)
     start = time.perf_counter()
-    cliques = pure._cliques(g.n, g.rows, 20, g.n)
+    cliques = pure._cliques(g.n, g.rows, 20)
     elapsed = time.perf_counter() - start
     expected = []
     for i in range(60):
@@ -1106,7 +1123,8 @@ def unreduced_children(n, rows, max_degree):
     for x in masks:
         child = tuple([r | (x >> u & 1) << n for u, r in enumerate(rows)] + [x])
         data = iso.canon_data(n + 1, child)
-        if data.orbits[n] == data.orbits[data.perm.index(n)]:
+        orbits = generated_orbits(n + 1, data.generators)
+        if orbits[n] == orbits[data.perm.index(n)]:
             first.setdefault(data.key, child)
     return sorted(first.items())
 
@@ -1279,14 +1297,13 @@ def test_children_check_their_arguments_alike(built_ckern):
     outcomes = [kernel_outcome(call) for call in children_calls(pure)]
     assert outcomes == [kernel_outcome(call) for call in children_calls(built_ckern)]
     order = ("ValueError", "parent order outside 0..63")
-    row = ("ValueError", "adjacency row with a bit outside 0..n-1")
     perm = ("ValueError", "generator that is not a permutation of 0..n-1")
     assert outcomes[:4] == [order] * 4
-    assert outcomes[4][0] == outcomes[8][0] == outcomes[11][0] == "TypeError"
-    assert outcomes[5:8] == [row] * 3
-    assert outcomes[9][0] == "IndexError"
+    assert outcomes[4] == outcomes[8] == outcomes[11] == outcomes[21] == NOT_AN_INT
+    assert outcomes[5:8] == [ROW_ERROR] * 3
+    assert outcomes[9] == ("IndexError", "tuple index out of range")
+    assert outcomes[12] == ("TypeError", "'str' object cannot be interpreted as an integer")
     assert outcomes[14:21] == [("TypeError", "'int' object is not iterable")] + [perm] * 6
-    assert outcomes[21][0] == "TypeError"
     assert outcomes[22] == outcomes[23] == pure.children(3, (2, 5, 2), None, ())
     assert outcomes[24] == []
     assert outcomes[25] == [(b"@", (0,))]
