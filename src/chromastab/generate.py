@@ -35,6 +35,18 @@ Each untouched component is labeled once per parent and its canonical rows
 are reused.  The graph6 key is built only for an accepted child, from the
 pieces' canonical rows, as `iso.canon_data` builds it.
 
+On the pure backend each piece is labeled once per pair of levels.
+`_children_of` opens `pure._reusing_labelings` around its two labeling
+calls; there `pure.canon_raw` returns the labeling kept in the pure
+labeling table for the same rows instead of searching again.  `all_levels`
+fills a fresh table while it builds a level in this process
+(`pure._filling_labelings`), and the table replaces the old one when the
+level is complete, so it holds the labelings made while the last held level
+was built: the parents' components of the next expansion, and many of its
+new vertices' pieces.  The streamed top order of `walk` reads the table but
+fills nothing, and pool workers fill nothing either.  The table memoizes a
+pure function, so it changes no output.
+
 Scans read whole orders through `walk`: `all_levels` sorts and caches the
 levels below the top order, and `sweep` streams the top order parent by
 parent, each class with its record (such as `chromatic.profile`) computed
@@ -55,6 +67,7 @@ from functools import partial
 from chromastab import graph6, iso, kernels
 from chromastab.chromatic import CLASS_PROFILE, StabilityReport, analyze, profile
 from chromastab.graph import Graph
+from chromastab.kernels import pure
 
 KNOWN_CLASS_COUNTS = {
     1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668,
@@ -126,8 +139,9 @@ def _children_of(task):
     gives the parent's automorphism generators, and the kernel's `children`
     does the rest."""
     n, rows, max_degree = task
-    gens = iso.canon_data(n, rows).generators
-    return kernels.active().children(n, rows, max_degree, gens)
+    with pure._reusing_labelings():
+        gens = iso.canon_data(n, rows).generators
+        return kernels.active().children(n, rows, max_degree, gens)
 
 
 def _pmap(fn, tasks, jobs, chunksize=16):
@@ -141,7 +155,7 @@ def _pmap(fn, tasks, jobs, chunksize=16):
         for task in tasks:
             yield fn(task)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=pure._fill_nothing) as pool:
         yield from pool.map(fn, tasks, chunksize=chunksize)
 
 
@@ -189,8 +203,9 @@ def all_levels(n, max_degree=None, jobs=1):
     levels = _LEVEL_CACHE.setdefault(max_degree, {1: [k1]})
     for k in range(1, n):
         if k + 1 not in levels:
-            children = sweep(levels[k], max_degree, jobs=jobs)
-            levels[k + 1] = sorted((key, rows) for key, rows, _ in children)
+            with pure._filling_labelings():
+                children = sweep(levels[k], max_degree, jobs=jobs)
+                levels[k + 1] = sorted((key, rows) for key, rows, _ in children)
     return {k: levels[k] for k in range(1, n + 1)}
 
 

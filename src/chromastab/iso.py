@@ -12,6 +12,9 @@ piece order, and the key is graph6 of them.  The automorphism order
 multiplies the pieces' orders with a factorial for every run of identical
 pieces, and the generators are the pieces' generators, lifted, with a swap
 of each two neighbors in a run of identical pieces.
+Inside level expansion (generate._children_of) the pure canon_raw serves a
+piece labeled while the last held level was built from its labeling table
+(see kernels.pure._reusing_labelings); everywhere else it searches.
 Planarity is decided per component: counting settles most components, and
 the pure planar kernel runs the left-right criterion on the rest.
 """

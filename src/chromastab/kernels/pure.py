@@ -13,6 +13,12 @@ Every kernel reads n and its rows through `_load`, and its counts through
 `_count`, as the compiled `load` and `clamped_index` do, so the backends
 give the same outcome on every input, errors and their messages included.
 
+Level expansion labels each piece once per pair of levels: while a held
+level is built, canon_raw records the labeling of every set of rows it is
+given in a table, and the expansion of that level reads it back for the
+parents' components and for the new vertices' pieces that repeat them (see
+`canon_raw` and `_reusing_labelings`).
+
 Colorability is decided in one place, `_colorable_excluding`: a bitset BFS
 for two colors, and `_walk` for every other count.  chi is the maximum over
 the components (`top_components`), and the two stability scans share one
@@ -21,6 +27,7 @@ set-up (`_scan_setup`); the compiled core has the same structure.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import index
 
 from chromastab import graph6
@@ -492,6 +499,50 @@ def _refine(nbrs, colors):
         cells = refined
 
 
+# The labeling table.  `_held` maps the rows of every graph that canon_raw
+# labeled while the last held level was built to canon_raw's result, and
+# `_making` collects them while a level is built (see `_filling_labelings`).
+# canon_raw reads and fills them only inside `_reusing_labelings`, which
+# generate._children_of opens around its two labeling calls.  A stored
+# result is a tuple of tuples and ints, so callers can share it.
+_held = {}
+_making = None
+_reusing = False
+
+
+@contextmanager
+def _reusing_labelings():
+    """Within: canon_raw returns the labeling that `_held` keeps for its
+    rows instead of searching again, and records every labeling it returns
+    in the table being filled, if a level is being built."""
+    global _reusing
+    _reusing = True
+    try:
+        yield
+    finally:
+        _reusing = False
+
+
+@contextmanager
+def _filling_labelings():
+    """Within: the labelings canon_raw returns under `_reusing_labelings` go
+    to a fresh table, which replaces `_held` when the block completes; a
+    block that raises leaves `_held` as it was."""
+    global _held, _making
+    _making = {}
+    try:
+        yield
+        _held = _making
+    finally:
+        _making = None
+
+
+def _fill_nothing():
+    """A pool worker's start: what it recorded would die with it."""
+    global _making
+    _making = None
+
+
 def canon_raw(n, rows):
     """Canonical labeling by partition refinement and a search tree pruned by
     the automorphisms it finds (McKay & Piperno 2014, "Practical graph
@@ -501,6 +552,11 @@ def canon_raw(n, rows):
     labeled whole, correctly but in a time that grows exponentially on a
     union of many pieces, so iso.canon_data and `children` label each
     component on its own and compose the results.
+
+    Inside `_reusing_labelings` (generate._children_of only), rows that the
+    table `_held` keeps are not searched again: their stored result is
+    returned.  The result is a function of the checked rows alone, so the
+    table changes no output.  Outside that scope every call searches.
 
     Each node individualizes, in ascending order, the vertices of its first
     largest cell.  A child is skipped when an explored sibling lies in its
@@ -532,6 +588,18 @@ def canon_raw(n, rows):
                    relabeled by perm (the empty graph's one leaf is the root)
     """
     n, rows = _load(n, rows)
+    if not _reusing:
+        return _label(n, rows)
+    labeling = _held.get(rows)
+    if labeling is None:
+        labeling = _label(n, rows)
+    if _making is not None:
+        _making[rows] = labeling
+    return labeling
+
+
+def _label(n, rows):
+    """canon_raw's search, on checked arguments."""
     nbrs = [list(bits(r)) for r in rows]
     uf = UnionFind(n)
     gens = []

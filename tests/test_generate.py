@@ -253,11 +253,12 @@ def test_family_member_filter_is_empty_below_order_9():
 
 
 class _SerialPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, maps in process."""
+    """Stand-in for ProcessPoolExecutor: records max_workers, maps in process.
+    It starts no worker, so it never runs the worker initializer."""
 
     created = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.created.append(max_workers)
 
     def __enter__(self):
