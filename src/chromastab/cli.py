@@ -4,6 +4,9 @@ Subcommands: params (invariant report for a graph6 input), family (emit a
 named construction), search (exhaustive catalog for one order), verify (run
 one named claim verifier).  Exit codes: 0 success/pass, 1 verifier fail,
 2 usage or parse error.
+
+`verify` and `families` are imported by their own commands only, so that
+`search` and `params` load neither.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import sys
 
-from chromastab import chromatic, families, generate, graph6, verify
+from chromastab import chromatic, generate, graph6
 from chromastab.graph import Graph, GraphError
 
 
@@ -22,6 +25,23 @@ def _jobs(text):
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs
+
+
+class _Claims:
+    """The ids of `verify.CLAIMS`, sorted, for argparse's `choices`; it
+    imports `verify` only when argparse checks a claim or lists them."""
+
+    def __contains__(self, claim):
+        return claim in self._ids()
+
+    def __iter__(self):
+        return iter(self._ids())
+
+    @staticmethod
+    def _ids():
+        from chromastab import verify
+
+        return sorted(verify.CLAIMS)
 
 
 def _parser():
@@ -67,7 +87,9 @@ def _parser():
     ps.add_argument("--output", required=True, help="catalog file path")
 
     pv = sub.add_parser("verify", help="machine-check one named claim")
-    pv.add_argument("claim", choices=sorted(verify.CLAIMS))
+    pv.add_argument(
+        "claim", choices=_Claims(), metavar="CLAIM", help="the claim to check: %(choices)s"
+    )
     pv.add_argument("--n", type=int, default=None, help="order or order cap, for claims that take one")
     pv.add_argument("--seed", type=int, default=None, help="random seed, for claims that take one")
     pv.add_argument("--jobs", type=_jobs, default=None)
@@ -113,19 +135,22 @@ def _host(args):
     return _read_graph(args.host) if args.host else None
 
 
-# family id -> constructor called with the parsed `family` arguments
+# family id -> constructor called with the `families` module and the parsed
+# `family` arguments
 _FAMILIES = {
-    "G9": lambda args: families.g9(),
-    "G10": lambda args: families.g10(),
-    "GN": lambda args: families.g_n(args.n),
-    "HNE": lambda args: families.h_n_e(args.n, int(args.chords, 16)),
-    "BIP": lambda args: families.bipartite_construction(_host(args), args.a, args.b),
-    "SUBDIV": lambda args: families.subdivide_family(_host(args), _parse_plan(args.plan or "")),
+    "G9": lambda fam, args: fam.g9(),
+    "G10": lambda fam, args: fam.g10(),
+    "GN": lambda fam, args: fam.g_n(args.n),
+    "HNE": lambda fam, args: fam.h_n_e(args.n, int(args.chords, 16)),
+    "BIP": lambda fam, args: fam.bipartite_construction(_host(args), args.a, args.b),
+    "SUBDIV": lambda fam, args: fam.subdivide_family(_host(args), _parse_plan(args.plan or "")),
 }
 
 
 def _cmd_family(args) -> int:
-    g = _FAMILIES[args.family](args)
+    from chromastab import families
+
+    g = _FAMILIES[args.family](families, args)
     if args.format == "g6":
         payload = graph6.encode(g) + "\n"
     elif args.format == "dot":
@@ -179,6 +204,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from chromastab import verify
+
     jobs = args.jobs if args.jobs is not None else generate.default_jobs()
     report = verify.run(args.claim, n=args.n, seed=args.seed, jobs=jobs)
     blob = json.dumps(report.to_dict(), indent=2)

@@ -53,6 +53,11 @@ parent, each class with its record (such as `chromatic.profile`) computed
 where it is generated, holding one parent's children plus the keys seen so
 far for the cross-parent duplicate check.  `check_order`, which every level
 build calls first, bounds the order.
+
+`_pmap` runs the parents (or a held level's records) in a process pool
+only when `jobs` leaves more than one worker, and imports
+`concurrent.futures` only then: the pool pulls in multiprocessing, pickle,
+socket and subprocess, which a one-worker run never loads.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -155,6 +159,8 @@ def _pmap(fn, tasks, jobs, chunksize=16):
         for task in tasks:
             yield fn(task)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=pure._fill_nothing) as pool:
         yield from pool.map(fn, tasks, chunksize=chunksize)
 

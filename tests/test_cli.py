@@ -209,8 +209,15 @@ def test_verify_runs_the_order_given(capsys):
 
 
 def test_verify_unknown_claim(capsys):
-    code, _out, _err = run_cli(capsys, "verify", "nope")
+    code, _out, err = run_cli(capsys, "verify", "nope")
     assert code == 2
+    assert "'nope'" in err and "lem9" in err
+    code, out, _err = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert all(claim in out for claim in verify.CLAIMS)
+    code, _out, err = run_cli(capsys, "family", "G11")
+    assert code == 2
+    assert "'G11'" in err and "G9" in err
 
 
 def test_verify_report_determinism(capsys):
@@ -233,3 +240,42 @@ def test_importing_the_cli_never_loads_networkx():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _run_in_fresh_interpreter(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+_LOADED = (
+    "import sys; print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',"
+    " 'chromastab.verify', 'chromastab.families') if m in sys.modules))"
+)
+
+
+def test_a_one_job_search_never_loads_the_pool_or_the_verifiers(tmp_path):
+    """The pool, `verify` and `families` are imported by the runs that use them."""
+    assert _run_in_fresh_interpreter("import chromastab.cli; " + _LOADED).strip() == "[]"
+    target = tmp_path / "cat.g6"
+    code = (
+        "from chromastab import cli; "
+        f"assert cli.main(['search', '--n', '5', '--jobs', '1', '--output', {str(target)!r}]) == 0; "
+        + _LOADED
+    )
+    assert _run_in_fresh_interpreter(code).splitlines()[-1] == "[]"
+    assert target.exists()
+
+
+def test_verify_and_family_load_what_they_use():
+    code = (
+        "from chromastab import cli; "
+        "assert cli.main(['verify', 'obs2', '--n', '3', '--jobs', '1']) == 0; " + _LOADED
+    )
+    out = _run_in_fresh_interpreter(code).splitlines()
+    assert json.loads("\n".join(out[:-1]))["verdict"] == "pass"
+    assert out[-1] == "['chromastab.families', 'chromastab.verify']"
+    code = "from chromastab import cli; assert cli.main(['family', 'G9']) == 0; " + _LOADED
+    out = _run_in_fresh_interpreter(code).splitlines()
+    assert out[0] == graph6.encode(families.g9())
+    assert out[-1] == "['chromastab.families']"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import random
 from functools import lru_cache
@@ -272,7 +273,8 @@ class _SerialPool:
 
 
 def test_pool_size_is_capped_by_tasks_and_usable_cpus(monkeypatch):
-    monkeypatch.setattr(generate, "ProcessPoolExecutor", _SerialPool)
+    # _pmap imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(generate.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(_SerialPool, "created", [])
     tasks = list(range(-10, 0))
