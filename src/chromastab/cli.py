@@ -3,7 +3,7 @@
 Subcommands: params (invariant report for a graph6 input), family (emit a
 named construction), search (exhaustive catalog for one order), verify (run
 one named claim verifier).  Exit codes: 0 success/pass, 1 verifier fail,
-2 usage or parse error.
+2 usage, parse or file error.
 
 `verify` and `families` are imported by their own commands only, so that
 `search` and `params` load neither.
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
             return _cmd_search(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (GraphError, graph6.Graph6Error, generate.GenerateError, ValueError) as exc:
+    except (GraphError, graph6.Graph6Error, generate.GenerateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

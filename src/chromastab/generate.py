@@ -39,13 +39,13 @@ On the pure backend each piece is labeled once per pair of levels.
 `_children_of` opens `pure._reusing_labelings` around its two labeling
 calls; there `pure.canon_raw` returns the labeling kept in the pure
 labeling table for the same rows instead of searching again.  `all_levels`
-fills a fresh table while it builds a level in this process
-(`pure._filling_labelings`), and the table replaces the old one when the
-level is complete, so it holds the labelings made while the last held level
-was built: the parents' components of the next expansion, and many of its
-new vertices' pieces.  The streamed top order of `walk` reads the table but
-fills nothing, and pool workers fill nothing either.  The table memoizes a
-pure function, so it changes no output.
+fills a fresh table while it builds a level (`pure._filling_labelings`),
+and the table replaces the old one when the level is complete, so it holds
+the labelings made while the last held level was built: the parents'
+components of the next expansion, and many of its new vertices' pieces.
+The streamed top order of `walk` reads the table but fills nothing.  The
+table memoizes a pure function, so it changes no output, and it is filled
+the same way at every job count.
 
 Scans read whole orders through `walk`: `all_levels` sorts and caches the
 levels below the top order, and `sweep` streams the top order parent by
@@ -54,10 +54,11 @@ where it is generated, holding one parent's children plus the keys seen so
 far for the cross-parent duplicate check.  `check_order`, which every level
 build calls first, bounds the order.
 
-`_pmap` runs the parents (or a held level's records) in a process pool
-only when `jobs` leaves more than one worker, and imports
-`concurrent.futures` only then: the pool pulls in multiprocessing, pickle,
-socket and subprocess, which a one-worker run never loads.
+Held levels are built and walked in this process; only `sweep`'s `_pmap`
+runs the top order's parents in a process pool, when `jobs` leaves more
+than one worker, and imports `concurrent.futures` only then (the pool pulls
+in multiprocessing, pickle, socket and subprocess).  No pool starts while a
+table is being filled.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _children_of(task):
         return kernels.active().children(n, rows, max_degree, gens)
 
 
-def _pmap(fn, tasks, jobs, chunksize=16):
+def _pmap(fn, tasks, jobs):
     """Yield fn(task) for every task, in task order.
 
     The pool starts at most one worker per task and per usable CPU, and
@@ -161,8 +162,8 @@ def _pmap(fn, tasks, jobs, chunksize=16):
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=pure._fill_nothing) as pool:
-        yield from pool.map(fn, tasks, chunksize=chunksize)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks, chunksize=16)
 
 
 def default_jobs() -> int:
@@ -200,42 +201,41 @@ def sweep(parents, max_degree=None, fn=None, jobs=1):
 _LEVEL_CACHE = {}
 
 
-def all_levels(n, max_degree=None, jobs=1):
+def all_levels(n, max_degree=None):
     """{order: sorted list of (graph6 key, rows)} for every order 1..n, one
     representative per isomorphism class (respecting the degree bound).
-    Levels are cached per max_degree within the process and extended on demand."""
+    Levels are built in-process, cached per max_degree, extended on demand."""
     check_order(n, max_degree)
     k1 = (graph6.encode_rows(1, (0,)).encode(), (0,))
     levels = _LEVEL_CACHE.setdefault(max_degree, {1: [k1]})
     for k in range(1, n):
         if k + 1 not in levels:
             with pure._filling_labelings():
-                children = sweep(levels[k], max_degree, jobs=jobs)
+                children = sweep(levels[k], max_degree)
                 levels[k + 1] = sorted((key, rows) for key, rows, _ in children)
     return {k: levels[k] for k in range(1, n + 1)}
 
 
-def levels_up_to(n, max_degree=None, jobs=1):
+def levels_up_to(n, max_degree=None):
     """One representative of every isomorphism class of order exactly n
-    (respecting the degree bound), as a sorted list of (graph6 key, rows)."""
-    return all_levels(n, max_degree, jobs)[n]
+    (respecting the degree bound), as a sorted list of (graph6 key, rows),
+    built in this process."""
+    return all_levels(n, max_degree)[n]
 
 
 def walk(n, max_degree=None, fn=None, jobs=1, first=1):
     """Yield (order, key, rows, fn(rows), or None without fn) for every class
     of orders first..n (respecting the degree bound), order by order.  An
-    order below n is a held level, in key order, with fn mapped over it in a
-    pool; order n > 1 is streamed by `sweep` from level n - 1, never held.
-    The order is checked before order 1 is yielded."""
+    order below n is a held level, in key order, with fn applied in this
+    process; order n > 1 is streamed by `sweep` from level n - 1, never held,
+    in a pool when jobs > 1.  The order is checked before order 1 is yielded."""
     check_order(n, max_degree)
     for order in range(first, n + 1):
         if order < n or order == 1:
-            level = levels_up_to(order, max_degree, jobs)
-            rows_of = [rows for _key, rows in level]
-            values = [None] * len(level) if fn is None else _pmap(fn, rows_of, jobs, 64)
-            classes = ((key, rows, value) for (key, rows), value in zip(level, values))
+            level = levels_up_to(order, max_degree)
+            classes = ((key, rows, None if fn is None else fn(rows)) for key, rows in level)
         else:
-            classes = sweep(levels_up_to(n - 1, max_degree, jobs), max_degree, fn, jobs)
+            classes = sweep(levels_up_to(n - 1, max_degree), max_degree, fn, jobs)
         for key, rows, value in classes:
             yield order, key, rows, value
 

@@ -503,8 +503,11 @@ def _refine(nbrs, colors):
 # labeled while the last held level was built to canon_raw's result, and
 # `_making` collects them while a level is built (see `_filling_labelings`).
 # canon_raw reads and fills them only inside `_reusing_labelings`, which
-# generate._children_of opens around its two labeling calls.  A stored
-# result is a tuple of tuples and ints, so callers can share it.
+# generate._children_of opens around its two labeling calls.  Levels are
+# built in one process at every job count, and a pool starts only to stream
+# the top order, which fills nothing, so no worker inherits a table being
+# filled.  A stored result is a tuple of tuples and ints, so callers can
+# share it.
 _held = {}
 _making = None
 _reusing = False
@@ -535,12 +538,6 @@ def _filling_labelings():
         _held = _making
     finally:
         _making = None
-
-
-def _fill_nothing():
-    """A pool worker's start: what it recorded would die with it."""
-    global _making
-    _making = None
 
 
 def canon_raw(n, rows):

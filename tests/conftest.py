@@ -30,7 +30,7 @@ def s9_catalog():
 @pytest.fixture(scope="session")
 def levels_through_8():
     """Every isomorphism class of orders 1..8 (unbounded), cached."""
-    return generate.all_levels(8, None, JOBS)
+    return generate.all_levels(8)
 
 
 def generated_orbits(n, gens):

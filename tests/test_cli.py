@@ -134,6 +134,22 @@ def test_search_and_verify_reject_jobs_below_one(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_file_errors_are_reported_without_a_traceback(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "params", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    missing = str(tmp_path / "no" / "such" / "x")
+    for argv in (
+        ("search", "--n", "3", "--jobs", "1", "--output", missing),
+        ("family", "G9", "--output", missing),
+        ("verify", "obs2", "--n", "3", "--jobs", "1", "--output", missing),
+    ):
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "No such file" in err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_pass_and_exit_codes(tmp_path, capsys):
     out_path = tmp_path / "obs2.json"
     code, out, _ = run_cli(capsys, "verify", "obs2", "--output", str(out_path), "--jobs", "1")

@@ -254,13 +254,15 @@ def test_family_member_filter_is_empty_below_order_9():
 
 
 class _SerialPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, maps in process.
-    It starts no worker, so it never runs the worker initializer."""
+    """Stand-in for ProcessPoolExecutor: records max_workers, and whether a
+    labeling table was being filled, and maps in process."""
 
     created = []
+    filling = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.created.append(max_workers)
+        self.filling.append(pure._making is not None)
 
     def __enter__(self):
         return self
@@ -277,6 +279,7 @@ def test_pool_size_is_capped_by_tasks_and_usable_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(generate.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(_SerialPool, "filling", [])
     tasks = list(range(-10, 0))
     assert list(generate._pmap(abs, tasks, jobs=5000)) == [abs(t) for t in tasks]
     assert list(generate._pmap(abs, tasks[:2], jobs=5000)) == [10, 9]
@@ -289,7 +292,9 @@ def test_pool_size_is_capped_by_tasks_and_usable_cpus(monkeypatch):
     monkeypatch.setattr(generate, "_LEVEL_CACHE", {})
     cat = generate.enumerate_catalog(GenSpec(5, predicate="stability-gap"), jobs=5000)
     assert cat.meta["funnel"]["classes"] == 34
-    assert _SerialPool.created and max(_SerialPool.created) <= 3
+    # levels 2-4 are built in process; one pool streams order 5
+    assert _SerialPool.created == [3]
+    assert not any(_SerialPool.filling)
 
 
 def test_sweep_rejects_a_class_from_two_parents(monkeypatch):

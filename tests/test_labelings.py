@@ -3,6 +3,7 @@ labeling canon_raw makes inside generate._children_of, and the expansion of
 that level reads them back.  The table memoizes a pure function, so these
 tests pin that it changes no output, and where it is read and filled."""
 
+import concurrent.futures
 import contextlib
 
 import pytest
@@ -35,7 +36,7 @@ def counted(monkeypatch, owner, name):
 
 
 def build(monkeypatch, max_degree, top):
-    """all_levels(top, max_degree) at one job from cold, with every
+    """all_levels(top, max_degree) from cold, with every
     _children_of output it made, and the number of canon_raw searches."""
     monkeypatch.setattr(generate, "_LEVEL_CACHE", {})
     outputs = {}
@@ -48,7 +49,7 @@ def build(monkeypatch, max_degree, top):
     with monkeypatch.context() as mp:
         mp.setattr(generate, "_children_of", recording)
         searches = counted(mp, pure, "_label")
-        levels = generate.all_levels(top, max_degree, jobs=1)
+        levels = generate.all_levels(top, max_degree)
     return levels, outputs, len(searches)
 
 
@@ -140,10 +141,22 @@ def test_no_scope_stays_open(cold, monkeypatch):
     assert not pure._reusing and pure._making is None and pure._held is held
 
 
-def test_a_pool_fills_no_table(cold):
-    """Labelings made in pool workers die with them: a level built in a
-    pool leaves an empty table, and the same level as one job."""
-    level = generate.levels_up_to(5, jobs=2)
-    assert (pure._held == {}) == (generate.default_jobs() > 1)
+def test_a_pooled_walk_leaves_the_table_a_one_job_walk_leaves(cold, monkeypatch):
+    """Held levels are built in this process at every job count; only the
+    streamed top order runs in a pool, and it streams what one job does."""
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(generate, "default_jobs", lambda: 2)
+    pooled = list(generate.walk(6, jobs=2))
+    assert started == [2]
+    table = pure._held
     generate._LEVEL_CACHE.clear()
-    assert generate.levels_up_to(5, jobs=1) == level and pure._held
+    pure._held = {}
+    assert list(generate.walk(6, jobs=1)) == pooled
+    assert started == [2] and table and pure._held == table
