@@ -22,16 +22,20 @@ when chi(C) = chi(G); chi(G) is the largest chi(C).  Then
   C a chi-coloring whose smallest class has color 0, and color the other
   components with chi-1 colors that avoid color 0.
 
-Every stability entry point below makes one `top_components` kernel call,
-which returns chi(G) and the vertex masks of the top components: the kernel
-floods the components as bitsets and takes each chi on G's own rows.  A
-connected graph is the one-piece case: its one top component is every
-vertex, which `graph.induced` hands back unrelabeled, and only the top
+`profile` is the only code that computes a graph's (max degree, chi, vs,
+ivs[, mcc]); sweeps, search predicates and verifiers all read it.  It is
+one call of the `profile` kernel, which reads the rows once, finds the top
+components, scans each of them and applies the stage rule of a named
+predicate, all inside the kernel.
+
+Every other stability entry point below makes one `top_components` kernel
+call, which returns chi(G) and the vertex masks of the top components: the
+kernel floods the components as bitsets and takes each chi on G's own
+rows.  A connected graph is the one-piece case: its one top component is
+every vertex, which `graph.induced` hands back unrelabeled, and only the top
 components of a disconnected graph are relabeled for their scans.  The
 results are combined; witness products are sorted, which is the ascending
-order of the whole-graph scan.  `profile` is the only
-code that computes a graph's (max degree, chi, vs, ivs[, mcc]); sweeps,
-search predicates and verifiers all read it.
+order of the whole-graph scan.
 
 Two more facts keep the scans short without changing any output:
 
@@ -254,39 +258,30 @@ def _min_class_size(chi, top) -> int:
     return out
 
 
-# The paper's class: max degree 4, chi 3, vs 2 and ivs 3.
-CLASS_PROFILE = (4, 3, 2, 3)
+# The paper's class: max degree 4, chi 3, vs 2 and ivs 3, as the profile
+# kernels hold it.
+CLASS_PROFILE = pure.CLASS_PROFILE
 
 
-def profile(rows, test=None, mcc=False):
-    """(stage, values) of the graph with these adjacency rows.
+def profile(rows, rule=None, mcc=False):
+    """(stage, values) of the graph with these adjacency rows: one `profile`
+    kernel call (see kernels.pure.profile).
 
     values are (max degree, chi, vs, ivs), computed left to right, then the
     minimum color-class size when `mcc` is set; the graph is in the paper's
-    class iff they start with CLASS_PROFILE.  After each of the four,
-    test(values so far) may stop the profile: stage is the number of values
-    that passed, and only those values are returned.  chi and every later
-    value come from one top_components kernel call; vs and ivs take one
-    kernel call per top component, made only when the chi stage passes.
+    class iff they start with CLASS_PROFILE.  After each of the four, the
+    rule may stop the profile: stage is the number of values that passed,
+    and only those values are returned.  rule is None, under which every
+    stage passes, or the name of one of generate.NAMED_PREDICATES, whose
+    stage rule the kernel applies.  vs and ivs are computed only when the
+    chi stage passes, so a top component past the scans' 62-vertex limit
+    raises only then.  Raises ChromaticError for the null graph, unless the
+    rule stops it at the max-degree stage.
     """
-    n = len(rows)
-    values = (max(map(int.bit_count, rows), default=0),)
-    for stage in range(4):
-        if stage == 1:
-            chi, top = _top_components(n, rows)
-            values += (chi,)
-        elif stage == 2:
-            kern = kernels.active()
-            vs = ivs = 0
-            for cn, crows, _verts in top:
-                v, i = kern.stability_values(cn, crows, chi)
-                vs, ivs = vs + v, ivs + i
-            values += (vs, ivs)
-        if test is not None and not test(values[: stage + 1]):
-            return stage, values[: stage + 1]
-    if mcc:
-        values += (_min_class_size(chi, top),)
-    return 4, values
+    stage, values = kernels.active().profile(len(rows), rows, rule, mcc)
+    if stage == 1 and values[1] == 0:
+        raise ChromaticError("stability parameters are undefined for the null graph")
+    return stage, values
 
 
 def bipartizing_pair_vertices(g: Graph) -> int:

@@ -12,6 +12,7 @@ one named claim verifier).  Exit codes: 0 success/pass, 1 verifier fail,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -187,7 +188,17 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _check_output_folder(path):
+    """Refuse an output path whose folder is missing or is no folder, before
+    a command spends its run on what it would write there."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise OSError(code, os.strerror(code), folder)
+
+
 def _cmd_search(args) -> int:
+    _check_output_folder(args.output)
     spec = generate.GenSpec(
         n=args.n,
         max_degree=args.max_degree,
@@ -206,6 +217,8 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     from chromastab import verify
 
+    if args.output:
+        _check_output_folder(args.output)
     jobs = args.jobs if args.jobs is not None else generate.default_jobs()
     report = verify.run(args.claim, n=args.n, seed=args.seed, jobs=jobs)
     blob = json.dumps(report.to_dict(), indent=2)

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from chromastab import graph6, iso, kernels
-from chromastab.chromatic import CLASS_PROFILE, StabilityReport, analyze, profile
+from chromastab.chromatic import StabilityReport, analyze, profile
 from chromastab.graph import Graph
 from chromastab.kernels import pure
 
@@ -245,27 +245,19 @@ def walk(n, max_degree=None, fn=None, jobs=1, first=1):
 # ---------------------------------------------------------------------------
 
 
-def _family_members(values):
-    """The values so far start the paper's class profile."""
-    return values == CLASS_PROFILE[: len(values)]
-
-
-def _stability_gap(values):
-    """chi >= max_degree/2 + 1 at the chi stage, ivs > vs at the ivs stage;
-    the other two stages always pass."""
-    if len(values) == 2:
-        return 2 * values[1] >= values[0] + 2
-    return len(values) < 4 or values[3] > values[2]
-
-
+# Each predicate is chromatic.profile under the stage rule of its name, which
+# the profile kernel of each backend applies: "family-members" passes the
+# values that start the paper's class profile, and "stability-gap" requires
+# chi >= max_degree/2 + 1 at the chi stage and ivs > vs at the ivs stage.
+# "stages" names the four stages, for the funnel.
 NAMED_PREDICATES = {
     "family-members": {
         "stages": ("max_degree=4", "chi=3", "vs=2", "ivs=3"),
-        "fn": partial(profile, test=_family_members),
+        "fn": partial(profile, rule="family-members"),
     },
     "stability-gap": {
         "stages": ("max_degree", "chi>=max_degree/2+1", "vs", "ivs>vs"),
-        "fn": partial(profile, test=_stability_gap),
+        "fn": partial(profile, rule="stability-gap"),
     },
 }
 

@@ -1,12 +1,13 @@
 /* Compiled twins of the hot kernels of chromastab.kernels.pure, with the
-   same outputs: coloring, the stability scans, canonical labeling and level
-   expansion.  planar, bipartizing_pairs and color_graph have no twin here;
-   they run from pure on every backend.  As in pure, colorability is decided
-   in colorable_excluding alone (a bitset BFS for two colors, the walk for
-   every other count), chi is the maximum over the components
-   (top_components), and both stability scans share one Scan set-up.  Every
-   kernel reads n and its rows through load and its counts through
-   clamped_index, as pure's _load and _count do.
+   same outputs: coloring, the stability scans, the class profile, canonical
+   labeling and level expansion.  planar, bipartizing_pairs and color_graph
+   have no twin here; they run from pure on every backend.  As in pure,
+   colorability is decided in colorable_excluding alone (a bitset BFS for
+   two colors, the walk for every other count), chi is the maximum over the
+   components (top_components), and both stability scans share one Scan
+   set-up.  Every kernel reads n and its rows through load, once, and its
+   counts through clamped_index, as pure's _load and _count do; profile runs
+   the bodies of the scans and of min_color_class_size on the rows it read.
 
    Plain C kernels over u64 adjacency rows (rows[v] is the neighbor bitmask of
    vertex v) come first; one block of Python wrappers below converts the
@@ -220,6 +221,28 @@ static void mcc_rec(MccState *st, const u64 *adj, int idx, int used)
         if (st->best == 1)
             break;
     }
+}
+
+/* Minimum color-class size over all proper k-colorings of the graph adj on
+   n vertices that use all k colors, or 0 when there is none (k <= 0,
+   k > n, or no such coloring); see py_min_color_class_size. */
+static int min_class_size(int n, const u64 *adj, int k)
+{
+    MccState st;
+    if (k <= 0 || k > n)
+        return 0;
+    st.n = n;
+    st.k = k;
+    /* the clique's vertices get pairwise different colors, so a clique
+       larger than k rules out every k-coloring */
+    int q = mcc_order(n, adj, st.order);
+    if (q > k)
+        return 0;
+    for (int c = 0; c < k; c++)
+        st.classes[c] = c < q ? BIT(st.order[c]) : 0;
+    st.best = n + 1;
+    mcc_rec(&st, adj, q, q);
+    return st.best == n + 1 ? 0 : st.best;
 }
 
 /* ------------------------------------------------------------------------
@@ -1092,15 +1115,11 @@ typedef struct {
     Cliques cl;
 } Scan;
 
-/* Load (n, rows, chi) from args into sc, with the checks in the pure
-   order: the rows, chi, then the 62-vertex limit.  chi is a count clamped
-   to -1..n+2, so k, the color count the scans test, is chi - 1. */
-static int scan_setup(Scan *sc, PyObject *const *args)
+/* The set-up of the graph in sc->adj on sc->n vertices for chi, after the
+   62-vertex limit, as the pure _scan_setup makes it.  k, the color count
+   the scans test, is chi - 1. */
+static int scan_prepare(Scan *sc, int chi)
 {
-    int chi;
-    if (load(args, MAXN, VERTEX_COUNT, sc->adj, &sc->n) < 0 ||
-        clamped_index(args[2], -1, sc->n + 2, &chi) < 0)
-        return -1;
     if (sc->n > 62) {
         PyErr_SetString(PyExc_ValueError, "stability scans support at most 62 vertices");
         return -1;
@@ -1111,10 +1130,47 @@ static int scan_setup(Scan *sc, PyObject *const *args)
     return 0;
 }
 
+/* Load (n, rows, chi) from args into sc, with the checks in the pure
+   order: the rows, chi, then the 62-vertex limit.  chi is a count clamped
+   to -1..n+2. */
+static int scan_setup(Scan *sc, PyObject *const *args)
+{
+    int chi;
+    if (load(args, MAXN, VERTEX_COUNT, sc->adj, &sc->n) < 0 ||
+        clamped_index(args[2], -1, sc->n + 2, &chi) < 0)
+        return -1;
+    return scan_prepare(sc, chi);
+}
+
 static PyObject *no_deletion_set_error(void)
 {
     PyErr_SetString(PyExc_AssertionError, "no deletion set found; chi inconsistent");
     return NULL;
+}
+
+/* The scan of stability_values on a set-up graph: vs and ivs into
+   out[0..1]; -1 with AssertionError if no deletion set is found. */
+static int scan_values(const Scan *sc, int *out)
+{
+    u64 top = BIT(sc->n);
+    out[0] = 0;
+    for (int s = 1; s <= sc->n; s++) {
+        for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
+            if (out[0] && !independent(sc->adj, mask))
+                continue;
+            if (meets_all(mask, &sc->cl) &&
+                colorable_excluding(sc->n, sc->adj, sc->order, mask, sc->k)) {
+                if (!out[0])
+                    out[0] = s;
+                if (independent(sc->adj, mask)) {
+                    out[1] = s;
+                    return 0;
+                }
+            }
+        }
+    }
+    no_deletion_set_error();
+    return -1;
 }
 
 static PyObject *py_deletion_colorable(PyObject *self, PyObject *const *args,
@@ -1172,54 +1228,28 @@ static PyObject *py_min_color_class_size(PyObject *self, PyObject *const *args,
                                          Py_ssize_t nargs)
 {
     u64 adj[MAXN];
-    MccState st;
-    if (!nargs_ok("min_color_class_size", nargs, 3) ||
-        load(args, MAXN, VERTEX_COUNT, adj, &st.n) < 0)
+    int n, k;
+    if (!nargs_ok("min_color_class_size", nargs, 3) || load(args, MAXN, VERTEX_COUNT, adj, &n) < 0)
         return NULL;
-    if (st.n == 0)
+    if (n == 0)
         Py_RETURN_NONE;
-    if (clamped_index(args[2], -1, st.n + 2, &st.k) < 0)
+    if (clamped_index(args[2], -1, n + 2, &k) < 0)
         return NULL;
-    if (st.k <= 0 || st.k > st.n)
+    int size = min_class_size(n, adj, k);
+    if (!size)
         Py_RETURN_NONE;
-    /* the clique's vertices get pairwise different colors, so a clique
-       larger than k rules out every k-coloring */
-    int q = mcc_order(st.n, adj, st.order);
-    if (q > st.k)
-        Py_RETURN_NONE;
-    for (int c = 0; c < st.k; c++)
-        st.classes[c] = c < q ? BIT(st.order[c]) : 0;
-    st.best = st.n + 1;
-    mcc_rec(&st, adj, q, q);
-    if (st.best == st.n + 1)
-        Py_RETURN_NONE;
-    return PyLong_FromLong(st.best);
+    return PyLong_FromLong(size);
 }
 
 static PyObject *py_stability_values(PyObject *self, PyObject *const *args,
                                      Py_ssize_t nargs)
 {
     Scan sc;
-    int vs = 0;
-    if (!nargs_ok("stability_values", nargs, 3) || scan_setup(&sc, args) < 0)
+    int out[2];
+    if (!nargs_ok("stability_values", nargs, 3) || scan_setup(&sc, args) < 0 ||
+        scan_values(&sc, out) < 0)
         return NULL;
-    u64 top = BIT(sc.n);
-    for (int s = 1; s <= sc.n; s++) {
-        for (u64 mask = BIT(s) - 1; mask < top; mask = gosper_next(mask)) {
-            if (vs && !independent(sc.adj, mask))
-                continue;
-            if (meets_all(mask, &sc.cl) &&
-                colorable_excluding(sc.n, sc.adj, sc.order, mask, sc.k)) {
-                if (!vs)
-                    vs = s;
-                if (independent(sc.adj, mask)) {
-                    int out[2] = {vs, s};
-                    return int_tuple(out, 2);
-                }
-            }
-        }
-    }
-    return no_deletion_set_error();
+    return int_tuple(out, 2);
 }
 
 static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
@@ -1267,6 +1297,93 @@ static PyObject *py_stability_witnesses(PyObject *self, PyObject *const *args,
 fail:
     Py_DECREF(hits);
     return NULL;
+}
+
+enum { RULE_NONE, RULE_FAMILY_MEMBERS, RULE_STABILITY_GAP };
+
+/* The profile rule named by o, as pure's profile reads it: None, or the str
+   "family-members" or "stability-gap"; -1 with ValueError for any other. */
+static int profile_rule(PyObject *o)
+{
+    if (o == Py_None)
+        return RULE_NONE;
+    if (PyUnicode_Check(o) && PyUnicode_CompareWithASCIIString(o, "family-members") == 0)
+        return RULE_FAMILY_MEMBERS;
+    if (PyUnicode_Check(o) && PyUnicode_CompareWithASCIIString(o, "stability-gap") == 0)
+        return RULE_STABILITY_GAP;
+    PyErr_Format(PyExc_ValueError, "unknown rule %R", o);
+    return -1;
+}
+
+/* Whether the rule stops the profile at values[stage], as pure's _rejects
+   decides: "family-members" where the values leave the paper's class
+   profile (4, 3, 2, 3), which values[stage] shows, since every earlier
+   value passed; "stability-gap" where 2 chi < max degree + 2 at the chi
+   stage, and where ivs <= vs at the ivs stage. */
+static int rejects(int rule, const int *values, int stage)
+{
+    static const int class_profile[4] = {4, 3, 2, 3};
+    if (rule == RULE_FAMILY_MEMBERS)
+        return values[stage] != class_profile[stage];
+    if (rule == RULE_STABILITY_GAP)
+        return (stage == 1 && 2 * values[1] < values[0] + 2) ||
+               (stage == 3 && values[3] <= values[2]);
+    return 0;
+}
+
+/* (stage, values) exactly as pure's profile computes them: the rows are
+   read once, and each top component is relabeled and scanned here. */
+static PyObject *py_profile(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN], comps[MAXN];
+    int n, rule, ntop = 0, stage, values[5] = {0};
+    if (!nargs_ok("profile", nargs, 4) || load(args, MAXN, VERTEX_COUNT, adj, &n) < 0 ||
+        (rule = profile_rule(args[2])) < 0)
+        return NULL;
+    for (int v = 0; v < n; v++)
+        if (POPCNT64(adj[v]) > values[0])
+            values[0] = POPCNT64(adj[v]);
+    for (stage = 0; stage < 4; stage++) {
+        if (stage == 1) {
+            values[1] = top_components(n, adj, comps, &ntop);
+            if (!values[1])
+                break;
+        } else if (stage == 2) {
+            for (int i = 0; i < ntop; i++) {
+                Scan sc;
+                int part[2];
+                sc.n = induced_rows(adj, comps[i], sc.adj);
+                if (scan_prepare(&sc, values[1]) < 0 || scan_values(&sc, part) < 0)
+                    return NULL;
+                values[2] += part[0];
+                values[3] += part[1];
+            }
+        }
+        if (rejects(rule, values, stage))
+            break;
+    }
+    int count = stage < 4 ? stage + 1 : 4;
+    if (stage == 4) {
+        int mcc = PyObject_IsTrue(args[3]);
+        if (mcc < 0)
+            return NULL;
+        for (int i = 0; mcc && i < ntop; i++) {
+            u64 sub[MAXN];
+            int k = induced_rows(adj, comps[i], sub);
+            int size = min_class_size(k, sub, values[1]);
+            if (!size) {
+                PyErr_SetString(PyExc_AssertionError,
+                                "a top component admits no chi-coloring; chi inconsistent");
+                return NULL;
+            }
+            values[4] += size;
+        }
+        count += mcc;
+    }
+    PyObject *tuple = int_tuple(values, count);
+    if (tuple == NULL)
+        return NULL;
+    return Py_BuildValue("(iN)", stage, tuple);
 }
 
 static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1438,6 +1555,11 @@ static PyMethodDef methods[] = {
     FASTCALL(stability_witnesses, "n, rows, chi, independent_only",
              "(value, masks) exactly as the pure kernel computes them, with the "
              "same skip of sets that miss one of the first n K_chi's."),
+    FASTCALL(profile, "n, rows, rule, mcc",
+             "(stage, values): max degree, chi, vs, ivs and, when mcc is true, the "
+             "minimum color-class size, stopped after the first stage the rule (None, "
+             "\"family-members\" or \"stability-gap\") rejects, exactly as the pure "
+             "twin computes them; see the pure twin for the full contract."),
     FASTCALL(canon_raw, "n, rows",
              "(perm, aut_order, gens, orbits, rows) from a refinement tree pruned by "
              "the automorphisms it finds; aut_order is exact, gens generate the "

@@ -4,14 +4,19 @@ Every function here takes a graph as ``(n, rows)`` where ``rows[v]`` is the
 neighbor bitmask of vertex ``v``.  This module is the one implementation
 of every kernel and the reference.  The compiled extension
 (:mod:`chromastab.kernels._ckern`) implements the hot kernels only
-(coloring, the stability scans, canonical labeling and level expansion)
-with the same outputs bit for bit, and the backend in use runs those.
-`planar`, `bipartizing_pairs` and `color_graph` have no compiled twin:
-their callers run them from here on every backend.
+(coloring, the stability scans, the class profile, canonical labeling and
+level expansion) with the same outputs bit for bit, and the backend in use
+runs those.  `planar`, `bipartizing_pairs` and `color_graph` have no
+compiled twin: their callers run them from here on every backend.
 
-Every kernel reads n and its rows through `_load`, and its counts through
-`_count`, as the compiled `load` and `clamped_index` do, so the backends
-give the same outcome on every input, errors and their messages included.
+Every kernel reads n and its rows through `_load`, once, and its counts
+through `_count`, as the compiled `load` and `clamped_index` do, so the
+backends give the same outcome on every input, errors and their messages
+included.  A kernel that runs another one calls its helper on the checked
+rows (`_top_components`, `_stability_values`, `_min_class_size`).
+
+`profile` computes a graph's (max degree, chi, vs, ivs[, mcc]) in one call,
+stage by stage, and holds the stage rules of the named predicates.
 
 Level expansion labels each piece once per pair of levels: while a held
 level is built, canon_raw records the labeling of every set of rows it is
@@ -215,7 +220,11 @@ def top_components(n, rows):
     rows restricted to the component, in G's labels: nothing is relabeled,
     and the rows are checked once.
     """
-    n, rows = _load(n, rows)
+    return _top_components(*_load(n, rows))
+
+
+def _top_components(n, rows):
+    """top_components on checked rows."""
     order = _degree_order(n, rows)
     chi, top = 0, []
     for comp in component_masks(n, rows):
@@ -299,7 +308,13 @@ def min_color_class_size(n, rows, k):
     masks are allocated.
     """
     n, rows = _load(n, rows)
-    if n == 0 or not 0 < (k := _count(k, n)) <= n:
+    # the compiled core reads no count for the null graph
+    return None if n == 0 else _min_class_size(n, rows, _count(k, n))
+
+
+def _min_class_size(n, rows, k):
+    """min_color_class_size on checked rows and a counted k."""
+    if not 0 < k <= n:
         return None
     clique, rest = _mcc_order(n, rows)
     if len(clique) > k:
@@ -317,13 +332,11 @@ def min_color_class_size(n, rows, k):
 
 
 def _scan_setup(n, rows, chi):
-    """(n, rows, order, cliques, k), the set-up both scans share, after the
-    compiled scans' checks in their order: the rows, chi, then the
-    62-vertex limit.  order is _degree_order, cliques the first n K_chi's
+    """(n, rows, order, cliques, k), the set-up both scans share, on checked
+    rows and a counted chi, after the 62-vertex limit, which the compiled
+    scans check last.  order is _degree_order, cliques the first n K_chi's
     (see _cliques), and k = chi - 1 the color count a deletion set must
     reach."""
-    n, rows = _load(n, rows)
-    chi = _count(chi, n)
     if n > 62:
         raise ValueError("stability scans support at most 62 vertices")
     return n, rows, _degree_order(n, rows), _cliques(n, rows, chi), chi - 1
@@ -377,6 +390,12 @@ def stability_values(n, rows, chi):
     keeps that filter exact; the cap of n bounds the list on graphs with many
     of them (the complete multipartite K_{3,...,3} has 3^(n/3)).
     """
+    n, rows = _load(n, rows)
+    return _stability_values(n, rows, _count(chi, n))
+
+
+def _stability_values(n, rows, chi):
+    """stability_values on checked rows and a counted chi."""
     n, rows, order, cliques, k = _scan_setup(n, rows, chi)
     vs = 0
     for s in range(1, n + 1):
@@ -400,7 +419,8 @@ def stability_witnesses(n, rows, chi, independent_only):
     chromatic number by exactly one.  As in stability_values, a set that
     misses one of the first n K_chi's is skipped without a coloring test.
     """
-    n, rows, order, cliques, k = _scan_setup(n, rows, chi)
+    n, rows = _load(n, rows)
+    n, rows, order, cliques, k = _scan_setup(n, rows, _count(chi, n))
     independent_only = bool(independent_only)
     for s in range(1, n + 1):
         hits = []
@@ -445,6 +465,83 @@ def bipartizing_pairs(n, rows):
             if _two_colorable(rows, full & ~pair):
                 out |= pair
     return out
+
+
+# ---------------------------------------------------------------------------
+# the class profile
+# ---------------------------------------------------------------------------
+
+
+# The paper's class: max degree 4, chi 3, vs 2 and ivs 3.
+CLASS_PROFILE = (4, 3, 2, 3)
+
+_RULES = ("family-members", "stability-gap")
+
+
+def profile(n, rows, rule, mcc):
+    """(stage, values) of the graph: its max degree, chi, vs and ivs,
+    computed left to right, then its minimum color-class size when mcc is
+    true.  The graph is in the paper's class iff the four are
+    CLASS_PROFILE.
+
+    After each of the four, the rule may stop the profile: stage is the
+    number of values that passed, and only those values come back.  rule is
+    None (every stage passes) or one of _RULES (see _rejects); any other is a
+    ValueError, raised after the rows are read.  chi = 0, the null graph's,
+    stops the profile at stage 1 under every rule, since no stability value
+    is defined there.
+
+    The rows are read once.  chi and the top components (see
+    top_components) come from one flood.  vs and ivs are sums over the top
+    components, each relabeled and scanned once, only when the chi stage
+    passes; so the 62-vertex limit of the scans applies per top component,
+    and only past that stage.  The minimum class size is the sum of the top
+    components' minimum class sizes, and mcc's truth is read only when the
+    last stage passes.
+    """
+    n, rows = _load(n, rows)
+    if rule is not None and not (isinstance(rule, str) and rule in _RULES):
+        raise ValueError(f"unknown rule {rule!r}")
+    values = (max(map(int.bit_count, rows), default=0),)
+    for stage in range(4):
+        if stage == 1:
+            chi, top = _top_components(n, rows)
+            values += (chi,)
+            if not chi:
+                return 1, values
+        elif stage == 2:
+            parts = [induced(rows, mask)[1] for mask in top]
+            vs = ivs = 0
+            for crows in parts:
+                v, i = _stability_values(len(crows), crows, chi)
+                vs, ivs = vs + v, ivs + i
+            values += (vs, ivs)
+        if _rejects(rule, values[: stage + 1]):
+            return stage, values[: stage + 1]
+    if mcc:
+        size = 0
+        for crows in parts:
+            part = _min_class_size(len(crows), crows, chi)
+            if part is None:
+                raise AssertionError("a top component admits no chi-coloring; chi inconsistent")
+            size += part
+        values += (size,)
+    return 4, values
+
+
+def _rejects(rule, values):
+    """Whether rule stops the profile at the stage of values' last value.
+    "family-members" stops where the values leave CLASS_PROFILE, which the
+    last value shows, since every earlier one passed; "stability-gap" stops
+    where 2 chi < max degree + 2 at the chi stage, and where ivs <= vs at
+    the ivs stage."""
+    if rule == "family-members":
+        return values[-1] != CLASS_PROFILE[len(values) - 1]
+    if rule == "stability-gap":
+        if len(values) == 2:
+            return 2 * values[1] < values[0] + 2
+        return len(values) == 4 and values[3] <= values[2]
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -342,37 +342,149 @@ def test_profile_of_every_class_through_order_7_matches_whole_graph_kernels():
             assert chromatic.profile(rows) == (4, whole_graph_profile(kern, n, rows)[:4])
 
 
-def test_profile_stops_at_the_first_stage_its_test_rejects(pure_backend, monkeypatch):
-    """A test that rejects stage s gives (s, values[:s+1]), and no kernel
-    call for a later stage is made."""
-    kernel_calls = {
-        name: counting_calls(monkeypatch, kernels.pure, name)
-        for name in ("top_components", "stability_values", "min_color_class_size")
-    }
-    # the kernel behind stage 1 (chi), 2 and 3 (vs and ivs, one call) and mcc
-    stage_kernel = ["top_components", "stability_values", "stability_values",
-                    "min_color_class_size"]
-    k4 = complete_graph(4)
-    two_k4 = Graph.build(8, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()])
-    for g in (families.g9(), families.g10(), cycle_graph(5), two_k4, Graph.build(3, [])):
-        _stage, values = chromatic.profile(g.rows, mcc=True)
-        # s = 4: the test passes every stage
-        for s in range(5):
-            for calls in kernel_calls.values():
-                calls.clear()
-            seen = []
-            got = chromatic.profile(
-                g.rows, test=lambda v: seen.append(v) or len(v) <= s, mcc=True)
-            assert got == (s, values[: s + 1])
-            assert seen == [values[: i + 1] for i in range(min(s + 1, 4))]
-            made = {name for name, calls in kernel_calls.items() if calls}
-            assert made == set(stage_kernel[:s])
+def star(leaves):
+    return Graph.build(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def test_pure_profile_stops_at_the_first_stage_its_rule_rejects(monkeypatch):
+    """pure.profile reads the rows once, and a stage that its rule rejects
+    ends it with (s, values[:s+1]): no helper of a later stage is called.
+    Stage 1 (chi) takes one _top_components call, stages 2 and 3 (vs and
+    ivs) one _stability_values call per top component, and the minimum
+    class size one _min_class_size call per top component."""
+    helpers = {name: counting_calls(monkeypatch, kernels.pure, name)
+               for name in ("_load", "_top_components", "_stability_values",
+                            "_min_class_size")}
+    k3, k5 = complete_graph(3), complete_graph(5)
+    wheel4 = Graph.build(5, cycle_graph(4).edges() + [(v, 4) for v in range(4)])
+    # 2K3 + K_{1,4}: (4, 3, 2, 2), the two triangles being the top components
+    two_k3_star = Graph.build(11, k3.edges() + [(u + 3, v + 3) for u, v in k3.edges()]
+                              + [(6 + u, 6 + v) for u, v in star(4).edges()])
+    # (graph, number of top components, the stage that family-members and
+    # stability-gap stop at)
+    cases = [
+        (cycle_graph(5), 1, 0, 3),
+        (k5, 1, 1, 3),
+        (star(4), 1, 1, 1),
+        (wheel4, 1, 2, 3),
+        (two_k3_star, 2, 3, 3),
+        (families.g9(), 1, 4, 4),
+    ]
+    for g, ntop, *stops in cases:
+        want = chromatic.profile(g.rows, mcc=True)[1]
+        for rule, stop in zip((None, "family-members", "stability-gap"), [4] + stops):
+            for mcc in (False, True):
+                for calls in helpers.values():
+                    calls.clear()
+                got = kernels.pure.profile(g.n, g.rows, rule, mcc)
+                assert got == (stop, want[: stop + 1 if stop < 4 else 4 + mcc]), (g.rows, rule)
+                made = {name: len(calls) for name, calls in helpers.items()}
+                assert made == {
+                    "_load": 1,
+                    "_top_components": int(stop >= 1),
+                    "_stability_values": ntop * (stop >= 2),
+                    "_min_class_size": ntop * (stop == 4 and mcc),
+                }, (g.rows, rule, mcc)
+
+
+PROFILE_RULES = (None, "family-members", "stability-gap")
+
+
+def stage_loop_profile(kern, rows, rule, mcc):
+    """chromatic.profile as a Python stage loop over whole kernel calls:
+    top_components, then stability_values and min_color_class_size on each
+    top component relabeled, with the stage rules as predicates."""
+
+    def passes(values):
+        if rule == "family-members":
+            return values == chromatic.CLASS_PROFILE[: len(values)]
+        if rule == "stability-gap" and len(values) == 2:
+            return 2 * values[1] >= values[0] + 2
+        return rule != "stability-gap" or len(values) < 4 or values[3] > values[2]
+
+    n = len(rows)
+    values = (max(map(int.bit_count, rows), default=0),)
+    for stage in range(4):
+        if stage == 1:
+            chi, masks = kern.top_components(n, rows)
+            top = [graph.induced(rows, mask)[1] for mask in masks]
+            values += (chi,)
+        elif stage == 2:
+            vs = ivs = 0
+            for crows in top:
+                v, i = kern.stability_values(len(crows), crows, chi)
+                vs, ivs = vs + v, ivs + i
+            values += (vs, ivs)
+        if not passes(values[: stage + 1]):
+            return stage, values[: stage + 1]
+    if mcc:
+        values += (sum(kern.min_color_class_size(len(c), c, chi) for c in top),)
+    return 4, values
+
+
+def test_profile_kernel_matches_the_stage_loop_through_order_8(backend, levels_through_8):
+    """Every class of orders 1..8, under every rule, with and without the
+    minimum class size: the profile kernel gives what the stage loop over
+    the same backend's whole kernels gives."""
+    stops = set()
+    for n, level in levels_through_8.items():
+        for _key, rows in level:
+            for rule in PROFILE_RULES:
+                for mcc in (False, True):
+                    got = backend.profile(n, rows, rule, mcc)
+                    assert got == stage_loop_profile(backend, rows, rule, mcc), (rows, rule)
+                    stops.add((rule, got[0]))
+    # no class below order 9 passes either rule (lem9), and every stage
+    # that a rule can stop at is reached
+    assert stops == {(None, 4), *(("family-members", s) for s in range(4)),
+                     ("stability-gap", 1), ("stability-gap", 3)}
+
+
+def test_profile_early_stop_shows_through_the_62_vertex_limit(backend):
+    """The scans refuse a top component of more than 62 vertices, so a
+    profile raises exactly when it reaches the vs stage on one."""
+    g63 = families.g_n(63)
+    assert g63.is_connected() and g63.max_degree == 4
+    for rule in PROFILE_RULES:
+        with pytest.raises(ValueError, match="^stability scans support at most 62 vertices$"):
+            backend.profile(63, g63.rows, rule, False)
+    # one more edge: max degree 5, and chi stays 3
+    g = g63.add_edges([(0, 2)])
+    assert g.max_degree == 5
+    assert backend.profile(63, g.rows, "family-members", True) == (0, (5,))
+    assert backend.profile(63, g.rows, "stability-gap", True) == (1, (5, 3))
+    with pytest.raises(ValueError, match="at most 62 vertices"):
+        backend.profile(63, g.rows, None, False)
+    # the limit is per top component: g9 and 54 isolated vertices
+    g9 = Graph.build(63, families.g9().edges())
+    for rule in PROFILE_RULES:
+        assert backend.profile(63, g9.rows, rule, False) == (4, chromatic.CLASS_PROFILE)
+    assert backend.profile(63, g9.rows, None, True) == (4, chromatic.CLASS_PROFILE + (3,))
+
+
+def test_profile_of_the_null_graph_and_an_unknown_rule(backend, monkeypatch):
+    """Both backends: the null graph stops at the max-degree stage under
+    family-members and is a ChromaticError past it; a rule that is no
+    predicate's name is a ValueError naming it."""
+    monkeypatch.setattr(kernels, "_active", backend)
+    assert chromatic.profile((), "family-members", mcc=True) == (0, (0,))
+    for rule in (None, "stability-gap"):
+        with pytest.raises(ChromaticError,
+                           match="^stability parameters are undefined for the null graph$"):
+            chromatic.profile((), rule)
+    assert set(generate.NAMED_PREDICATES) == set(PROFILE_RULES[1:])
+    for rule in ("family", "Family-Members", b"family-members", 1, ["stability-gap"]):
+        for rows in ((), complete_graph(3).rows):
+            with pytest.raises(ValueError) as err:
+                chromatic.profile(rows, rule)
+            assert str(err.value) == f"unknown rule {rule!r}"
 
 
 def test_funnel_splits_and_relabels_no_connected_graph(backend, monkeypatch):
-    """On a connected graph, profile and min_color_class_size never call
-    graph.component_masks, and every induced call takes the whole vertex
-    mask, which induced hands back unrelabeled; analyze adds only what its
+    """profile calls neither graph.component_masks nor graph.induced: its
+    kernel relabels.  On a connected graph, min_color_class_size never calls
+    component_masks, and its one induced call takes the whole vertex mask,
+    which induced hands back unrelabeled; analyze adds only what its
     planarity test calls.  On a disconnected graph, only the top components
     are relabeled."""
     monkeypatch.setattr(kernels, "_active", backend)
@@ -392,8 +504,9 @@ def test_funnel_splits_and_relabels_no_connected_graph(backend, monkeypatch):
     for g in connected:
         whole = ("induced", g.vertex_mask())
         chromatic.profile(g.rows, mcc=True)
+        assert calls == [], g.rows
         chromatic.min_color_class_size(g)
-        assert calls == [whole, whole], g.rows
+        assert calls == [whole], g.rows
         calls.clear()
         iso.is_planar(g)
         planarity = list(calls)
@@ -407,4 +520,6 @@ def test_funnel_splits_and_relabels_no_connected_graph(backend, monkeypatch):
     g = Graph.build(12, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()]
                     + [(8, 9), (9, 10), (8, 10)])
     chromatic.profile(g.rows, mcc=True)
+    assert calls == []
+    chromatic.min_color_class_size(g)
     assert calls == [("induced", 0x0F), ("induced", 0xF0)]

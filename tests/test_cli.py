@@ -134,20 +134,35 @@ def test_search_and_verify_reject_jobs_below_one(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_file_errors_are_reported_without_a_traceback(tmp_path, capsys):
+def test_file_errors_are_reported_without_a_traceback(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "params", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("the command ran before it checked --output")
+
+    # search and verify refuse an --output they cannot write before any work
+    monkeypatch.setattr(generate, "enumerate_catalog", no_run)
+    monkeypatch.setattr(verify, "run", no_run)
     missing = str(tmp_path / "no" / "such" / "x")
     for argv in (
         ("search", "--n", "3", "--jobs", "1", "--output", missing),
         ("family", "G9", "--output", missing),
         ("verify", "obs2", "--n", "3", "--jobs", "1", "--output", missing),
     ):
-        code, _out, err = run_cli(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "No such file" in err, argv
-    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "file").write_text("")
+    for argv in (
+        ("search", "--n", "3", "--jobs", "1", "--output", str(tmp_path / "file" / "x")),
+        ("verify", "obs2", "--n", "3", "--jobs", "1", "--output", str(tmp_path / "file" / "x")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Not a directory" in err, argv
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_verify_pass_and_exit_codes(tmp_path, capsys):

@@ -134,6 +134,7 @@ KERNEL_ARGS = [
     ("stability_values", (1,)),
     ("stability_witnesses", (1, False)),
     ("canon_raw", ()),
+    ("profile", (None, True)),
 ]
 PURE_ONLY_ARGS = [("color_graph", (1,)), ("bipartizing_pairs", ()), ("planar", ())]
 PURE_ONLY = {name for name, _args in PURE_ONLY_ARGS}
@@ -198,12 +199,16 @@ ODD_COUNTS = [2.0, "x", -(1 << 70), -(1 << 40), -(1 << 31), -1, 0, 1, 2, 3, 4,
               (1 << 31) - 1, 1 << 40, 1 << 70]
 # `excluded` masks: any int is one, and only its low n bits matter
 ODD_EXCLUDED = [-1, 1 << 70, -1 << 70 | 1, 1.5]
+# profile rules that name no predicate
+MALFORMED_RULES = ["", "family", "Stability-Gap", "family-members\0", b"family-members", 1,
+                   ["stability-gap"]]
 
 
 def argument_cases():
     """(kernel name, arguments) of every compiled kernel on malformed and
     extreme arguments: ODD_GRAPHS, the scans past 62 vertices, every count
-    of ODD_COUNTS on K2, and ODD_EXCLUDED on K3.  Both backends give each the same outcome, type and message
+    of ODD_COUNTS on K2, ODD_EXCLUDED on K3, and MALFORMED_RULES on K0 and
+    K3.  Both backends give each the same outcome, type and message
     included, and none raises OverflowError."""
     cases = [(name, (n, rows, *args)) for n, rows, _error in ODD_GRAPHS
              for name, args in KERNEL_ARGS]
@@ -212,6 +217,8 @@ def argument_cases():
               ("stability_witnesses", (63, path63, 2, False))]
     cases += [(name, (2, (2, 1), *args)) for k in ODD_COUNTS for name, args in count_args(k)]
     cases += [("deletion_colorable", (3, (6, 5, 3), excluded, 2)) for excluded in ODD_EXCLUDED]
+    cases += [("profile", (n, rows, rule, False)) for n, rows in ((0, ()), (3, (6, 5, 3)))
+              for rule in MALFORMED_RULES]
     return cases
 
 
@@ -285,14 +292,21 @@ def test_compiled_core_compiles_without_warnings():
 def sanitized_cases():
     """(kernel name, arguments) for each compiled kernel on the inputs where
     the shifts and indices of _ckern.c reach their limits: corpus() with
-    every color count near chi, SYMMETRIC, graphs of 63 and 64 vertices, and
+    every color count near chi, SYMMETRIC, graphs of 63 and 64 vertices,
+    profile under every rule with and without the minimum class size, and
     argument_cases()."""
     cases = []
     graphs = [(n, rows, n <= 10) for n, rows in corpus()]
     graphs += [(g.n, g.rows, g.n <= 10) for _name, g, _order in SYMMETRIC]
-    for g in (path_graph(63), Graph.build(64, []), disjoint(complete_graph(1), cycle_graph(63)),
-              cycle_graph(64)):
+    big = [path_graph(63), Graph.build(64, []), disjoint(complete_graph(1), cycle_graph(63)),
+           cycle_graph(64)]
+    for g in big:
         graphs.append((g.n, g.rows, False))
+    # g_n(63) reaches the scans' 62-vertex limit under every rule, and g9
+    # with 54 isolated vertices is a top component far below it
+    for g in big + [families.g_n(63), Graph.build(63, families.g9().edges())]:
+        cases += [("profile", (g.n, g.rows, rule, mcc))
+                  for rule in (None, "family-members", "stability-gap") for mcc in (False, True)]
     for n, rows, small in graphs:
         chi = pure.chromatic_number(n, rows)
         cases += [("chromatic_number", (n, rows)), ("top_components", (n, rows)),
@@ -303,6 +317,10 @@ def sanitized_cases():
         # the scans run where pure stays cheap, up to 10 vertices, and past
         # 62, where both stop at the 62-vertex check; past 10 vertices
         # canon_raw takes only connected graphs
+        if small:
+            cases += [("profile", (n, rows, rule, mcc))
+                      for rule in (None, "family-members", "stability-gap")
+                      for mcc in (False, True)]
         if small or n > 62:
             cases += [("stability_values", (n, rows, chi)),
                       ("stability_witnesses", (n, rows, chi, False)),
@@ -465,9 +483,9 @@ def test_backends_export_the_same_kernels(built_ckern):
     """The build of _ckern.c defines pure's public kernels but the three
     that only pure defines, each with pure's parameters."""
     kernels_of_pure = public_kernels(pure)
-    assert len(kernels_of_pure) == 11 and PURE_ONLY <= set(kernels_of_pure)
+    assert len(kernels_of_pure) == 12 and PURE_ONLY <= set(kernels_of_pure)
     compiled = public_kernels(built_ckern)
-    assert len(compiled) == 8
+    assert len(compiled) == 9
     assert compiled == {name: params for name, params in kernels_of_pure.items()
                         if name not in PURE_ONLY}
 
@@ -485,6 +503,11 @@ def test_compiled_kernels_do_not_leak(built_ckern):
         "canon_raw": lambda: ck.canon_raw(c40.n, c40.rows),
         "stability_witnesses": lambda: ck.stability_witnesses(g9.n, g9.rows, 3, False),
         "top_components": lambda: ck.top_components(k3k3.n, k3k3.rows),
+        "profile": lambda: ck.profile(g9.n, g9.rows, "stability-gap", True),
+        "profile of a disconnected graph": lambda: ck.profile(k3k3.n, k3k3.rows, None, True),
+        "profile with an unknown rule": lambda: kernel_outcome(
+            lambda: ck.profile(g9.n, g9.rows, "no-such-rule", True)
+        ),
         "children": lambda: ck.children(g9.n, g9.rows, None, g9_gens),
         "children of a disconnected parent": lambda: ck.children(
             k3k3.n, k3k3.rows, None, k3k3_gens
