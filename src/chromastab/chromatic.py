@@ -77,7 +77,7 @@ from operator import or_
 
 from chromastab import iso, kernels
 from chromastab.kernels import pure
-from chromastab.graph import Graph, bits, induced, is_independent, mask_of
+from chromastab.graph import Graph, bits, induced, is_independent
 
 
 class ChromaticError(ValueError):
@@ -186,16 +186,21 @@ def _top_components(n, rows):
 
 def _lift(mask, verts):
     """A component's vertex mask in the labels of G."""
-    return mask_of(verts[i] for i in bits(mask))
+    lifted = 0
+    for i in bits(mask):
+        lifted |= 1 << verts[i]
+    return lifted
 
 
 def _product(top, results) -> StabilityResult:
     """Sum of the top components' values; witnesses are the ascending
-    products of their witness sets.  results[i] is (value, masks) of top[i]."""
+    products of their witness sets.  results[i] is (value, masks) of top[i].
+    A component on G's vertices 0..k-1 (the one component of a connected
+    graph among them) keeps G's labels, so its masks need no lift."""
     value, product = 0, [0]
     for (_n, _rows, verts), (v, masks) in zip(top, results):
         value += v
-        lifted = [_lift(m, verts) for m in masks]
+        lifted = masks if verts[-1] == len(verts) - 1 else [_lift(m, verts) for m in masks]
         product = [a | b for a in product for b in lifted]
     return StabilityResult(value, tuple(sorted(product)))
 
@@ -329,9 +334,9 @@ def analyze(g: Graph) -> StabilityReport:
         chromatic_number=chi,
         vertex_stability=vs,
         independent_vertex_stability=ivs,
-        vertex_stability_witnesses=tuple(tuple(bits(w)) for w in vs_wit),
-        independent_stability_witnesses=tuple(tuple(bits(w)) for w in ivs_wit),
-        bipartizing_pair_vertices=tuple(bits(_bipartizing_mask(g, chi, vs, vs_wit))),
+        vertex_stability_witnesses=tuple(bits(w) for w in vs_wit),
+        independent_stability_witnesses=tuple(bits(w) for w in ivs_wit),
+        bipartizing_pair_vertices=bits(_bipartizing_mask(g, chi, vs, vs_wit)),
         planar=iso.is_planar(g),
         connected=conn.connected,
         two_connected=conn.two_connected,

@@ -20,13 +20,14 @@ representatives unchanged:
   degrees among the vertices of that degree.  The canonically last vertex
   always does: canon_data puts a largest component last, and canon_raw's
   refinement orders vertices by degree, then by neighbor degrees, before
-  any split.
-- orbit reduction: neighbor subsets are visited in ascending order, and a
-  subset that an earlier one reaches under the parent's automorphism
-  generators is skipped.  The automorphism extends to an isomorphism of the
-  two children, so the skipped child repeats the first one's key.  The
-  generators generate the parent's automorphism group, so each orbit of
-  subsets is labeled at most once.
+  any split.  The subsets are walked by size d, each drawn only from the
+  vertices of degree below d, since any other fails the pre-test.
+- orbit reduction: neighbor subsets of each size are visited in ascending
+  order, and a subset that an earlier one reaches under the parent's
+  automorphism generators is skipped.  The automorphism extends to an
+  isomorphism of the two children, so the skipped child repeats the first
+  one's key.  The generators generate the parent's automorphism group, so
+  each orbit of subsets is labeled at most once.
 
 A child that passes the pre-test keeps the parent components that the new
 vertex misses, so only the new vertex's piece is labeled, by one

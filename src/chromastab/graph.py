@@ -18,12 +18,40 @@ class GraphError(ValueError):
     """Invalid graph construction or surgery request."""
 
 
-def bits(mask: int):
-    """Yield the set bit positions of a vertex mask in ascending order."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+def _byte_tables():
+    """Eight 256-entry tables: table k maps a byte b to the positions
+    8k + i of b's set bits i, ascending.  Each is built by doubling, which
+    appends position i to every entry so far."""
+    tables = []
+    for k in range(0, MAX_VERTICES, 8):
+        table = [()]
+        for i in range(k, k + 8):
+            table += [t + (i,) for t in table]
+        tables.append(table)
+    return tables
+
+
+_BYTE_BITS = _byte_tables()
+_LOW_BYTE = _BYTE_BITS[0]
+
+
+def bits(mask: int) -> tuple:
+    """The set bit positions of a vertex mask, ascending, as a tuple: one
+    table lookup per nonzero byte.  A negative mask, or one wider than
+    MAX_VERTICES bits, is a ValueError."""
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"negative vertex mask {mask}")
+        return _LOW_BYTE[mask]
+    if mask >> MAX_VERTICES:
+        raise ValueError(f"vertex mask wider than {MAX_VERTICES} bits")
+    out = ()
+    for table in _BYTE_BITS:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def mask_of(vertices) -> int:
@@ -35,8 +63,15 @@ def mask_of(vertices) -> int:
 
 
 def is_independent(rows, mask) -> bool:
-    """True if no two vertices of mask are adjacent."""
-    return all(rows[v] & mask == 0 for v in bits(mask))
+    """True if no two vertices of mask are adjacent: no vertex of mask,
+    taken lowest bit first, has a neighbor in mask."""
+    left = mask
+    while left:
+        low = left & -left
+        if rows[low.bit_length() - 1] & mask:
+            return False
+        left ^= low
+    return True
 
 
 def reach(rows, start, banned=0) -> int:

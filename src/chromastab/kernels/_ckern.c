@@ -1436,15 +1436,19 @@ static PyObject *py_canon_raw(PyObject *self, PyObject *const *args, Py_ssize_t 
 }
 
 /* The candidate loop of the pure children, on a loaded parent: the sorted
-   list of (key, rows). */
+   list of (key, rows).  Neighbor subsets go by size d, from 0 (from the max
+   degree on a connected parent) up to the cap, each d-subset drawn from
+   the vertices of degree below d in ascending mask order: Gosper's hack
+   over pool positions, so only d-subsets are stepped.  As in the pure
+   children, every subset this skips fails may_be_last. */
 static PyObject *expand(Expansion *ex, int cap)
 {
     int n = ex->n;
-    u64 eligible = 0;
+    int top = 0;
     for (int v = 0; v < n; v++) {
         ex->degree[v] = POPCNT64(ex->rows[v]);
-        if (ex->degree[v] < cap)
-            eligible |= BIT(v);
+        if (ex->degree[v] > top)
+            top = ex->degree[v];
     }
     ex->ncomps = components(n, ex->rows, ex->comps);
     for (int i = 0; i < ex->ncomps; i++) {
@@ -1455,18 +1459,21 @@ static PyObject *expand(Expansion *ex, int cap)
     PyObject *accepted = PyDict_New();
     if (accepted == NULL)
         return NULL;
-    u64 x = 0;
-    for (;;) {
-        if (POPCNT64(x) > cap) {
-            /* every subset of `eligible` from x up to the one that clears
-               x's lowest run of eligible bits holds x, so jump there; a jump
-               past the top of `eligible` wraps to 0 and ends the walk */
-            x = ((x | ~eligible) + (x & (~x + 1))) & eligible;
-            if (!x)
-                break;
-            continue;
-        }
-        if (!maskset_has(&ex->seen, x) && may_be_last(ex, x)) {
+    int last = cap < n ? cap : n;
+    for (int d = ex->ncomps == 1 ? top : 0; d <= last; d++) {
+        int pool[MAXN], npool = 0;
+        for (int v = 0; v < n; v++)
+            if (ex->degree[v] < d)
+                pool[npool++] = v;
+        /* d, npool <= 63, so no shift or Gosper step overflows, and a d
+           above npool steps nothing */
+        u64 end = BIT(npool);
+        for (u64 pos = BIT(d) - 1; pos < end; pos = d ? gosper_next(pos) : end) {
+            u64 x = 0;
+            for (u64 m = pos; m; m &= m - 1)
+                x |= BIT(pool[__builtin_ctzll(m)]);
+            if (maskset_has(&ex->seen, x) || !may_be_last(ex, x))
+                continue;
             u64 child[MAXN];
             char key[G6_MAX];
             if (add_orbit(ex, x) < 0)
@@ -1487,9 +1494,6 @@ static PyObject *expand(Expansion *ex, int cap)
                     goto fail;
             }
         }
-        if (x == eligible)
-            break;
-        x = (x - eligible) & eligible; /* next subset of `eligible`, ascending */
     }
     PyObject *items = PyDict_Items(accepted);
     Py_DECREF(accepted);

@@ -75,8 +75,11 @@ def _count(k, n):
 
 
 def _subsets_of_size(n, s):
-    """All n-bit masks with exactly s >= 1 bits set, ascending (Gosper's
+    """All n-bit masks with exactly s >= 0 bits set, ascending (Gosper's
     hack); none when s > n."""
+    if not s:
+        yield 0
+        return
     m = (1 << s) - 1
     top = 1 << n
     while m < top:
@@ -107,25 +110,47 @@ def _walk(rows, order, k):
     color class is one vertex mask, so a color is free for v when rows[v]
     misses its class.  A vertex never opens more than one new color, so at
     most min(k, len(order)) classes are ever open.
+
+    The depth-first search is a loop over one per-depth array, the color
+    chosen for order[idx]; it tries the colors of each vertex in ascending
+    order, as a recursion would, so it visits the same nodes in the same
+    order.  On the way back a vertex whose removal empties its class had
+    opened that color, so the open-color count drops back to it.
     """
     size = len(order)
     classes = [0] * min(k, size)
-
-    def walk(idx, used):
-        if idx == size:
-            return True
-        v = order[idx]
-        row = rows[v]
-        for c in range(used + 1 if used < k else k):
-            if row & classes[c]:
-                continue
+    if not size:
+        return classes
+    chosen = [0] * size
+    idx = used = c = 0
+    v = order[0]
+    row = rows[v]
+    while True:
+        top = used + 1 if used < k else k
+        while c < top and row & classes[c]:
+            c += 1
+        if c < top:
             classes[c] |= 1 << v
-            if walk(idx + 1, used + 1 if c == used else used):
-                return True
+            chosen[idx] = c
+            if c == used:
+                used += 1
+            idx += 1
+            if idx == size:
+                return classes
+            v = order[idx]
+            row = rows[v]
+            c = 0
+        else:
+            if not idx:
+                return None
+            idx -= 1
+            v = order[idx]
+            row = rows[v]
+            c = chosen[idx]
             classes[c] ^= 1 << v
-        return False
-
-    return classes if walk(0, 0) else None
+            if not classes[c]:
+                used = c
+            c += 1
 
 
 def _colorable_excluding(rows, order, excluded, k):
@@ -694,7 +719,7 @@ def canon_raw(n, rows):
 
 def _label(n, rows):
     """canon_raw's search, on checked arguments."""
-    nbrs = [list(bits(r)) for r in rows]
+    nbrs = [bits(r) for r in rows]
     uf = UnionFind(n)
     gens = []
     path = []  # the vertices individualized on the way to the current node
@@ -828,11 +853,17 @@ def children(n, rows, max_degree, gens):
     `iso.canon_data` gives it, and rows the first child found with that key.
 
     gens generate the parent's automorphism group.  max_degree (None for no
-    bound) caps every degree of the child.  Neighbor subsets of the vertices
-    below the cap are visited in ascending order, and a subset with more
-    vertices than the cap jumps past every later one that holds it.  A
-    subset that an earlier one reaches under gens is skipped, and a child
-    is canonically labeled only when its new vertex passes `_may_be_last`.
+    bound) caps every degree of the child.  Neighbor subsets are visited by
+    size d, from 0 (from the parent's max degree when the parent is
+    connected) up to the cap, and each d-subset is drawn from the vertices
+    of degree below d, in ascending mask order.  That skips only subsets
+    that `_may_be_last` rejects: a vertex of degree d or more joined to the
+    new vertex would exceed its degree d, and on a connected parent a
+    smaller d leaves a vertex of degree above d in the new vertex's piece
+    (or, for d = 0, a larger piece beside it).  Automorphisms keep a
+    subset's size, so each orbit's least mask still comes first.  A subset
+    that an earlier one reaches under gens is skipped, and a child is
+    canonically labeled only when its new vertex passes `_may_be_last`.
 
     A child is accepted when its new vertex n lies in the orbit of its
     canonically last vertex (McKay 1998, "Isomorph-free exhaustive
@@ -848,9 +879,8 @@ def children(n, rows, max_degree, gens):
     order, shifted to their offsets.
     """
     n, rows, cap, gens = _children_args(n, rows, max_degree, gens)
-    nbrs = [list(bits(r)) for r in rows]
+    nbrs = [bits(r) for r in rows]
     degree = [len(vs) for vs in nbrs]
-    eligible = mask_of(u for u in range(n) if degree[u] < cap)
     comps = component_masks(n, rows)
     comp_of = [0] * n
     for comp in comps:
@@ -860,33 +890,23 @@ def children(n, rows, max_degree, gens):
     newbit = 1 << n
     seen = set()
     accepted = {}
-    x = 0
-    while True:
-        if x.bit_count() > cap:
-            # every subset of `eligible` from x up to the one that clears
-            # x's lowest run of eligible bits holds x, so jump there; a jump
-            # past the top of `eligible` wraps to 0 and ends the walk
-            x = ((x | ~eligible) + (x & -x)) & eligible
-            if not x:
-                break
-            continue
-        if x not in seen:
-            # a list: tuples grown from the bits generator, one per
-            # candidate, left about 0.5 MB more peak RSS behind
-            xs = list(bits(x))
-            if _may_be_last(x, xs, nbrs, degree, comps, comp_of):
-                seen.update(_subset_orbit(x, xs, gens))
-                child = list(rows)
-                for u in xs:
-                    child[u] |= newbit
-                child.append(x)
-                child = tuple(child)
-                key = _key_if_last(n, rows, child, xs, comps, comp_of, labeled)
-                if key is not None:
-                    accepted.setdefault(key, child)
-        if x == eligible:
-            break
-        x = (x - eligible) & eligible  # next subset of `eligible`, ascending
+    first = max(degree, default=0) if len(comps) == 1 else 0
+    for d in range(first, min(cap, n) + 1):
+        pool = [u for u in range(n) if degree[u] < d]
+        for pos in _subsets_of_size(len(pool), d):
+            xs = [pool[i] for i in bits(pos)]
+            x = mask_of(xs)
+            if x in seen or not _may_be_last(x, xs, nbrs, degree, comps, comp_of):
+                continue
+            seen.update(_subset_orbit(x, xs, gens))
+            child = list(rows)
+            for u in xs:
+                child[u] |= newbit
+            child.append(x)
+            child = tuple(child)
+            key = _key_if_last(n, rows, child, xs, comps, comp_of, labeled)
+            if key is not None:
+                accepted.setdefault(key, child)
     return sorted(accepted.items())
 
 

@@ -1,11 +1,12 @@
 import concurrent.futures
+import hashlib
 import itertools
 import random
 from functools import lru_cache
 
 import pytest
 
-from chromastab import generate, graph6, iso, oracles
+from chromastab import generate, graph6, iso, kernels, oracles
 from chromastab.generate import Catalog, GenSpec, GenerateError
 from chromastab.graph import Graph, bits, component_masks
 from chromastab.kernels import pure
@@ -63,6 +64,69 @@ def test_pretest_never_rejects_an_accepted_child(max_degree, top):
                 assert pure._may_be_last(
                     x, list(bits(x)), [list(bits(r)) for r in rows], degree, comps, comp_of
                 ), (rows, x)
+
+
+def in_degree_pools(rows, x):
+    """Whether pure `children` visits neighbor mask x of the parent rows: a
+    d-subset of the vertices of degree below d, with d at least the
+    parent's max degree when the parent is connected."""
+    n = len(rows)
+    degree = [r.bit_count() for r in rows]
+    d = x.bit_count()
+    first = max(degree, default=0) if len(component_masks(n, rows)) == 1 else 0
+    return d >= first and all(degree[u] < d for u in bits(x))
+
+
+@pytest.mark.parametrize("max_degree,top", UNREDUCED_SWEEPS)
+def test_degree_pools_skip_only_subsets_the_pretest_rejects(monkeypatch, max_degree, top):
+    """Every neighbor subset of the vertices below the cap that lies outside
+    the degree pools fails _may_be_last, and every subset that pure
+    `children` pre-tests lies inside them."""
+    pretested = []
+    may_be_last = pure._may_be_last
+
+    def recording(x, *args):
+        pretested.append(x)
+        return may_be_last(x, *args)
+
+    for rows, candidates in _unreduced_expansion(max_degree, top):
+        n = len(rows)
+        nbrs = [bits(r) for r in rows]
+        degree = [r.bit_count() for r in rows]
+        comps = component_masks(n, rows)
+        comp_of = [next(c for c in comps if c >> v & 1) for v in range(n)]
+        for x, _child, _perm in candidates:
+            if not in_degree_pools(rows, x):
+                assert not may_be_last(x, list(bits(x)), nbrs, degree, comps, comp_of), (rows, x)
+        with monkeypatch.context() as mp:
+            mp.setattr(pure, "_may_be_last", recording)
+            pretested.clear()
+            pure.children(n, rows, max_degree, iso.canon_data(n, rows).generators)
+        assert all(in_degree_pools(rows, x) for x in pretested), rows
+
+
+# sha256 over every (order, key, rows) of all_levels(7) and all_levels(8, 4),
+# taken before `children` walked its subsets by degree pools
+LEVELS_DIGEST = "e42ac79c5e2592ce5ad9dae900d92f06e0755890c71ba01c75299ea90e1e8165"
+
+
+def levels_digest():
+    h = hashlib.sha256()
+    for args in ((7,), (8, 4)):
+        levels = generate.all_levels(*args)
+        for n in sorted(levels):
+            for key, rows in levels[n]:
+                h.update(repr((n, key, tuple(rows))).encode())
+    return h.hexdigest()
+
+
+def test_levels_keep_their_keys_and_representative_rows(monkeypatch, backend):
+    """Levels built from scratch on each backend hash to the pinned digest:
+    the same classes, each with the same representative rows."""
+    monkeypatch.setattr(generate, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(pure, "_held", pure._held)
+    monkeypatch.setattr(kernels, "_active", backend)
+    assert levels_digest() == LEVELS_DIGEST
 
 
 @pytest.mark.parametrize("max_degree,top", UNREDUCED_SWEEPS)

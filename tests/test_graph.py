@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from chromastab.graph import (
     cycle_graph,
     has_two_disjoint_paths,
     induced,
+    is_independent,
     mask_of,
     path_graph,
 )
@@ -240,6 +243,34 @@ def test_whole_mask_induced_matches_the_general_relabel():
             general = induced(rows + (0,), whole)
             assert induced(rows, whole) == general == (list(range(n)), rows)
             assert induced(list(rows), whole) == general
+
+
+def test_bits_matches_a_reference_loop_at_every_width():
+    """bits is a tuple of the set positions, ascending, for masks of every
+    width 0..64, the full 64-bit mask included; a negative mask and one
+    wider than 64 bits are errors."""
+    rng = random.Random(30)
+    for width in range(65):
+        top = 1 << width >> 1  # the mask's highest bit, none at width 0
+        masks = [(1 << width) - 1, top] + [top | rng.getrandbits(width) for _ in range(50)]
+        for mask in masks:
+            got = bits(mask)
+            assert type(got) is tuple
+            assert got == tuple(i for i in range(64) if mask >> i & 1), mask
+    assert bits((1 << 64) - 1) == tuple(range(64))
+    for mask in (-1, -256, -(1 << 70), 1 << 64, (1 << 65) - 1, 1 << 200):
+        with pytest.raises(ValueError):
+            bits(mask)
+
+
+def test_is_independent_matches_the_pairwise_definition():
+    rng = random.Random(31)
+    for n in range(13):
+        g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.3])
+        for mask in range(1 << n) if n <= 8 else (rng.getrandbits(n) for _ in range(300)):
+            pairwise = not any(g.has_edge(u, v) for u in bits(mask) for v in bits(mask))
+            assert is_independent(g.rows, mask) == pairwise, (g.rows, mask)
 
 
 def test_mask_helpers():

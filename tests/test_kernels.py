@@ -1009,6 +1009,48 @@ def test_top_components_match_the_split_and_chromatic_number(backend, levels_thr
     assert disconnected >= 400
 
 
+def recursive_walk(rows, order, k):
+    """The reference for pure._walk: the same depth-first search as a
+    recursion, trying each vertex's colors in ascending order."""
+    size = len(order)
+    classes = [0] * min(k, size)
+
+    def walk(idx, used):
+        if idx == size:
+            return True
+        v = order[idx]
+        for c in range(used + 1 if used < k else k):
+            if rows[v] & classes[c]:
+                continue
+            classes[c] |= 1 << v
+            if walk(idx + 1, used + 1 if c == used else used):
+                return True
+            classes[c] ^= 1 << v
+        return False
+
+    return classes if walk(0, 0) else None
+
+
+def test_walk_matches_the_recursive_reference():
+    """pure._walk finds the reference's first coloring, or none, on random
+    graphs of at most 12 vertices for every k in -1..n+2, in degree order,
+    in a shuffled order and over part of the vertices; color_graph gives
+    that coloring."""
+    rng = random.Random(30)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        rows = random_rows(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        order = pure._degree_order(n, rows)
+        for k in range(-1, n + 3):
+            for walked in (order, rng.sample(order, n), order[: n // 2]):
+                assert pure._walk(rows, walked, k) == recursive_walk(rows, walked, k), (rows, k)
+            classes = recursive_walk(rows, order, k)
+            colors = None if classes is None else tuple(
+                next(c for c, members in enumerate(classes) if members >> v & 1) for v in range(n)
+            )
+            assert pure.color_graph(n, rows, k) == colors, (rows, k)
+
+
 def test_colorability_walks_stop_below_the_vertex_count(monkeypatch):
     """chromatic_number and top_components never test s colors on s
     vertices, since every graph on s vertices is s-colorable: K_n takes no
@@ -1234,8 +1276,8 @@ def test_children_jump_over_subsets_above_the_cap(built_ckern):
     """Parents with 30 vertices below a cap of at most 2, and P30 below a
     cap of 3: a walk through every subset of them takes 2^30 steps for 466
     (4,526) admissible ones, and the pure one ends in seconds only because it
-    jumps over the subsets with too many vertices.  Both backends agree
-    with the unreduced expansion."""
+    steps through the subsets of each size up to the cap alone.  Both
+    backends agree with the unreduced expansion."""
     k1, k2 = complete_graph(1), path_graph(2)
     started = time.monotonic()
     for g, max_degree in (
