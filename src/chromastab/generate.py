@@ -30,16 +30,20 @@ representatives unchanged:
   each orbit of subsets is labeled at most once.
 
 A child that passes the pre-test keeps the parent components that the new
-vertex misses, so only the new vertex's piece is labeled, by one
-`canon_raw` call; a connected child is the one-piece case, labeled whole.
-Each untouched component is labeled once per parent and its canonical rows
-are reused.  The graph6 key is built only for an accepted child, from the
-pieces' canonical rows, as `iso.canon_data` builds it.
+vertex misses, so only the new vertex's piece is labeled, by one labeling
+call; a connected child is the one-piece case, labeled whole.  That call
+first refines the piece's unit partition and rejects the child, before any
+search, when the new vertex lies outside the last cell: that cell holds the
+orbit of the canonically last vertex.  Each untouched component is labeled
+once per parent and its canonical rows are reused.  The graph6 key is built
+only for an accepted child, from the pieces' canonical rows, as
+`iso.canon_data` builds it.
 
 On the pure backend each piece is labeled once per pair of levels.
 `_children_of` opens `pure._reusing_labelings` around its two labeling
-calls; there `pure.canon_raw` returns the labeling kept in the pure
-labeling table for the same rows instead of searching again.  `all_levels`
+calls; there the pure labeling entry (`pure._canon`, under `canon_raw` and
+`children`) returns the labeling kept in the pure labeling table for the
+same rows instead of searching again.  `all_levels`
 fills a fresh table while it builds a level (`pure._filling_labelings`),
 and the table replaces the old one when the level is complete, so it holds
 the labelings made while the last held level was built: the parents'

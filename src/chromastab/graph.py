@@ -18,21 +18,20 @@ class GraphError(ValueError):
     """Invalid graph construction or surgery request."""
 
 
-def _byte_tables():
-    """Eight 256-entry tables: table k maps a byte b to the positions
-    8k + i of b's set bits i, ascending.  Each is built by doubling, which
+def _byte_table(k):
+    """The 256-entry table of byte k: it maps a byte b to the positions
+    8k + i of b's set bits i, ascending.  It is built by doubling, which
     appends position i to every entry so far."""
-    tables = []
-    for k in range(0, MAX_VERTICES, 8):
-        table = [()]
-        for i in range(k, k + 8):
-            table += [t + (i,) for t in table]
-        tables.append(table)
-    return tables
+    table = [()]
+    for i in range(8 * k, 8 * k + 8):
+        table += [t + (i,) for t in table]
+    return table
 
 
-_BYTE_BITS = _byte_tables()
-_LOW_BYTE = _BYTE_BITS[0]
+_LOW_BYTE = _byte_table(0)
+# The tables of bytes 0..7.  Import builds only byte 0's; bytes 1..7 serve
+# masks of 256 and above, and join on the first such mask, all at once.
+_BYTE_BITS = [_LOW_BYTE]
 
 
 def bits(mask: int) -> tuple:
@@ -46,11 +45,18 @@ def bits(mask: int) -> tuple:
     if mask >> MAX_VERTICES:
         raise ValueError(f"vertex mask wider than {MAX_VERTICES} bits")
     out = ()
+    rest = mask
     for table in _BYTE_BITS:
-        if not mask:
+        if not rest:
             break
-        out += table[mask & 255]
-        mask >>= 8
+        out += table[rest & 255]
+        rest >>= 8
+    else:
+        # Every table was used and bits are left: only byte 0's is built.
+        # With all eight, a mask below 2^64 leaves none.
+        if rest:
+            _BYTE_BITS.extend([_byte_table(k) for k in range(1, MAX_VERTICES // 8)])
+            return bits(mask)
     return out
 
 

@@ -583,10 +583,16 @@ static int search(Canon *cs, const int *colors)
     return depth - 1;
 }
 
-/* Fills first, best, gens and uf for the graph adj on n vertices. */
-static void canon_run(Canon *cs, int n, const u64 *adj)
+/* Starts a labeling of the graph adj on n vertices: the root of its search
+   tree, the refinement of the unit partition, into colors, with the search
+   state reset.  Returns the root's last color.  Every refinement ranks a
+   vertex first by its old color, so each leaf puts the root's last cell at
+   the last canonical positions, and the cell holds the orbit of the
+   canonically last vertex, since an automorphism keeps every cell; the pure
+   _label states the same. */
+static int canon_root(Canon *cs, int n, const u64 *adj, int *colors)
 {
-    int colors[MAXN];
+    int top = -1;
     cs->n = n;
     memcpy(cs->adj, adj, n * sizeof(u64));
     for (int v = 0; v < n; v++) {
@@ -597,6 +603,18 @@ static void canon_run(Canon *cs, int n, const u64 *adj)
     cs->has_first = 0;
     cs->ngens = 0;
     refine(cs, colors);
+    for (int v = 0; v < n; v++)
+        if (colors[v] > top)
+            top = colors[v];
+    return top;
+}
+
+/* Fills first, best, gens and uf for the graph adj on n vertices: the root
+   (canon_root), then the search from it. */
+static void canon_run(Canon *cs, int n, const u64 *adj)
+{
+    int colors[MAXN];
+    canon_root(cs, n, adj, colors);
     search(cs, colors);
 }
 
@@ -836,8 +854,11 @@ static int graph6_bytes(int n, const u64 *adj, char *out)
 /* The canonical graph6 key of child, the parent plus vertex n joined to x,
    into key if vertex n is in the orbit of the canonically last vertex; its
    length then, else 0.  The new vertex's piece, the whole child when the
-   child is connected, is labeled and composed with the untouched parent
-   components, each labeled once per parent.  See the pure _key_if_last. */
+   child is connected, is refined at its root first, and a new vertex
+   outside the root's last cell is rejected before any search (see
+   canon_root); the piece is then searched and composed with the untouched
+   parent components, each labeled once per parent.  See the pure
+   _key_if_last. */
 static int key_if_last(Expansion *ex, u64 x, const u64 *child, char *key)
 {
     int n = ex->n;
@@ -847,8 +868,12 @@ static int key_if_last(Expansion *ex, u64 x, const u64 *child, char *key)
         merged |= ex->comp_of[__builtin_ctzll(m)];
     /* vertex n is the last of its piece's vertices, in ascending order */
     u64 sub[MAXN], mine[MAXN];
+    int colors[MAXN];
     int k = induced_rows(child, merged | BIT(n), sub);
-    canon_run(cs, k, sub);
+    int top = canon_root(cs, k, sub, colors);
+    if (colors[k - 1] != top)
+        return 0;
+    search(cs, colors);
     if (uf_find(cs, k - 1) != uf_find(cs, cs->best.inv[k - 1]))
         return 0;
     memcpy(mine, cs->best.rows, k * sizeof(u64));

@@ -19,10 +19,11 @@ rows (`_top_components`, `_stability_values`, `_min_class_size`).
 stage by stage, and holds the stage rules of the named predicates.
 
 Level expansion labels each piece once per pair of levels: while a held
-level is built, canon_raw records the labeling of every set of rows it is
-given in a table, and the expansion of that level reads it back for the
-parents' components and for the new vertices' pieces that repeat them (see
-`canon_raw` and `_reusing_labelings`).
+level is built, `_canon`, the labeling entry that canon_raw and `children`
+share, records every labeling it completes in a table, and the expansion
+of that level reads it back for the parents' components and for the new
+vertices' pieces that repeat them (see `_canon` and `_reusing_labelings`).
+`children` hands `_canon` the rows it builds itself, unchecked.
 
 Colorability is decided in one place, `_colorable_excluding`: a bitset BFS
 for two colors, and `_walk` for every other count.  chi is the maximum over
@@ -574,8 +575,28 @@ def _rejects(rule, values):
 # ---------------------------------------------------------------------------
 
 
-def _refine(nbrs, colors):
-    """Equitable refinement of a coloring, as dense colors 0..k-1.
+def _root(nbrs):
+    """The root of the search tree: the refinement of the unit partition, as
+    (colors, cells) the way `_refine` returns them.  Its first round ranks
+    (color, sorted neighbor colors) with every color 0, which is the dense
+    ranking by degree, so it is taken from the degrees alone: one bucket per
+    degree below n, the empty ones dropped."""
+    n = len(nbrs)
+    buckets = [[] for _ in range(n)]
+    for v, vs in enumerate(nbrs):
+        buckets[len(vs)].append(v)
+    cells = [cell for cell in buckets if cell]
+    colors = [0] * n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = c
+    if len(cells) <= 1 or len(cells) == n:
+        return colors, cells
+    return _refine(nbrs, colors, cells)
+
+
+def _refine(nbrs, colors, cells):
+    """Equitable refinement of a coloring, as (dense colors 0..k-1, cells).
 
     Each round ranks the vertices one cell at a time, in ascending order of
     the old color: a singleton cell takes the next rank, and a larger cell
@@ -585,12 +606,13 @@ def _refine(nbrs, colors):
     decides first; the colors need not be dense on entry (a child coloring
     uses 2c and 2c + 1).  Rounds repeat until the number of cells stops
     rising.  nbrs[v] lists v's neighbors.
+
+    cells lists the coloring's cells in ascending order of color, each as
+    its vertices in ascending order, and the cells returned are listed the
+    same way, so `_label` splits a node's cells into its children's without
+    grouping the vertices by color again.
     """
     n = len(nbrs)
-    by_color = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    cells = [by_color[c] for c in sorted(by_color)]
     while True:
         color_of = colors.__getitem__
         new = [0] * n
@@ -616,15 +638,15 @@ def _refine(nbrs, colors):
             refined.append(part)
             rank += 1
         if rank == len(cells) or rank == n:
-            return new
+            return new, refined
         colors = new
         cells = refined
 
 
-# The labeling table.  `_held` maps the rows of every graph that canon_raw
-# labeled while the last held level was built to canon_raw's result, and
-# `_making` collects them while a level is built (see `_filling_labelings`).
-# canon_raw reads and fills them only inside `_reusing_labelings`, which
+# The labeling table.  `_held` maps the rows of every graph that `_canon`
+# labeled while the last held level was built to its result, and `_making`
+# collects them while a level is built (see `_filling_labelings`).  `_canon`
+# reads and fills them only inside `_reusing_labelings`, which
 # generate._children_of opens around its two labeling calls.  Levels are
 # built in one process at every job count, and a pool starts only to stream
 # the top order, which fills nothing, so no worker inherits a table being
@@ -637,9 +659,9 @@ _reusing = False
 
 @contextmanager
 def _reusing_labelings():
-    """Within: canon_raw returns the labeling that `_held` keeps for its
-    rows instead of searching again, and records every labeling it returns
-    in the table being filled, if a level is being built."""
+    """Within: `_canon` returns the labeling that `_held` keeps for its rows
+    instead of searching again, and records every labeling it returns in
+    the table being filled, if a level is being built."""
     global _reusing
     _reusing = True
     try:
@@ -650,7 +672,7 @@ def _reusing_labelings():
 
 @contextmanager
 def _filling_labelings():
-    """Within: the labelings canon_raw returns under `_reusing_labelings` go
+    """Within: the labelings `_canon` returns under `_reusing_labelings` go
     to a fresh table, which replaces `_held` when the block completes; a
     block that raises leaves `_held` as it was."""
     global _held, _making
@@ -672,20 +694,23 @@ def canon_raw(n, rows):
     union of many pieces, so iso.canon_data and `children` label each
     component on its own and compose the results.
 
-    Inside `_reusing_labelings` (generate._children_of only), rows that the
-    table `_held` keeps are not searched again: their stored result is
-    returned.  The result is a function of the checked rows alone, so the
-    table changes no output.  Outside that scope every call searches.
+    The rows are checked by `_load`, and `_canon` labels them: inside
+    `_reusing_labelings` (generate._children_of only), rows that the table
+    `_held` keeps are not searched again.  The result is a function of the
+    checked rows alone, so the table changes no output.  Outside that scope
+    every call searches.
 
-    Each node individualizes, in ascending order, the vertices of its first
-    largest cell.  A child is skipped when an explored sibling lies in its
-    orbit under the automorphisms found so far that fix the node's
-    individualized vertices.  A leaf whose relabeled rows equal those of the
-    first leaf, or of the least leaf so far, gives an automorphism that maps
-    the rest of its branch onto a branch already explored, so the search
-    resumes where the two paths part.  Every skipped leaf has an explored
-    leaf with equal rows before it, so the first leaf that reaches the
-    minimum is always visited.
+    The root of the search tree is the refinement of the unit partition,
+    whose first round is the ranking by degree (`_root`).  Each node
+    individualizes, in ascending order, the vertices of its first largest
+    cell.  A child is skipped when an explored sibling lies in its orbit
+    under the automorphisms found so far that fix the node's individualized
+    vertices.  A leaf whose relabeled rows equal those of the first leaf, or
+    of the least leaf so far, gives an automorphism that maps the rest of
+    its branch onto a branch already explored, so the search resumes where
+    the two paths part.  Every skipped leaf has an explored leaf with equal
+    rows before it, so the first leaf that reaches the minimum is always
+    visited.
 
     The neighbor lists are built once per call; every refinement and every
     leaf reads them.  _refine ranks one cell at a time, which gives the same
@@ -706,20 +731,49 @@ def canon_raw(n, rows):
       rows      -- the canonical rows, held by that least leaf: the graph
                    relabeled by perm (the empty graph's one leaf is the root)
     """
-    n, rows = _load(n, rows)
+    return _canon(*_load(n, rows))
+
+
+def _canon(n, rows, last=None):
+    """canon_raw on checked rows (a tuple): the entry that `children` calls
+    on the rows it builds itself, and the one that reads and fills the
+    labeling table inside `_reusing_labelings`.
+
+    Given a vertex `last`, it returns None, before any search, when `last`
+    lies outside the last cell of the root refinement: that cell holds the
+    orbit of the canonically last vertex (see `_label`), so `last` is not in
+    it.  Such a call records nothing: the table holds only completed
+    labelings."""
     if not _reusing:
-        return _label(n, rows)
+        return _label(n, rows, last)
     labeling = _held.get(rows)
     if labeling is None:
-        labeling = _label(n, rows)
+        labeling = _label(n, rows, last)
+        if labeling is None:
+            return None
     if _making is not None:
         _making[rows] = labeling
     return labeling
 
 
-def _label(n, rows):
-    """canon_raw's search, on checked arguments."""
+def _label(n, rows, last=None):
+    """canon_raw's search, on checked rows; None instead when the vertex
+    `last` is given and lies outside the root's last cell.
+
+    That last-cell test is sound: every refinement ranks a vertex first by
+    its old color, so each leaf, whose colors are the canonical positions,
+    puts the root's last cell at the last positions, and the canonically
+    last vertex lies in it; an automorphism maps every cell of the root onto
+    itself, so the cell holds that vertex's whole orbit.
+
+    Each node carries its cells with its colors (see `_refine`); a child's
+    cells are the node's with the target cell split into the individualized
+    vertex and the rest of the cell, in that order, as the child's colors
+    2c and 2c + 1 order them."""
     nbrs = [bits(r) for r in rows]
+    colors, cells = _root(nbrs)
+    if last is not None and colors[last] != len(cells) - 1:
+        return None
     uf = UnionFind(n)
     gens = []
     path = []  # the vertices individualized on the way to the current node
@@ -761,38 +815,32 @@ def _label(n, rows):
             best = kept(colors, crows)
         return len(path) - 1
 
-    def search(colors):
+    def search(colors, cells):
         """Depth of the node at which the search resumes."""
-        depth = len(path)
-        cell_size = [0] * n
-        for c in colors:
-            cell_size[c] += 1
-        target = -1
-        largest = 1
-        for c in range(n):
-            if cell_size[c] > largest:
-                largest = cell_size[c]
-                target = c
-        if target < 0:
+        if len(cells) == n:
             return leaf(colors)
-        members = [v for v in range(n) if colors[v] == target]
+        depth = len(path)
+        sizes = list(map(len, cells))
+        target = sizes.index(max(sizes))
+        members = cells[target]
+        before, after = cells[:target], cells[target + 1:]
         explored = []
-        for w in members:
+        for i, w in enumerate(members):
             if explored and w in _orbit(explored, _fixing(gens, path)):
                 continue
+            rest = members[:i] + members[i + 1:]
             child = [2 * c for c in colors]
-            for u in members:
-                if u != w:
-                    child[u] += 1
+            for u in rest:
+                child[u] += 1
             path.append(w)
-            resume = search(_refine(nbrs, child))
+            resume = search(*_refine(nbrs, child, before + [[w], rest] + after))
             path.pop()
             if resume < depth:
                 return resume
             explored.append(w)
         return depth - 1
 
-    search(_refine(nbrs, [0] * n))
+    search(colors, cells)
     first_path = first[0]
     aut_order = 1
     for i, v in enumerate(first_path):
@@ -862,8 +910,10 @@ def children(n, rows, max_degree, gens):
     smaller d leaves a vertex of degree above d in the new vertex's piece
     (or, for d = 0, a larger piece beside it).  Automorphisms keep a
     subset's size, so each orbit's least mask still comes first.  A subset
-    that an earlier one reaches under gens is skipped, and a child is
-    canonically labeled only when its new vertex passes `_may_be_last`.
+    that an earlier one reaches under gens is skipped, and a child's piece
+    is searched only when its new vertex passes `_may_be_last` and then the
+    last-cell test of `_canon`: it must lie in the last cell of its piece's
+    root refinement, which holds the orbit of the canonically last vertex.
 
     A child is accepted when its new vertex n lies in the orbit of its
     canonically last vertex (McKay 1998, "Isomorph-free exhaustive
@@ -871,7 +921,7 @@ def children(n, rows, max_degree, gens):
     vertex misses, so only the new vertex's piece is labeled (the whole
     child when the child is connected: the one-piece case), and each
     untouched parent component is labeled once per parent, on first use;
-    canon_raw only ever sees a connected graph.  canon_data puts the
+    `_canon` only ever sees a connected graph here.  canon_data puts the
     largest (n_C, pack_key) piece last (see _piece_class), so the new
     vertex is in the last orbit exactly when its piece is largest, ties
     allowed, and it lies in the orbit of its piece's last canonical
@@ -921,15 +971,21 @@ def _key_if_last(n, rows, child, xs, comps, comp_of, labeled):
     """The canonical graph6 key of child, the parent (n, rows) plus vertex n
     joined to xs, if vertex n is in the orbit of its canonically last
     vertex; else None.  The new vertex's piece, the whole child when the
-    child is connected, is labeled and composed with the untouched parent
-    components, whose (class, canonical rows) labeled caches per parent."""
+    child is connected, is labeled by `_canon` with the last-cell test, so a
+    new vertex outside its piece's root last cell is rejected before any
+    search.  The piece is then composed with the untouched parent
+    components, whose (class, canonical rows) labeled caches per parent.
+    The kernel built these rows itself, so `_canon` takes them unchecked."""
     merged = 0
     for u in xs:
         merged |= comp_of[u]
     # vertex n is the last of its piece's vertices, in ascending order
     verts, sub = induced(child, merged | 1 << n)
     last = len(verts) - 1
-    perm, _order, _gens, orbits, crows = canon_raw(len(verts), sub)
+    labeling = _canon(len(verts), sub, last)
+    if labeling is None:
+        return None
+    perm, _order, _gens, orbits, crows = labeling
     if orbits[last] != orbits[perm.index(last)]:
         return None
     mine = None  # the piece's class, found once another piece is ordered
@@ -939,7 +995,7 @@ def _key_if_last(n, rows, child, xs, comps, comp_of, labeled):
             continue
         if comp not in labeled:
             verts, sub = induced(rows, comp)
-            prows = canon_raw(len(verts), sub)[4]
+            prows = _canon(len(verts), sub)[4]
             labeled[comp] = _piece_class(prows), prows
         if mine is None:
             mine = _piece_class(crows)

@@ -62,9 +62,9 @@ def traced_cold_levels(monkeypatch, top):
     searches = []
     label = pure._label
 
-    def counting(n, rows):
+    def counting(n, rows, *last):
         searches.append(n)
-        return label(n, rows)
+        return label(n, rows, *last)
 
     monkeypatch.setattr(pure, "_label", counting)
     tracer = Tracer()
@@ -77,9 +77,11 @@ def traced_cold_levels(monkeypatch, top):
 
 
 def test_labelings_from_the_table_stay_inside_the_traced_canon_raw(monkeypatch):
-    """A labeling served from the table is still a kernels.canon_raw span:
-    a traced cold levels_up_to(6) records as many canon_raw and canon_data
-    spans with the table as without it, and only the searches fall."""
+    """Serving labelings from the table moves no traced span: a traced cold
+    levels_up_to(6) records as many kernels.canon_raw spans (the parents'
+    canon_data labelings; `children` labels through pure._canon, as the
+    compiled kernel labels inside its own call) and canon_data spans with
+    the table as without it, and only the searches fall."""
     monkeypatch.setattr(kernels, "_active", pure)
     spans, searches = traced_cold_levels(monkeypatch, 6)
     monkeypatch.setattr(pure, "_filling_labelings", contextlib.nullcontext)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +265,30 @@ def test_bits_matches_a_reference_loop_at_every_width():
     for mask in (-1, -256, -(1 << 70), 1 << 64, (1 << 65) - 1, 1 << 200):
         with pytest.raises(ValueError):
             bits(mask)
+
+
+def test_import_builds_only_the_low_byte_table():
+    """Importing the command-line tool builds the table of byte 0 alone; a
+    mask that bits rejects builds nothing, and the first mask of 256 or
+    above builds the tables of bytes 1..7."""
+    code = (
+        "import chromastab.cli\n"
+        "from chromastab import graph\n"
+        "assert len(graph._BYTE_BITS) == 1 and len(graph._LOW_BYTE) == 256\n"
+        "for mask in (-1, -(1 << 70), 1 << 64):\n"
+        "    try:\n"
+        "        graph.bits(mask)\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(mask)\n"
+        "assert len(graph._BYTE_BITS) == 1\n"
+        "assert graph.bits(255) == tuple(range(8)) and len(graph._BYTE_BITS) == 1\n"
+        "assert graph.bits(256) == (8,) and len(graph._BYTE_BITS) == 8\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                   check=True)
 
 
 def test_is_independent_matches_the_pairwise_definition():

@@ -123,23 +123,25 @@ def test_canon_raw_only_sees_connected_graphs(monkeypatch):
     """canon_raw on a union of pieces labels it whole, in a time that grows
     exponentially with the pieces (8K3+8C5 took seconds), so every caller
     hands it one component: canon_data on every class through order 7 and
-    on kK3+kC5, and pure `children` on every parent of order <= 6."""
+    on kK3+kC5, and pure `children` on every parent of order <= 6.  Pure
+    canon_raw and `children` both label through pure._canon, which is
+    watched on every backend."""
     levels = generate.all_levels(7)
     sizes = []
 
-    def wrap(kern):
-        raw = kern.canon_raw
+    def wrap(owner, name):
+        raw = getattr(owner, name)
 
-        def connected_only(n, rows):
+        def connected_only(n, rows, *last):
             assert component_masks(n, rows) == [(1 << n) - 1], rows
             sizes.append(n)
-            return raw(n, rows)
+            return raw(n, rows, *last)
 
-        monkeypatch.setattr(kern, "canon_raw", connected_only)
+        monkeypatch.setattr(owner, name, connected_only)
 
-    wrap(kernels.active())
     if kernels.active() is not pure:
-        wrap(pure)
+        wrap(kernels.active(), "canon_raw")
+    wrap(pure, "_canon")
     for n, level in levels.items():
         for _key, rows in level:
             iso.canon_data(n, rows)

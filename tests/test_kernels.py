@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from chromastab import chromatic, families, generate, graph6, iso, kernels, oracles
 from chromastab.graph import (
     Graph,
+    UnionFind,
     apply_perm,
+    bits,
     complete_bipartite,
     complete_graph,
     component_masks,
@@ -662,12 +664,140 @@ def round_by_round_refine(n, rows, colors):
         ncolors = len(ranks)
 
 
+def cells_of(colors):
+    """The cells of a coloring in ascending order of color, each as its
+    vertices in ascending order: what pure._refine takes and returns."""
+    return [[v for v, c in enumerate(colors) if c == color] for color in sorted(set(colors))]
+
+
+def reference_refine(nbrs, colors):
+    """A reference for pure._refine that carries no cells: it groups the
+    vertices by color on every call and returns the colors alone."""
+    n = len(nbrs)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    cells = [by_color[c] for c in sorted(by_color)]
+    while True:
+        color_of = colors.__getitem__
+        new = [0] * n
+        refined = []
+        rank = 0
+        for cell in cells:
+            if len(cell) == 1:
+                new[cell[0]] = rank
+                rank += 1
+                refined.append(cell)
+                continue
+            keyed = sorted([(sorted(map(color_of, nbrs[v])), v) for v in cell])
+            prev = keyed[0][0]
+            part = []
+            for sig, v in keyed:
+                if sig != prev:
+                    refined.append(part)
+                    part = []
+                    rank += 1
+                    prev = sig
+                new[v] = rank
+                part.append(v)
+            refined.append(part)
+            rank += 1
+        if rank == len(cells) or rank == n:
+            return new
+        colors = new
+        cells = refined
+
+
+def reference_label(n, rows):
+    """A reference for pure._label without cells, the degree-ranked root or
+    the last-cell test: every node refines from its colors alone, starting
+    at the unit partition."""
+    nbrs = [bits(r) for r in rows]
+    uf = UnionFind(n)
+    gens = []
+    path = []
+    first = best = None
+
+    def kept(colors, crows):
+        inv = [0] * n
+        for v in range(n):
+            inv[colors[v]] = v
+        return tuple(path), crows, inv, colors
+
+    def leaf(colors):
+        nonlocal first, best
+        crows = [0] * n
+        for v in range(n):
+            pv = colors[v]
+            for u in nbrs[v]:
+                crows[pv] |= 1 << colors[u]
+        if first is None:
+            first = best = kept(colors, crows)
+            return len(path) - 1
+        for ref_path, ref_rows, ref_inv, _ in (first, best):
+            if crows == ref_rows:
+                alpha = tuple(ref_inv[colors[v]] for v in range(n))
+                merged = False
+                for v in range(n):
+                    if uf.union(v, alpha[v]):
+                        merged = True
+                if merged:
+                    gens.append(alpha)
+                depth = 0
+                while path[depth] == ref_path[depth]:
+                    depth += 1
+                return depth
+        if crows < best[1]:
+            best = kept(colors, crows)
+        return len(path) - 1
+
+    def search(colors):
+        depth = len(path)
+        cell_size = [0] * n
+        for c in colors:
+            cell_size[c] += 1
+        target = -1
+        largest = 1
+        for c in range(n):
+            if cell_size[c] > largest:
+                largest = cell_size[c]
+                target = c
+        if target < 0:
+            return leaf(colors)
+        members = [v for v in range(n) if colors[v] == target]
+        explored = []
+        for w in members:
+            if explored and w in pure._orbit(explored, pure._fixing(gens, path)):
+                continue
+            child = [2 * c for c in colors]
+            for u in members:
+                if u != w:
+                    child[u] += 1
+            path.append(w)
+            resume = search(reference_refine(nbrs, child))
+            path.pop()
+            if resume < depth:
+                return resume
+            explored.append(w)
+        return depth - 1
+
+    search(reference_refine(nbrs, [0] * n))
+    first_path = first[0]
+    aut_order = 1
+    for i, v in enumerate(first_path):
+        aut_order *= len(pure._orbit([v], pure._fixing(gens, first_path[:i])))
+    orbits = tuple(uf.find(v) for v in range(n))
+    return tuple(best[3]), aut_order, tuple(gens), orbits, tuple(best[1])
+
+
 @st.composite
 def colored_graphs(draw):
-    """(n, rows, colors): a G(n, p) graph with n <= 16 or a SYMMETRIC graph,
-    with a random coloring (sparse colors included) or the coloring of a
-    child node: the refined coloring with one vertex of a cell at 2c and the
-    rest of the cell at 2c + 1, every other vertex at 2c."""
+    """(n, rows, colors, cells): a G(n, p) graph with n <= 16 or a SYMMETRIC
+    graph, with a random coloring (sparse colors included) or the coloring
+    of a child node: the refined coloring with one vertex w of a cell at 2c
+    and the rest of the cell at 2c + 1, every other vertex at 2c.  The cells
+    are the coloring's; a child's are its parent's with the target cell
+    split into [w] and the rest, as pure._label splits them."""
     if draw(st.booleans()):
         g = draw(st.sampled_from([g for _name, g, _order in SYMMETRIC]))
         n, rows = g.n, g.rows
@@ -684,22 +814,85 @@ def colored_graphs(draw):
         colors = [rng.choice([0, 3, 7, 40]) * rng.randrange(1, 4) for _ in range(n)]
     else:
         parent = round_by_round_refine(n, rows, [0] * n)
+        cells = cells_of(parent)
         target = parent[rng.randrange(n)]
-        members = [v for v in range(n) if parent[v] == target]
-        w = rng.choice(members)
+        w = rng.choice(cells[target])
         colors = [2 * c + (c == target and v != w) for v, c in enumerate(parent)]
-    return n, rows, colors
+        rest = [v for v in cells[target] if v != w]
+        # a singleton target leaves no rest, and no empty cell
+        split = [[w], rest] if rest else [[w]]
+        return n, rows, colors, cells[:target] + split + cells[target + 1:]
+    return n, rows, colors, cells_of(colors)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=colored_graphs())
-@example(case=(0, (), []))
-@example(case=(8, complete_graph(8).rows, [0] * 8))
-@example(case=(6, cycle_graph(6).rows, [4, 2, 2, 2, 2, 2]))
+@example(case=(0, (), [], []))
+@example(case=(8, complete_graph(8).rows, [0] * 8, [list(range(8))]))
+@example(case=(6, cycle_graph(6).rows, [4, 2, 2, 2, 2, 2], [[1, 2, 3, 4, 5], [0]]))
 def test_refine_matches_the_round_by_round_ranking(case):
-    n, rows, colors = case
+    """pure._refine gives the round-by-round colors, and the cells of those
+    colors, from a coloring and its cells; the reference body gives the
+    same colors from the coloring alone."""
+    n, rows, colors, cells = case
     nbrs = [tuple(u for u in range(n) if rows[v] >> u & 1) for v in range(n)]
-    assert pure._refine(nbrs, list(colors)) == round_by_round_refine(n, rows, colors)
+    want = round_by_round_refine(n, rows, colors)
+    assert pure._refine(nbrs, list(colors), cells) == (want, cells_of(want))
+    assert reference_refine(nbrs, list(colors)) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=colored_graphs())
+def test_the_degree_ranked_root_is_the_refined_unit_partition(case):
+    n, rows, _colors, _cells = case
+    nbrs = [bits(r) for r in rows]
+    want = round_by_round_refine(n, rows, [0] * n)
+    assert pure._root(nbrs) == (want, cells_of(want))
+
+
+def test_label_matches_the_reference_through_order_8_and_on_symmetric_graphs(levels_through_8):
+    """The labeling that carries cells down the tree and starts from the
+    degree-ranked root equals the reference's, item for item."""
+    graphs = [(n, rows) for n in range(9) for _key, rows in levels_through_8.get(n, ())]
+    graphs += [(g.n, g.rows) for _name, g, _order in SYMMETRIC]
+    for n, rows in graphs:
+        assert pure._label(n, rows) == reference_label(n, rows), rows
+
+
+def last_cell_misses(classes, pick):
+    """(rows, v) for every vertex v in the orbit of the canonically last
+    vertex of a class that lies outside pick(cells of the class's root)."""
+    misses = []
+    for n, rows in classes:
+        _colors, cells = pure._root([bits(r) for r in rows])
+        perm, _order, _gens, orbits, _crows = pure.canon_raw(n, rows)
+        last = perm.index(n - 1)
+        cell = pick(cells)
+        misses += [(rows, v) for v in range(n) if orbits[v] == orbits[last] and v not in cell]
+    return misses
+
+
+def test_the_root_last_cell_holds_the_orbit_of_the_canonically_last_vertex(levels_through_8):
+    """The last-cell test of pure._label rejects only vertices outside that
+    orbit: on every class through order 7, and on order 8 with max degree
+    4.  A test against the first cell instead fails here."""
+    classes = [(n, rows) for n in range(1, 8) for _key, rows in levels_through_8[n]]
+    classes += [(8, rows) for _key, rows in levels_through_8[8]
+                if max(r.bit_count() for r in rows) <= 4]
+    assert last_cell_misses(classes, lambda cells: cells[-1]) == []
+    assert last_cell_misses(classes, lambda cells: cells[0])
+
+
+def test_the_last_cell_test_rejects_exactly_the_vertices_outside_the_last_cell(levels_through_8):
+    """pure._label given a vertex returns None exactly when the vertex lies
+    outside the root's last cell, and otherwise the full labeling."""
+    for n in range(1, 7):
+        for _key, rows in levels_through_8[n]:
+            _colors, cells = pure._root([bits(r) for r in rows])
+            labeling = pure._label(n, rows)
+            for v in range(n):
+                got = pure._label(n, rows, v)
+                assert got == (labeling if v in cells[-1] else None), (rows, v)
 
 
 @pytest.mark.parametrize("max_degree", [3, 4, None])
@@ -1302,13 +1495,13 @@ def test_pure_children_label_each_parent_component_once(monkeypatch):
     parent = disjoint(K3, K3, path_graph(3), complete_graph(1))
     gens = iso.canon_data(parent.n, parent.rows).generators
     labeled = []
-    canon_raw = pure.canon_raw
+    canon = pure._canon
 
-    def recording(n, rows):
+    def recording(n, rows, *last):
         labeled.append(tuple(rows))
-        return canon_raw(n, rows)
+        return canon(n, rows, *last)
 
-    monkeypatch.setattr(pure, "canon_raw", recording)
+    monkeypatch.setattr(pure, "_canon", recording)
     got = pure.children(parent.n, parent.rows, None, gens)
     # no piece that holds the new vertex has 3 vertices, so these calls
     # label parent components: each K3 once, P3 once

@@ -1,7 +1,8 @@
 """The labeling table of the pure backend: a held level's build records every
-labeling canon_raw makes inside generate._children_of, and the expansion of
-that level reads them back.  The table memoizes a pure function, so these
-tests pin that it changes no output, and where it is read and filled."""
+labeling that `_canon`, the entry of canon_raw and `children`, completes
+inside generate._children_of, and the expansion of that level reads them
+back.  The table memoizes a pure function, so these tests pin that it
+changes no output, and where it is read and filled."""
 
 import concurrent.futures
 import contextlib
@@ -82,12 +83,24 @@ def test_canon_data_of_every_order7_class_is_the_same_from_the_table(cold, monke
 
 
 def test_the_table_holds_the_labelings_of_the_last_level_built(cold, monkeypatch):
+    """Every labeling `_canon` completed while the last level was built, and
+    no other: a child that the last-cell test rejects leaves no entry."""
     generate.levels_up_to(5)
+    canon = pure._canon
     for k in (6, 7):
-        labeled = counted(monkeypatch, pure, "canon_raw")
-        generate.levels_up_to(k)
-        made = {tuple(rows) for _n, rows in labeled}
+        labeled = []
+
+        def recording(n, rows, *last):
+            labeling = canon(n, rows, *last)
+            labeled.append((rows, labeling))
+            return labeling
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pure, "_canon", recording)
+            generate.levels_up_to(k)
+        made = {rows for rows, labeling in labeled if labeling is not None}
         assert made and set(pure._held) == made
+        assert any(labeling is None for _rows, labeling in labeled)
         for rows, labeling in pure._held.items():
             assert labeling == pure._label(len(rows), rows)
 
@@ -96,7 +109,7 @@ def test_streaming_the_top_order_adds_no_entry(cold, monkeypatch):
     generate.levels_up_to(6)
     held = pure._held
     snapshot = dict(held)
-    calls = counted(monkeypatch, pure, "canon_raw")
+    calls = counted(monkeypatch, pure, "_canon")
     searches = counted(monkeypatch, pure, "_label")
     streamed = list(generate.walk(7, first=7))
     assert len(streamed) == generate.KNOWN_CLASS_COUNTS[7]
@@ -108,14 +121,14 @@ def test_streaming_the_top_order_adds_no_entry(cold, monkeypatch):
 def test_canon_raw_outside_children_of_still_searches(cold, monkeypatch):
     generate.levels_up_to(6)
     rows = max(pure._held, key=len)
-    refines = counted(monkeypatch, pure, "_refine")
+    searches = counted(monkeypatch, pure, "_label")
     labeling = pure.canon_raw(len(rows), rows)
-    assert refines and labeling == pure._held[rows]
-    refines.clear()
+    assert searches and labeling == pure._held[rows]
+    searches.clear()
     with pure._reusing_labelings():
         assert pure.canon_raw(len(rows), rows) is pure._held[rows]
-    assert refines == []
-    assert pure.canon_raw(len(rows), rows) == labeling and refines
+    assert searches == []
+    assert pure.canon_raw(len(rows), rows) == labeling and searches
 
 
 def test_no_scope_stays_open(cold, monkeypatch):
